@@ -41,7 +41,7 @@ from .thermo import (
     jackson_check,
     open_run,
 )
-from .verify import run_suite
+from .verify import _SUITES, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,15 +67,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument(
         "--suite",
         default="all",
-        choices=[
-            "divergences",
-            "oe-core",
-            "sequential",
-            "refinement",
-            "decomposition",
-            "thermo",
-            "all",
-        ],
+        choices=[*_SUITES, "all"],
     )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--n", type=int, default=200)

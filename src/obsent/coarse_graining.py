@@ -1,21 +1,29 @@
 """POVM coarse-grainings and alpha-observational entropy.
 
 A coarse-graining is an ordered list of labeled PSD effects summing to the
-identity. Observational entropy weights each outcome probability against
-the volume (trace) of its effect; the alpha variant replaces the log-mean
-with a power mean. Sequential composition uses the Luders update, so the
-composed effects of a parent outcome always sum back to the parent effect.
+identity, stored as one read-only complex (n, d, d) array; len, iteration
+and indexing over `effects` work as on a tuple of matrices. Observational
+entropy weights each outcome probability p_i = Tr(Pi_i rho) against the
+volume V_i = Tr(Pi_i) of its effect; the alpha variant replaces the
+log-mean with a power mean. Sequential composition uses the Luders update,
+so the composed effects of a parent outcome always sum back to the parent
+effect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
-from .divergences import classical_petz_renyi, kl_divergence
+from .divergences import (
+    _check_alpha,
+    classical_petz_renyi,
+    kl_divergence,
+    petz_renyi,
+)
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -32,67 +40,77 @@ from .operators import as_matrix, op_power
 class CoarseGraining:
     """Ordered labeled effects Pi_i >= 0 with sum_i Pi_i = I.
 
-    Effects with trace below the zero-effect threshold are dropped at
-    construction, so every retained volume is strictly positive.
+    `effects` is a read-only complex (n, d, d) array owned by the instance:
+    construction copies the given matrices (a sequence of d x d matrices or
+    an (n, d, d) array) into it and symmetrizes each one. Effects with
+    trace below the zero-effect threshold are dropped at construction, so
+    every retained volume is strictly positive.
     """
 
     labels: tuple
-    effects: tuple
+    effects: np.ndarray
+    _volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.labels) != len(self.effects):
+        labels = tuple(self.labels)
+        if len(labels) != len(self.effects):
             raise ShapeMismatch(
-                f"{len(self.labels)} labels for {len(self.effects)} effects"
+                f"{len(labels)} labels for {len(self.effects)} effects"
             )
-        effs = [as_matrix(e) for e in self.effects]
-        if not effs:
+        if not labels:
             raise ValidationError("a coarse-graining needs at least one effect")
-        dim = effs[0].shape[0]
-        kept_labels, kept_effects = [], []
-        for lab, e in zip(self.labels, effs):
+        dim = as_matrix(self.effects[0]).shape[0]
+        stack = np.empty((len(labels), dim, dim), dtype=complex)
+        for k, (lab, e) in enumerate(zip(labels, self.effects)):
+            e = as_matrix(e)
             if e.shape != (dim, dim):
                 raise DimensionMismatch(
                     f"effect {lab!r} has shape {e.shape}, expected {(dim, dim)}"
                 )
-            lam_min = float(np.linalg.eigvalsh(e)[0])
-            if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
-                raise NotPSD(f"effect {lab!r} is not PSD", magnitude=-lam_min)
-            if float(np.trace(e).real) < tol.ZERO_EFFECT_TRACE:
-                continue
-            e = 0.5 * (e + e.conj().T)
-            e.flags.writeable = False
-            kept_labels.append(lab)
-            kept_effects.append(e)
-        if not kept_effects:
+            np.add(e, e.conj().T, out=stack[k])
+            stack[k] *= 0.5
+        lam_min = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(lam_min < -tol.PSD_EIGENVALUE_FLOOR)
+        if bad.size:
+            k = bad[0]
+            raise NotPSD(f"effect {labels[k]!r} is not PSD", magnitude=-lam_min[k])
+        volumes = stack.trace(axis1=1, axis2=2).real
+        keep = volumes >= tol.ZERO_EFFECT_TRACE
+        if not keep.any():
             raise ValidationError("all effects have zero trace")
-        total = sum(kept_effects)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+        if not keep.all():
+            stack, volumes = stack[keep], volumes[keep]
+            labels = tuple(lab for lab, k in zip(labels, keep) if k)
+        defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
         if defect > tol.POVM_SUM_ATOL:
             raise ValidationError(
                 "effects do not sum to the identity", magnitude=defect
             )
-        object.__setattr__(self, "labels", tuple(kept_labels))
-        object.__setattr__(self, "effects", tuple(kept_effects))
+        stack.flags.writeable = False
+        volumes.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "effects", stack)
+        object.__setattr__(self, "_volumes", volumes)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
 
     def volumes(self) -> np.ndarray:
-        return np.array([float(np.trace(e).real) for e in self.effects])
+        """Read-only effect volumes V_i = Tr(Pi_i)."""
+        return self._volumes
 
     def is_projective(self, atol: float = 1e-9) -> bool:
-        return all(
-            float(np.max(np.abs(e @ e - e))) <= atol for e in self.effects
-        )
+        e = self.effects
+        return float(np.max(np.abs(e @ e - e))) <= atol
 
 
 def identity_cg(dim: int) -> CoarseGraining:
     """The trivial single-outcome coarse-graining {I}."""
-    return CoarseGraining(("I",), (np.eye(dim, dtype=complex),))
+    return CoarseGraining(("I",), np.eye(dim, dtype=complex)[None])
 
 
 def projective_cg(vectors_or_projectors, labels=None) -> CoarseGraining:
@@ -103,12 +121,12 @@ def projective_cg(vectors_or_projectors, labels=None) -> CoarseGraining:
     """
     if isinstance(vectors_or_projectors, np.ndarray) and vectors_or_projectors.ndim == 2:
         u = np.asarray(vectors_or_projectors, dtype=complex)
-        effs = [np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[1])]
+        effs = np.einsum("ik,jk->kij", u, u.conj())
     else:
-        effs = [as_matrix(p) for p in vectors_or_projectors]
+        effs = list(vectors_or_projectors)
     if labels is None:
         labels = tuple(str(k) for k in range(len(effs)))
-    return CoarseGraining(tuple(labels), tuple(effs))
+    return CoarseGraining(tuple(labels), effs)
 
 
 @dataclass(frozen=True)
@@ -172,49 +190,49 @@ def _match_dims(cg: CoarseGraining, rho) -> np.ndarray:
     return m
 
 
+def _traces(cg: CoarseGraining, x) -> np.ndarray:
+    """Tr(Pi_i X) for every effect, as one real vector."""
+    return np.einsum("kij,ji->k", cg.effects, _match_dims(cg, x)).real
+
+
 def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
     """Outcome probabilities and volumes of a state under a coarse-graining."""
-    m = _match_dims(cg, rho)
-    p = np.array([float(np.trace(e @ m).real) for e in cg.effects])
-    return OutcomeDistribution(cg.labels, p, cg.volumes())
+    return OutcomeDistribution(cg.labels, _traces(cg, rho), cg.volumes())
 
 
 def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
     """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i."""
-    m = _match_dims(cg, x)
-    w = np.array([float(np.trace(e @ m).real) for e in cg.effects])
-    return ClassicalState(cg.labels, w)
+    return ClassicalState(cg.labels, _traces(cg, x))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise InvalidAlpha(f"alpha must be a positive real, got {alpha}")
+def _alpha_oe_from_pv(p: np.ndarray, v: np.ndarray, alpha: float) -> float:
+    """-(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha) over p_i > 0.
+
+    |alpha - 1| < ALPHA_NEAR_ONE evaluates the alpha -> 1 limit
+    -sum_i p_i log(p_i / V_i).
+    """
+    mask = p > 0
+    p, v = p[mask], v[mask]
+    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
+        return float(-np.sum(p * np.log(p / v)))
+    total = float(np.sum(p**alpha * v ** (1.0 - alpha)))
+    return -math.log(total) / (alpha - 1.0)
 
 
 def observational_entropy(cg: CoarseGraining, rho) -> float:
     """Observational entropy -sum_i p_i log(p_i / V_i) in nats."""
     dist = outcomes(cg, rho)
-    p, v = dist.probabilities, dist.volumes
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask] / v[mask])))
-
-
-def _alpha_oe_from_pv(p: np.ndarray, v: np.ndarray, alpha: float) -> float:
-    mask = p > 0
-    total = float(np.sum(p[mask] ** alpha * v[mask] ** (1.0 - alpha)))
-    return -math.log(total) / (alpha - 1.0)
+    return _alpha_oe_from_pv(dist.probabilities, dist.volumes, 1.0)
 
 
 def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     """Order-alpha observational entropy.
 
     -(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha); zero-probability
-    outcomes contribute 0. |alpha - 1| < 1e-6 delegates to the plain
+    outcomes contribute 0. |alpha - 1| < 1e-6 evaluates the plain
     observational entropy (the alpha -> 1 limit).
     """
     _check_alpha(alpha)
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        return observational_entropy(cg, rho)
     dist = outcomes(cg, rho)
     return _alpha_oe_from_pv(dist.probabilities, dist.volumes, alpha)
 
@@ -240,8 +258,6 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     telescopes to alpha_oe - renyi_entropy. Non-negative by the
     data-processing inequality for measurement channels.
     """
-    from .divergences import petz_renyi
-
     _check_alpha(alpha)
     m = _match_dims(cg, rho)
     d = cg.dim
@@ -280,11 +296,14 @@ def tensor_cg(parts) -> CoarseGraining:
     if len(parts) < 2:
         raise ValidationError("tensor_cg needs at least two parts")
     labels = [(lab,) for lab in parts[0].labels]
-    effects = list(parts[0].effects)
+    effects = parts[0].effects
     for part in parts[1:]:
         labels = [l1 + (l2,) for l1 in labels for l2 in part.labels]
-        effects = [np.kron(e1, e2) for e1 in effects for e2 in part.effects]
-    return CoarseGraining(tuple(labels), tuple(effects))
+        (n1, d1, _), (n2, d2, _) = effects.shape, part.effects.shape
+        effects = np.einsum("aij,bkl->abikjl", effects, part.effects).reshape(
+            n1 * n2, d1 * d2, d1 * d2
+        )
+    return CoarseGraining(tuple(labels), effects)
 
 
 def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
@@ -295,13 +314,10 @@ def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
     """
     if cg1.dim != cg2.dim:
         raise DimensionMismatch(f"dims {cg1.dim} vs {cg2.dim}")
-    labels, effects = [], []
-    for lab1, e1 in zip(cg1.labels, cg1.effects):
-        root = op_power(e1, 0.5)
-        for lab2, e2 in zip(cg2.labels, cg2.effects):
-            labels.append((lab1, lab2))
-            effects.append(root @ e2 @ root)
-    return CoarseGraining(tuple(labels), tuple(effects))
+    roots = op_power(cg1.effects, 0.5)[:, None]
+    effects = (roots @ cg2.effects @ roots).reshape(-1, cg1.dim, cg1.dim)
+    labels = tuple((l1, l2) for l1 in cg1.labels for l2 in cg2.labels)
+    return CoarseGraining(labels, effects)
 
 
 def check_refinement(
@@ -319,10 +335,8 @@ def check_refinement(
         raise ShapeMismatch(
             f"map shape {mm.shape} != ({len(finer)}, {len(coarser)})"
         )
-    worst = 0.0
-    for j, target in enumerate(coarser.effects):
-        built = sum(mm[i, j] * finer.effects[i] for i in range(len(finer)))
-        worst = max(worst, float(np.max(np.abs(built - target))))
+    built = np.tensordot(mm, finer.effects, axes=(0, 0))
+    worst = float(np.max(np.abs(built - coarser.effects)))
     return worst <= tol.REFINEMENT_ATOL, worst
 
 
@@ -345,16 +359,10 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
     if len(seen) != len(cg):
         raise InvalidPartition("partition does not cover all labels")
     m = np.zeros((len(cg), len(partition)))
-    labels, effects = [], []
     for j, group in enumerate(partition):
-        acc = np.zeros((cg.dim, cg.dim), dtype=complex)
-        for lab in group:
-            i = index[lab]
-            m[i, j] = 1.0
-            acc = acc + cg.effects[i]
-        labels.append(tuple(group) if len(group) > 1 else group[0])
-        effects.append(acc)
-    coarser = CoarseGraining(tuple(labels), tuple(effects))
+        m[[index[lab] for lab in group], j] = 1.0
+    labels = tuple(tuple(g) if len(g) > 1 else g[0] for g in partition)
+    coarser = CoarseGraining(labels, np.tensordot(m, cg.effects, axes=(0, 0)))
     return coarser, RefinementMap(m)
 
 
@@ -389,8 +397,6 @@ def refinement_divergence_bound(
     v = finer.volumes()
     pc = outcomes(coarser, rho).probabilities
     vc = coarser.volumes()
-    ratios = np.zeros(len(finer))
-    for i in range(len(finer)):
-        ratios[i] = float(np.sum(m.matrix[i] * (v[i] * pc / vc) ** alpha))
+    ratios = np.sum(m.matrix * (v[:, None] * pc / vc) ** alpha, axis=1)
     q = ratios ** (1.0 / alpha)
     return classical_petz_renyi(p, q, alpha)

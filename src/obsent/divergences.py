@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, InvalidAlpha, LengthMismatch
+from .errors import DimensionMismatch, InvalidAlpha, LengthMismatch, ValidationError
 from .operators import as_matrix, op_power, weight_outside_support
 
 INFINITE = math.inf
@@ -31,7 +31,7 @@ def _nonneg_vector(x) -> np.ndarray:
     if v.ndim != 1:
         raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
     if v.size and float(v.min()) < -1e-12:
-        raise ValueError(f"negative weight {v.min()}")
+        raise ValidationError("negative weight", magnitude=-float(v.min()))
     return np.clip(v, 0.0, None)
 
 

@@ -100,8 +100,4 @@ def random_coarse_grained_state(
 ) -> np.ndarray:
     """A state that equals its own coarse-grained state (projective cg)."""
     weights = rng.dirichlet(np.ones(len(cg)))
-    vols = cg.volumes()
-    out = np.zeros((cg.dim, cg.dim), dtype=complex)
-    for w, v, e in zip(weights, vols, cg.effects):
-        out = out + (w / v) * e
-    return out
+    return np.tensordot(weights / cg.volumes(), cg.effects, axes=1)

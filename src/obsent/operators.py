@@ -163,22 +163,22 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
 
     Eigenvalues <= support_rtol * lambda_max are treated as exact zeros and
     map to 0 for every exponent s, including negative s. Hence
-    op_power(A, s) @ op_power(A, -s) is the projector onto supp(A).
+    op_power(A, s) @ op_power(A, -s) is the projector onto supp(A). A may
+    also be a (..., d, d) stack; each matrix is then powered on its own,
+    with its own lambda_max.
     """
     m = as_matrix(A)
-    _check_square(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
     lam, vec = np.linalg.eigh(m)
-    lam_max = float(lam[-1]) if len(lam) else 0.0
-    if lam_max <= 0.0:
-        if float(lam[0]) < -tol.PSD_EIGENVALUE_FLOOR:
-            raise NotPSD("op_power needs a PSD matrix", magnitude=-float(lam[0]))
-        return np.zeros_like(m)
-    if float(lam[0]) < -tol.PSD_EIGENVALUE_FLOOR * max(lam_max, 1.0):
-        raise NotPSD("op_power needs a PSD matrix", magnitude=-float(lam[0]))
-    cut = support_rtol * lam_max
-    keep = lam > cut
-    powered = np.where(keep, np.power(np.clip(lam, cut, None), s), 0.0)
-    return (vec * powered) @ vec.conj().T
+    lam_max = lam[..., -1:]
+    neg = -lam[..., :1]
+    bad = neg > tol.PSD_EIGENVALUE_FLOOR * np.maximum(lam_max, 1.0)
+    if np.any(bad):
+        raise NotPSD("op_power needs a PSD matrix", magnitude=float(neg[bad][0]))
+    keep = lam > support_rtol * lam_max
+    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
+    return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
 def support_projector(A, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
@@ -222,6 +222,16 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
+def propagator(H):
+    """The exact propagator t -> exp(-i H t), from one eigendecomposition."""
+    lam, vec = np.linalg.eigh(as_matrix(H))
+
+    def u(t: float) -> np.ndarray:
+        return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+
+    return u
+
+
 def propagate(rho, H, t: float) -> np.ndarray:
     """Evolve rho under U = exp(-i H t), computed spectrally (exact)."""
     rm = as_matrix(rho)
@@ -230,6 +240,5 @@ def propagate(rho, H, t: float) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {rm.shape[0]} != Hamiltonian dim {hm.shape[0]}"
         )
-    lam, vec = np.linalg.eigh(hm)
-    u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+    u = propagator(hm)(t)
     return u @ rm @ u.conj().T

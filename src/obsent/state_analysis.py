@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import CoarseGraining, alpha_oe, outcomes
-from .divergences import petz_renyi, renyi_entropy, von_neumann
-from .errors import InvalidAlpha, NonProjectiveCoarseGraining
+from .divergences import _check_alpha, petz_renyi, renyi_entropy, von_neumann
+from .errors import NonProjectiveCoarseGraining
 from .operators import as_matrix, op_power
 
 
@@ -58,37 +58,26 @@ class CoarseGrainedReport:
 
 def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
     """Unselective post-measurement state sum_i sqrt(Pi_i) rho sqrt(Pi_i)."""
-    m = as_matrix(rho)
-    out = np.zeros_like(m)
-    for e in cg.effects:
-        root = op_power(e, 0.5)
-        out = out + root @ m @ root
-    return out
+    roots = op_power(cg.effects, 0.5)
+    return (roots @ as_matrix(rho) @ roots).sum(axis=0)
 
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
     """Conditional states and flat references per outcome."""
     m = as_matrix(rho)
     dist = outcomes(cg, m)
-    labels, probs, states, flats = [], [], [], []
-    for lab, p, e, v in zip(
-        cg.labels, dist.probabilities, cg.effects, dist.volumes
-    ):
-        if p <= tol.PROB_FLOOR:
-            continue
-        root = op_power(e, 0.5)
-        labels.append(lab)
-        probs.append(float(p))
-        states.append(root @ m @ root / p)
-        flats.append(e / v)
+    keep = dist.probabilities > tol.PROB_FLOOR
+    p = dist.probabilities[keep]
+    effects = cg.effects[keep]
+    roots = op_power(effects, 0.5)
+    states = roots @ m @ roots / p[:, None, None]
+    flats = effects / dist.volumes[keep][:, None, None]
     return ConditionalEnsemble(
-        tuple(labels), tuple(probs), tuple(states), tuple(flats)
+        tuple(lab for lab, k in zip(cg.labels, keep) if k),
+        tuple(p.tolist()),
+        tuple(states),
+        tuple(flats),
     )
-
-
-def _check_alpha(alpha: float) -> None:
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise InvalidAlpha(f"alpha must be a positive real, got {alpha}")
 
 
 def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -147,12 +136,8 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
     """The coarse-grained state sum_i (p_i / V_i) Pi_i."""
-    m = as_matrix(rho)
-    dist = outcomes(cg, m)
-    out = np.zeros_like(m)
-    for p, v, e in zip(dist.probabilities, dist.volumes, cg.effects):
-        out = out + (p / v) * e
-    return out
+    dist = outcomes(cg, rho)
+    return np.tensordot(dist.probabilities / dist.volumes, cg.effects, axes=1)
 
 
 def is_coarse_grained(

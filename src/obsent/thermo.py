@@ -22,12 +22,13 @@ import numpy as np
 from . import tolerances as tol
 from .coarse_graining import (
     CoarseGraining,
+    _alpha_oe_from_pv,
     alpha_oe,
     outcomes,
     projective_cg,
     tensor_cg,
 )
-from .divergences import renyi_entropy
+from .divergences import _check_alpha, renyi_entropy
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -36,7 +37,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .operators import as_matrix, partial_trace, spectral, tensor
+from .operators import as_matrix, partial_trace, propagator, spectral, tensor
 from .state_analysis import is_coarse_grained
 
 
@@ -248,20 +249,13 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     -(A~(T) - A~(T0)) / (T - T0) with T = T0 / alpha. Returns
     (lhs, rhs, lhs - rhs); the identity is exact in exact arithmetic.
     """
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise InvalidAlpha(f"alpha must be a positive real, got {alpha}")
+    _check_alpha(alpha)
     if abs(alpha - 1.0) < 1e-15:
         raise InvalidAlpha("the difference quotient needs alpha != 1")
     if not np.isfinite(t0) or t0 <= 0:
         raise InvalidTemperature(f"temperature must be > 0, got {t0}")
     p = gibbs_distribution(levels, t0)
-    v = np.full(p.shape, levels.volume)
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        lhs = float(-np.sum(p * np.log(p / v)))
-    else:
-        lhs = -math.log(float(np.sum(p**alpha * v ** (1.0 - alpha)))) / (
-            alpha - 1.0
-        )
+    lhs = _alpha_oe_from_pv(p, np.full(p.shape, levels.volume), alpha)
     t_new = t0 / alpha
     a_new = free_energy(levels, t_new).helmholtz_scaled
     a_old = free_energy(levels, t0).helmholtz_scaled
@@ -292,15 +286,6 @@ class ClosedRunRecord:
 
     def min_delta_entropy(self) -> float:
         return min(s.delta_entropy for s in self.samples)
-
-
-def _propagator(hamiltonian: np.ndarray):
-    lam, vec = np.linalg.eigh(hamiltonian)
-
-    def u(t: float) -> np.ndarray:
-        return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-
-    return u
 
 
 def _check_sample_times(sample_times, horizon: float | None) -> list:
@@ -356,7 +341,7 @@ def closed_run(
     seg_states = [rho]
     seg_props = []
     for h, duration in protocol.segments:
-        u = _propagator(h)
+        u = propagator(h)
         seg_props.append(u)
         um = u(duration)
         seg_states.append(um @ seg_states[-1] @ um.conj().T)
@@ -435,16 +420,13 @@ class OpenRunRecord:
 
 
 def _classical_mutual_info(p_joint: np.ndarray, alpha: float) -> float:
-    """Renyi mutual information of a joint outcome table."""
-    p = np.clip(p_joint, 0.0, None)
-    ps, pb = p.sum(axis=1), p.sum(axis=0)
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        mask = p > 0
-        ref = np.outer(ps, pb)
-        return float(np.sum(p[mask] * np.log(p[mask] / ref[mask])))
-    num = float(np.sum(p[p > 0] ** alpha))
-    den = float(np.sum(ps[ps > 0] ** alpha)) * float(np.sum(pb[pb > 0] ** alpha))
-    return math.log(num / den) / (alpha - 1.0)
+    """Renyi mutual information H(p_s) + H(p_b) - H(p) of a joint outcome
+    table, each H the order-alpha entropy with unit volumes."""
+
+    def h(p):
+        return _alpha_oe_from_pv(p.ravel(), np.ones(p.size), alpha)
+
+    return h(p_joint.sum(axis=1)) + h(p_joint.sum(axis=0)) - h(p_joint)
 
 
 def open_run(
@@ -510,7 +492,7 @@ def open_run(
         return out
 
     base = per_alpha_terms(rho0)
-    u = _propagator(h_joint)
+    u = propagator(h_joint)
 
     samples, findings = [], []
     for t in ts:

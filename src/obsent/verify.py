@@ -392,7 +392,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
             gap = alpha_oe(coarser, rho, a) - alpha_oe(cg, rho, a)
             mono_lo.record(gap, _state_instance(rho, a))
         # trivial coarser {I}: the bound equals the gap exactly
-        triv_cg, triv_map = random_merge_to_identity(cg)
+        triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
         for a in ALPHA_GT1:
             gap = alpha_oe(triv_cg, rho, a) - alpha_oe(cg, rho, a)
             d_bound = refinement_divergence_bound(cg, triv_cg, triv_map, rho, a)
@@ -420,11 +420,6 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
             injected.record(-1.0, {"error": f"NotARefinement: {exc}"})
         results.append(injected)
     return results
-
-
-def random_merge_to_identity(cg):
-    """Merge every outcome into one group, yielding the trivial {I}."""
-    return merge_outcomes(cg, [list(cg.labels)])
 
 
 def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
@@ -648,8 +643,7 @@ def run_suite(
     """Run one named suite (or 'all') and return its report."""
     if suite == "all":
         props = []
-        for name in ("divergences", "oe-core", "sequential", "refinement",
-                     "decomposition", "thermo"):
+        for name in _SUITES:
             props.extend(_run_one(name, seed, n, dim_max, inject_invalid))
         return VerificationReport("all", seed, n, dim_max, props)
     if suite not in _SUITES:

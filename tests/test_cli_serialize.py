@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from obsent import projective_cg
-from obsent.cli import main
+from obsent.cli import _build_parser, main
 from obsent.errors import SchemaError
 from obsent.generators import random_density, random_povm
 from obsent.serialize import (
@@ -16,6 +17,7 @@ from obsent.serialize import (
     operator_from_json,
     operator_to_json,
 )
+from obsent.verify import _SUITES, run_suite
 
 from conftest import KET_PLUS, proj
 
@@ -235,6 +237,18 @@ class TestVerifyCommand:
         injected = names["injected_invalid_map"]
         assert injected["fails"] == 1
         assert "NotARefinement" in json.dumps(injected["violations"])
+
+    def test_suite_choices_follow_registry(self):
+        parser = _build_parser()
+        verify_cmd = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices["verify"]
+        suite = next(a for a in verify_cmd._actions if a.dest == "suite")
+        assert suite.choices == list(_SUITES) + ["all"]
+        expected = []
+        for name in _SUITES:
+            expected += [p.name for p in run_suite(name, n=1, dim_max=2).properties]
+        assert [p.name for p in run_suite("all", n=1, dim_max=2).properties] == expected
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

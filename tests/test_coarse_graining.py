@@ -27,6 +27,7 @@ from obsent.errors import (
     InvalidAlpha,
     InvalidPartition,
     NotARefinement,
+    NotPSD,
     ValidationError,
 )
 from obsent.generators import (
@@ -55,6 +56,31 @@ class TestConstruction:
         )
         assert cg.labels == ("a", "b")
         assert len(cg) == 2
+        np.testing.assert_array_equal(
+            cg.effects, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        )
+        np.testing.assert_array_equal(cg.volumes(), [1.0, 1.0])
+
+    def test_effects_are_an_owned_read_only_stack(self):
+        given = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        cg = CoarseGraining(("a", "b"), given)
+        assert isinstance(cg.effects, np.ndarray)
+        assert cg.effects.shape == (2, 2, 2) and cg.effects.dtype == complex
+        with pytest.raises(ValueError):
+            cg.effects[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            cg.volumes()[0] = 5.0
+        given[0][0, 0] = 5.0
+        np.testing.assert_array_equal(cg.effects[0], np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(cg.volumes(), [1.0, 1.0])
+        assert [e.shape for e in cg.effects] == [(2, 2), (2, 2)]
+
+    def test_not_psd_names_first_bad_label(self):
+        bad = np.diag([1.0, -0.5])
+        with pytest.raises(NotPSD, match="effect 'b' is not PSD"):
+            CoarseGraining(
+                ("a", "b", "c"), (np.diag([0.0, 1.5]), bad, bad)
+            )
 
     def test_projectivity_probe(self):
         assert Z_BASIS.is_projective()
@@ -232,6 +258,20 @@ class TestTensorCg:
         for a in ALPHA_GRID:
             expected = alpha_oe(Z_BASIS, np.diag([0.75, 0.25]), a) + math.log(2)
             assert alpha_oe(prod, rho, a) == pytest.approx(expected, abs=1e-10)
+
+    def test_effects_follow_kron_order(self, rng):
+        parts = [random_coarse_graining(rng, d) for d in (2, 3, 2)]
+        prod = tensor_cg(parts)
+        k = 0
+        for la, a in zip(parts[0].labels, parts[0].effects):
+            for lb, b in zip(parts[1].labels, parts[1].effects):
+                for lc, c in zip(parts[2].labels, parts[2].effects):
+                    assert prod.labels[k] == (la, lb, lc)
+                    np.testing.assert_allclose(
+                        prod.effects[k], np.kron(np.kron(a, b), c), atol=1e-15
+                    )
+                    k += 1
+        assert k == len(prod)
 
     def test_trivial_parts(self):
         prod = tensor_cg([identity_cg(2), identity_cg(2)])

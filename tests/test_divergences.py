@@ -5,9 +5,11 @@ import pytest
 
 from obsent import (
     INFINITE,
+    alpha_oe_divergence_form,
     classical_petz_renyi,
     kl_divergence,
     petz_renyi,
+    projective_cg,
     renyi_entropy,
     renyi_mutual_info,
     tensor,
@@ -15,7 +17,7 @@ from obsent import (
     von_neumann,
 )
 from obsent.divergences import renyi_mutual_info_divergence_form
-from obsent.errors import InvalidAlpha, LengthMismatch
+from obsent.errors import InvalidAlpha, LengthMismatch, ObsentError
 from obsent.generators import random_coarse_graining, random_density
 from obsent.coarse_graining import outcomes
 
@@ -159,6 +161,16 @@ class TestClassicalPetz:
         assert classical_petz_renyi([1.0, 0.0], [0.5, 0.5], 2.0) == pytest.approx(
             math.log(2.0)
         )
+
+    def test_negative_weights_raise_obsent_error(self):
+        with pytest.raises(ObsentError, match="negative weight"):
+            classical_petz_renyi([-1, 2], [0.5, 0.5], 2)
+        with pytest.raises(ObsentError, match="negative weight"):
+            kl_divergence([0.5, -0.2], [0.5, 0.5])
+        with pytest.raises(ObsentError, match="negative weight"):
+            alpha_oe_divergence_form(
+                projective_cg(np.eye(2)), np.diag([1.2, -0.2]), 2
+            )
 
 
 class TestMutualInfo:

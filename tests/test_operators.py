@@ -92,6 +92,22 @@ class TestOpPower:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             op_power(np.diag([1.0, -0.5]), 0.5)
+        # one indefinite member rejects the whole stack
+        with pytest.raises(NotPSD):
+            op_power(np.stack([np.eye(2), np.diag([1.0, -0.5])]), 0.5)
+
+    def test_stack_matches_per_matrix(self, rng):
+        d = 4
+        stack = np.stack(
+            [random_density(rng, d, rank=r) for r in (1, 2, 4)]
+            + [np.zeros((d, d)), 3.0 * random_density(rng, d, rank=3)]
+        )
+        for s in (0.5, -0.5, 0.0):
+            batched = op_power(stack, s)
+            assert batched.shape == stack.shape
+            for member, out in zip(stack, batched):
+                np.testing.assert_allclose(out, op_power(member, s), atol=1e-12)
+        np.testing.assert_array_equal(op_power(stack, 0.5)[3], 0.0)
 
     def test_power_cancellation_is_support_projector(self, rng):
         for _ in range(50):
