@@ -176,6 +176,8 @@ def _sample_times(node, horizon) -> np.ndarray:
         return np.array([float(t) for t in node])
     if isinstance(node, dict) and "count" in node:
         count = int(node["count"])
+        if count <= 0:
+            raise SchemaError("sample_times.count must be a positive integer")
         end = float(node.get("horizon", horizon if horizon is not None else 0.0))
         if end <= 0:
             raise SchemaError("sample_times.horizon must be positive")

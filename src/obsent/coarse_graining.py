@@ -350,6 +350,8 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
     index = {lab: i for i, lab in enumerate(cg.labels)}
     seen = set()
     for group in partition:
+        if not group:
+            raise InvalidPartition("partition has an empty group")
         for lab in group:
             if lab not in index:
                 raise InvalidPartition(f"unknown label {lab!r}")

@@ -73,15 +73,15 @@ def classical_petz_renyi(x, q, alpha: float) -> float:
     return math.log(total) / (alpha - 1.0)
 
 
-def _state_eigenvalues(rho) -> np.ndarray:
-    lam = np.linalg.eigvalsh(as_matrix(rho))
-    lam_max = float(lam[-1]) if len(lam) else 0.0
+def _support_values(lam: np.ndarray) -> np.ndarray:
+    """Entries above SUPPORT_RTOL times the largest; the rest are exact zeros."""
+    lam_max = float(lam.max()) if len(lam) else 0.0
     return lam[lam > tol.SUPPORT_RTOL * max(lam_max, 1e-300)]
 
 
 def von_neumann(rho) -> float:
     """von Neumann entropy -Tr(rho log rho) in nats."""
-    lam = _state_eigenvalues(rho)
+    lam = _support_values(np.linalg.eigvalsh(as_matrix(rho)))
     return float(-np.sum(lam * np.log(lam)))
 
 
@@ -93,7 +93,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     _check_alpha(alpha)
     if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
         return von_neumann(rho)
-    lam = _state_eigenvalues(rho)
+    lam = _support_values(np.linalg.eigvalsh(as_matrix(rho)))
     return float(math.log(float(np.sum(lam**alpha))) / (1.0 - alpha))
 
 

@@ -132,6 +132,13 @@ def validate_operator(matrix, kind: str):
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def _levels(lam: np.ndarray, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> list:
+    """(start, stop, mean) per level of ascending lam; gaps > degeneracy_tol split."""
+    cuts = (np.flatnonzero(np.diff(lam) > degeneracy_tol) + 1).tolist()
+    bounds = [0, *cuts, len(lam)]
+    return [(a, b, float(np.mean(lam[a:b]))) for a, b in zip(bounds, bounds[1:])]
+
+
 def spectral(H, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> EigenSystem:
     """Eigendecompose a Hermitian matrix, merging near-degenerate levels.
 
@@ -139,23 +146,11 @@ def spectral(H, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> EigenSystem:
     single projector of summed rank; the reported eigenvalue of a group is
     the rank-weighted mean.
     """
-    m = as_matrix(H)
-    _check_square(m)
-    _check_hermitian(m, tol.HERMITICITY_RTOL)
-    lam, vec = np.linalg.eigh(m)
-    groups = []
-    start = 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] - lam[i - 1] > degeneracy_tol:
-            groups.append((start, i))
-            start = i
-    values, projectors, mults = [], [], []
-    for a, b in groups:
-        block = vec[:, a:b]
-        projectors.append(block @ block.conj().T)
-        values.append(float(np.mean(lam[a:b])))
-        mults.append(b - a)
-    return EigenSystem(np.array(values), projectors, tuple(mults))
+    lam, vec = np.linalg.eigh(validate_operator(H, "hermitian").matrix)
+    levels = _levels(lam, degeneracy_tol)
+    projectors = [vec[:, a:b] @ vec[:, a:b].conj().T for a, b, _ in levels]
+    mults = tuple(b - a for a, b, _ in levels)
+    return EigenSystem(np.array([v for _, _, v in levels]), projectors, mults)
 
 
 def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
@@ -222,14 +217,11 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def propagator(H):
-    """The exact propagator t -> exp(-i H t), from one eigendecomposition."""
-    lam, vec = np.linalg.eigh(as_matrix(H))
-
-    def u(t: float) -> np.ndarray:
-        return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-
-    return u
+def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
+    """V (tilde * e^(-i lam t) e^(+i lam t)^T) V^H: the state with matrix
+    tilde in the eigenbasis of H = V diag(lam) V^H, evolved under H for t."""
+    w = vec * np.exp(-1j * lam * t)
+    return w @ tilde @ w.conj().T
 
 
 def propagate(rho, H, t: float) -> np.ndarray:
@@ -240,5 +232,5 @@ def propagate(rho, H, t: float) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {rm.shape[0]} != Hamiltonian dim {hm.shape[0]}"
         )
-    u = propagator(hm)(t)
-    return u @ rm @ u.conj().T
+    lam, vec = np.linalg.eigh(hm)
+    return _evolve(lam, vec, vec.conj().T @ rm @ vec, t)

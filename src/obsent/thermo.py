@@ -1,8 +1,8 @@
 """Energy-window coarse-grainings, Gibbs states, and entropy-production runs.
 
-Closed runs drive a state through piecewise-constant Hamiltonian segments
-with exact spectral propagators, rebuilding the energy coarse-graining from
-the instantaneous Hamiltonian at every sample. Open runs evolve a
+Closed runs drive a state exactly through piecewise-constant Hamiltonian
+segments, each eigendecomposed once; its samples share the segment's energy
+coarse-graining and effective temperature. Open runs evolve a
 system-bath product state under a static joint Hamiltonian and track the
 joint, marginal, and mutual-information terms of the outcome statistics.
 
@@ -28,7 +28,7 @@ from .coarse_graining import (
     projective_cg,
     tensor_cg,
 )
-from .divergences import _check_alpha, renyi_entropy
+from .divergences import _check_alpha, _support_values
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -37,7 +37,14 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .operators import as_matrix, partial_trace, propagator, spectral, tensor
+from .operators import (
+    _evolve,
+    _levels,
+    as_matrix,
+    partial_trace,
+    tensor,
+    validate_operator,
+)
 from .state_analysis import is_coarse_grained
 
 
@@ -89,14 +96,18 @@ class DrivingProtocol:
     def total_duration(self) -> float:
         return sum(d for _, d in self.segments)
 
+    def segment_index(self, t: float) -> int:
+        """Index of the segment active at time t (the last at the final instant)."""
+        acc = 0.0
+        for k, (_, duration) in enumerate(self.segments):
+            if t < acc + duration:
+                return k
+            acc += duration
+        return len(self.segments) - 1
+
     def hamiltonian_at(self, t: float) -> np.ndarray:
         """Hamiltonian active at time t (last segment at the final instant)."""
-        acc = 0.0
-        for h, duration in self.segments:
-            if t < acc + duration:
-                return h
-            acc += duration
-        return self.segments[-1][0]
+        return self.segments[self.segment_index(t)][0]
 
 
 @dataclass(frozen=True)
@@ -121,47 +132,48 @@ class LevelSystem:
 def energy_cg(H, windowing: EnergyWindowing) -> CoarseGraining:
     """Coarse-graining by energy windows of the given Hamiltonian.
 
-    One effect per non-empty bin, each the sum of eigenprojectors whose
-    (degeneracy-merged) eigenvalue lies in the bin.
+    One effect per non-empty bin: the projector V_w V_w^H onto the
+    eigenvectors whose (degeneracy-merged) eigenvalue lies in the bin.
     """
-    eig = spectral(H)
-    origin = windowing.origin
-    if origin is None:
-        origin = float(eig.eigenvalues[0])
+    lam, vec = np.linalg.eigh(validate_operator(H, "hermitian").matrix)
+    return _energy_cg(lam, vec, windowing)
+
+
+def _energy_cg(lam, vec, windowing: EnergyWindowing) -> CoarseGraining:
+    """energy_cg from H's ascending eigenvalues lam and eigenvectors vec."""
+    levels = _levels(lam)
+    origin = levels[0][2] if windowing.origin is None else windowing.origin
     delta = windowing.delta
     bins: dict = {}
-    for lam, proj in zip(eig.eigenvalues, eig.projectors):
-        k = math.floor((lam - origin) / delta + 1e-12)
-        if k < 0 and (lam - origin) / delta > -1e-9:
+    for a, b, value in levels:
+        k = math.floor((value - origin) / delta + 1e-12)
+        if k < 0 and (value - origin) / delta > -1e-9:
             k = 0
-        bins.setdefault(k, []).append(proj)
-    labels, effects = [], []
-    for k in sorted(bins):
-        lo, hi = origin + k * delta, origin + (k + 1) * delta
-        labels.append(f"[{lo:.9g},{hi:.9g})")
-        effects.append(sum(bins[k]))
-    return CoarseGraining(tuple(labels), tuple(effects))
+        bins.setdefault(k, []).extend(range(a, b))
+    keys = sorted(bins)
+    labels = [f"[{origin + k * delta:.9g},{origin + (k + 1) * delta:.9g})" for k in keys]
+    effects = [vec[:, bins[k]] @ vec[:, bins[k]].conj().T for k in keys]
+    return CoarseGraining(tuple(labels), effects)
 
 
 def gibbs_state(H, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H) / Z, computed spectrally."""
     if not np.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta}")
-    m = as_matrix(H)
-    lam, vec = np.linalg.eigh(m)
-    ref = lam[0] if beta >= 0 else lam[-1]
-    w = np.exp(-beta * (lam - ref))
+    lam, vec = np.linalg.eigh(as_matrix(H))
+    w = _gibbs_weights(lam, beta)
     w /= w.sum()
     return (vec * w) @ vec.conj().T
 
 
-def _mean_energy(H, rho) -> float:
-    return float(np.trace(as_matrix(H) @ as_matrix(rho)).real)
+def _gibbs_weights(lam: np.ndarray, beta: float) -> np.ndarray:
+    """Unnormalized exp(-beta lam), shifted so the largest weight is 1."""
+    ref = lam[0] if beta >= 0 else lam[-1]
+    return np.exp(-beta * (lam - ref))
 
 
 def _gibbs_energy(lam: np.ndarray, beta: float) -> float:
-    ref = lam[0] if beta >= 0 else lam[-1]
-    w = np.exp(-beta * (lam - ref))
+    w = _gibbs_weights(lam, beta)
     return float(np.sum(lam * w) / np.sum(w))
 
 
@@ -174,7 +186,11 @@ def effective_beta(H, rho) -> float:
     """
     hm = as_matrix(H)
     lam = np.linalg.eigvalsh(hm)
-    target = _mean_energy(hm, rho)
+    return _beta_for_energy(lam, float(np.trace(hm @ as_matrix(rho)).real))
+
+
+def _beta_for_energy(lam: np.ndarray, target: float) -> float:
+    """effective_beta for ascending spectrum lam and mean energy target."""
     span = max(float(lam[-1] - lam[0]), 1.0)
     if target <= lam[0] + 1e-12 * span or target >= lam[-1] - 1e-12 * span:
         raise EnergyOutOfRange(
@@ -303,6 +319,15 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
     return ts
 
 
+def _check_alphas(alphas) -> list:
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValidationError("at least one alpha is required")
+    for a in alphas:
+        _check_alpha(a)
+    return alphas
+
+
 def closed_run(
     protocol: DrivingProtocol,
     rho0,
@@ -312,59 +337,59 @@ def closed_run(
 ) -> ClosedRunRecord:
     """Drive a closed system and track alpha-OE entropy production.
 
-    The energy coarse-graining is rebuilt from the instantaneous
-    Hamiltonian at every sample. When the initial state is not
-    coarse-grained with respect to the initial energy windows, the run
-    proceeds but carries guarantee_void=True and the entropy-production
-    sign is no longer guaranteed.
+    Each segment's Hamiltonian is eigendecomposed once; the state evolves in
+    that eigenbasis, and the segment's energy coarse-graining, effective
+    temperature and Gibbs entropies are shared by its samples. When the
+    initial state is not coarse-grained with respect to the initial energy
+    windows, the run proceeds but carries guarantee_void=True and the
+    entropy-production sign is no longer guaranteed.
     """
     rho = as_matrix(rho0)
     if rho.shape[0] != protocol.dim:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} != protocol dim {protocol.dim}"
         )
-    alphas = [float(a) for a in alphas]
+    alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, protocol.total_duration)
 
-    h0 = protocol.hamiltonian_at(0.0)
-    cg0 = energy_cg(h0, windowing)
+    # per segment: start time, spectrum, and start state in its eigenbasis
+    segs = []
+    t_k, rho_k = 0.0, rho
+    for h, duration in protocol.segments:
+        lam, vec = np.linalg.eigh(validate_operator(h, "hermitian").matrix)
+        tilde = vec.conj().T @ rho_k @ vec
+        segs.append((t_k, lam, vec, tilde))
+        rho_k = _evolve(lam, vec, tilde, duration)
+        t_k += duration
+
+    def segment_terms(k):
+        _, lam, vec, tilde = segs[k]
+        energy = float(lam @ tilde.diagonal().real)
+        beta = _beta_for_energy(lam, energy)
+        # Gibbs Renyi entropies, with renyi_entropy's cut on the weights
+        w = _gibbs_weights(lam, beta)
+        w = _support_values(w / w.sum())
+        gibbs = {a: _alpha_oe_from_pv(w, np.ones(w.size), a) for a in alphas}
+        return _energy_cg(lam, vec, windowing), energy, beta, gibbs
+
+    k_cur = protocol.segment_index(0.0)
+    terms = segment_terms(k_cur)
+    cg0, _, _, base_renyi = terms
     premise = is_coarse_grained(cg0, rho, alphas[0])
     guarantee_void = not premise.matrix_close
-
-    beta0 = effective_beta(h0, rho)
-    gamma0 = gibbs_state(h0, beta0)
     base_oe = {a: alpha_oe(cg0, rho, a) for a in alphas}
-    base_renyi = {a: renyi_entropy(gamma0, a) for a in alphas}
-
-    # segment-start states, computed once with exact propagators
-    seg_starts = [0.0]
-    seg_states = [rho]
-    seg_props = []
-    for h, duration in protocol.segments:
-        u = propagator(h)
-        seg_props.append(u)
-        um = u(duration)
-        seg_states.append(um @ seg_states[-1] @ um.conj().T)
-        seg_starts.append(seg_starts[-1] + duration)
-
-    def state_at(t: float) -> np.ndarray:
-        k = 0
-        while k + 1 < len(seg_starts) - 1 and t >= seg_starts[k + 1]:
-            k += 1
-        um = seg_props[k](t - seg_starts[k])
-        return um @ seg_states[k] @ um.conj().T
 
     samples, findings = [], []
     for t in ts:
-        rho_t = state_at(t)
-        h_t = protocol.hamiltonian_at(t)
-        cg_t = energy_cg(h_t, windowing)
-        energy = _mean_energy(h_t, rho_t)
-        beta_t = effective_beta(h_t, rho_t)
-        gamma_t = gibbs_state(h_t, beta_t)
+        k = protocol.segment_index(t)
+        if k != k_cur:
+            k_cur, terms = k, segment_terms(k)
+        cg_t, energy, beta_t, gibbs = terms
+        t_k, lam, vec, tilde = segs[k]
+        dist = outcomes(cg_t, _evolve(lam, vec, tilde, t - t_k))
         for a in alphas:
-            s_oe = alpha_oe(cg_t, rho_t, a)
-            s_gibbs = renyi_entropy(gamma_t, a)
+            s_oe = _alpha_oe_from_pv(dist.probabilities, dist.volumes, a)
+            s_gibbs = gibbs[a]
             heat = s_gibbs - base_renyi[a]
             xi3 = s_oe - s_gibbs + heat
             monitor_ok = s_oe <= s_gibbs + 1e-9
@@ -461,7 +486,7 @@ def open_run(
     rho_s = as_matrix(rho_s0)
     if rho_s.shape[0] != ds:
         raise DimensionMismatch(f"system state dim {rho_s.shape[0]} != {ds}")
-    alphas = [float(a) for a in alphas]
+    alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, None)
 
     basis = np.eye(ds, dtype=complex) if system_basis is None else as_matrix(system_basis)
@@ -479,26 +504,25 @@ def open_run(
     n_s, n_b = len(cg_s), len(cg_b)
 
     def per_alpha_terms(rho_sb):
-        rs = partial_trace(rho_sb, (ds, db), "A")
-        rb = partial_trace(rho_sb, (ds, db), "B")
-        p_joint = outcomes(cg_joint, rho_sb).probabilities.reshape(n_s, n_b)
-        out = {}
-        for a in alphas:
-            s_joint = alpha_oe(cg_joint, rho_sb, a)
-            s_sys = alpha_oe(cg_s, rs, a)
-            s_bath = alpha_oe(cg_b, rb, a)
-            mi = _classical_mutual_info(p_joint, a)
-            out[a] = (s_joint, s_sys, s_bath, mi)
-        return out
+        dists = (
+            outcomes(cg_joint, rho_sb),
+            outcomes(cg_s, partial_trace(rho_sb, (ds, db), "A")),
+            outcomes(cg_b, partial_trace(rho_sb, (ds, db), "B")),
+        )
+        p_joint = dists[0].probabilities.reshape(n_s, n_b)
+        return {
+            a: tuple(_alpha_oe_from_pv(d.probabilities, d.volumes, a) for d in dists)
+            + (_classical_mutual_info(p_joint, a),)
+            for a in alphas
+        }
 
     base = per_alpha_terms(rho0)
-    u = propagator(h_joint)
+    lam, vec = np.linalg.eigh(h_joint)
+    tilde0 = vec.conj().T @ rho0 @ vec
 
     samples, findings = [], []
     for t in ts:
-        um = u(t)
-        rho_t = um @ rho0 @ um.conj().T
-        terms = per_alpha_terms(rho_t)
+        terms = per_alpha_terms(_evolve(lam, vec, tilde0, t))
         for a in alphas:
             s_joint, s_sys, s_bath, mi = terms[a]
             b_joint, b_sys, b_bath, _ = base[a]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from obsent import projective_cg
-from obsent.cli import _build_parser, main
+from obsent.cli import _build_parser, _sample_times, main
 from obsent.errors import SchemaError
 from obsent.generators import random_density, random_povm
 from obsent.serialize import (
@@ -259,7 +259,7 @@ class TestVerifyCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def _closed_config(tmp_path):
+def _closed_config(tmp_path, **overrides):
     h1 = operator_to_json(np.diag([0.0, 1.0]))
     h2 = operator_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
     z = 1 + math.exp(-1.0)
@@ -273,6 +273,7 @@ def _closed_config(tmp_path):
         "delta": 0.4,
         "alphas": [2.0],
         "sample_times": {"count": 20},
+        **overrides,
     }
     path = tmp_path / "closed.json"
     path.write_text(json.dumps(cfg))
@@ -327,6 +328,43 @@ class TestSimCommands:
             assert abs(float(cells[6])) <= 1e-10  # xi2
             assert abs(float(cells[8])) <= 1e-10  # mi
             assert cells[4] == "" and cells[7] == "" and cells[9] == ""
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_nonpositive_sample_count_is_schema_error(self, count):
+        with pytest.raises(SchemaError):
+            _sample_times({"count": count, "horizon": 1.0}, None)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alphas": []},
+            {"sample_times": {"count": 0}},
+            {"sample_times": {"count": -2}},
+        ],
+    )
+    def test_closed_sim_empty_inputs_exit_one(self, tmp_path, capsys, overrides):
+        cfg = _closed_config(tmp_path, **overrides)
+        assert main(["closed-sim", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("obsent: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_open_sim_empty_alphas_exit_one(self, tmp_path, capsys):
+        cfg = {
+            "system_hamiltonian": operator_to_json(np.diag([0.0, 1.0])),
+            "bath_hamiltonian": operator_to_json(np.diag([0.0, 0.5])),
+            "coupling": operator_to_json(np.zeros((4, 4))),
+            "system_state": operator_to_json(np.diag([0.7, 0.3])),
+            "bath_beta": 1.0,
+            "delta": 0.3,
+            "alphas": [],
+            "sample_times": [0.5],
+        }
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["open-sim", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("obsent: ValidationError") and err.count("\n") == 1
 
     def test_free_energy_table(self, tmp_path, capsys):
         path = tmp_path / "levels.json"

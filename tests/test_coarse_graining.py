@@ -368,6 +368,10 @@ class TestRefinement:
         with pytest.raises(InvalidPartition):
             merge_outcomes(Z_BASIS, [["z0"]])
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(InvalidPartition):
+            merge_outcomes(projective_cg(np.eye(2)), [[], ["0", "1"]])
+
     def test_non_stochastic_map_rejected(self):
         with pytest.raises(NotARefinement):
             RefinementMap(np.array([[0.5, 0.2], [1.0, 0.0]]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,16 @@ from obsent import (
     jackson_check,
     open_run,
 )
+from obsent.coarse_graining import alpha_oe
+from obsent.divergences import renyi_entropy
 from obsent.errors import (
     EnergyOutOfRange,
     InvalidAlpha,
     InvalidTemperature,
+    NotHermitian,
     ValidationError,
 )
+from obsent.operators import spectral
 from conftest import PAULI_X
 
 ALPHAS = (1.0 + 1e-7, 0.5, 2.0, 3.0)
@@ -47,6 +52,33 @@ class TestEnergyCg:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValidationError):
             EnergyWindowing(0.0)
+
+    def test_windows_sum_the_merged_level_projectors(self, rng):
+        # reference: one spectral projector per merged level, summed per bin
+        levels = np.repeat([0.0, 0.3, 0.3 + 1e-11, 1.1, 2.0], [2, 1, 1, 3, 1])
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        h = (q * levels) @ q.conj().T
+        for windowing in (EnergyWindowing(0.5), EnergyWindowing(0.7, origin=-0.2)):
+            eig = spectral(h)
+            origin = windowing.origin
+            if origin is None:
+                origin = float(eig.eigenvalues[0])
+            bins = {}
+            for lam, proj in zip(eig.eigenvalues, eig.projectors):
+                k = math.floor((lam - origin) / windowing.delta + 1e-12)
+                bins.setdefault(k, []).append(proj)
+            cg = energy_cg(h, windowing)
+            assert cg.labels == tuple(
+                f"[{origin + k * windowing.delta:.9g},"
+                f"{origin + (k + 1) * windowing.delta:.9g})"
+                for k in sorted(bins)
+            )
+            expected = np.array([sum(bins[k]) for k in sorted(bins)])
+            np.testing.assert_allclose(cg.effects, expected, atol=1e-12)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            energy_cg(np.array([[0.0, 1.0], [0.0, 1.0]]), EnergyWindowing(0.5))
 
 
 class TestGibbsAndBeta:
@@ -223,6 +255,110 @@ class TestClosedRun:
             assert s.xi3 == pytest.approx(s.delta_entropy, abs=1e-9)
 
 
+def _propagator(h, t):
+    lam, vec = np.linalg.eigh(h)
+    return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+
+
+def _per_sample_closed_run(protocol, rho0, windowing, alphas, ts):
+    """Closed run rebuilt from scratch at every sample: dense propagators,
+    energy_cg, effective_beta and renyi_entropy(gibbs_state(...)) from the
+    instantaneous Hamiltonian. Returns one dict of ClosedSample fields per
+    row."""
+    h0 = protocol.hamiltonian_at(0.0)
+    cg0 = energy_cg(h0, windowing)
+    gamma0 = gibbs_state(h0, effective_beta(h0, rho0))
+    base_oe = {a: alpha_oe(cg0, rho0, a) for a in alphas}
+    base_renyi = {a: renyi_entropy(gamma0, a) for a in alphas}
+    starts, states = [0.0], [rho0]
+    for h, duration in protocol.segments:
+        u = _propagator(h, duration)
+        states.append(u @ states[-1] @ u.conj().T)
+        starts.append(starts[-1] + duration)
+    rows = []
+    for t in ts:
+        k = 0
+        while k + 1 < len(protocol.segments) and t >= starts[k + 1]:
+            k += 1
+        u = _propagator(protocol.segments[k][0], t - starts[k])
+        rho_t = u @ states[k] @ u.conj().T
+        h = protocol.hamiltonian_at(t)
+        cg = energy_cg(h, windowing)
+        beta = effective_beta(h, rho_t)
+        gamma = gibbs_state(h, beta)
+        for a in alphas:
+            s_oe = alpha_oe(cg, rho_t, a)
+            s_gibbs = renyi_entropy(gamma, a)
+            heat = s_gibbs - base_renyi[a]
+            rows.append(
+                {
+                    "t": t,
+                    "alpha": a,
+                    "energy": float(np.trace(h @ rho_t).real),
+                    "beta_eff": beta,
+                    "entropy": s_oe,
+                    "delta_entropy": s_oe - base_oe[a],
+                    "heat_over_t": heat,
+                    "xi3": s_oe - s_gibbs + heat,
+                    "gibbs_monitor_ok": s_oe <= s_gibbs + 1e-9,
+                }
+            )
+    return rows
+
+
+class TestClosedRunSegments:
+    def _protocol(self, rng):
+        # degenerate static levels, a zero-duration kick, then a driven segment
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        h1 = (q * np.array([0.0, 0.0, 0.6, 0.6, 1.5])) @ q.conj().T
+        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        h2 = 0.5 * (g + g.conj().T)
+        h3 = h1 + 0.2 * h2
+        protocol = DrivingProtocol(((h1, 1.0), (h2, 0.0), (h3, 1.5)))
+        # rank 2 and coherent across h1's levels, so the state entering the
+        # driven segment depends on the first segment's evolution; every
+        # window stays populated, so no outcome probability is pure rounding
+        # noise (which alpha < 1 would amplify)
+        a = (q[:, 0] + q[:, 2] + q[:, 4]) / np.sqrt(3)
+        b = (q[:, 1] - q[:, 4]) / np.sqrt(2)
+        rho0 = 0.6 * np.outer(a, a.conj()) + 0.4 * np.outer(b, b.conj())
+        return protocol, rho0
+
+    def test_matches_per_sample_algorithm(self, rng):
+        protocol, rho0 = self._protocol(rng)
+        windowing = EnergyWindowing(0.5)
+        ts = [0.0, 0.4, 1.0, 1.3, 2.0, 2.5]  # 1.0: boundary after the kick
+        assert protocol.segment_index(1.0) == 2
+        record = closed_run(protocol, rho0, windowing, ALPHAS, ts)
+        assert record.guarantee_void  # coherent across windows
+        expected = _per_sample_closed_run(protocol, rho0, windowing, ALPHAS, ts)
+        assert len(record.samples) == len(expected)
+        for sample, row in zip(record.samples, expected):
+            got = dataclasses.asdict(sample)
+            assert set(got) == set(row)
+            assert got["gibbs_monitor_ok"] == row["gibbs_monitor_ok"]
+            for name in set(row) - {"gibbs_monitor_ok"}:
+                assert got[name] == pytest.approx(row[name], abs=1e-12), name
+
+    def test_non_hermitian_segment_raises(self, rng):
+        protocol, rho0 = self._protocol(rng)
+        bad = np.triu(np.ones((5, 5), dtype=complex))
+        segments = protocol.segments[:1] + ((bad, 1.0),)
+        with pytest.raises(NotHermitian):
+            closed_run(
+                DrivingProtocol(segments),
+                rho0,
+                EnergyWindowing(0.5),
+                (2.0,),
+                [0.5, 1.5],
+            )
+
+    def test_empty_alphas_rejected(self, rng):
+        protocol, rho0 = self._protocol(rng)
+        with pytest.raises(ValidationError):
+            closed_run(protocol, rho0, EnergyWindowing(0.5), [], [0.5])
+
+
 def _bath_setup():
     h_s = np.diag([0.0, 1.0]).astype(complex)
     h_b = np.diag([0.0, 0.35, 0.8, 1.3, 1.95, 2.6]).astype(complex)
@@ -322,6 +458,20 @@ class TestOpenRun:
         for s in record.samples:
             assert abs(s.factorization_residual) <= 1e-9
         assert record.min_xi1() >= -1e-9
+
+    def test_empty_alphas_rejected(self):
+        h_s, h_b, v = _bath_setup()
+        with pytest.raises(ValidationError):
+            open_run(
+                h_s,
+                h_b,
+                v,
+                np.diag([0.7, 0.3]).astype(complex),
+                1.0,
+                EnergyWindowing(0.3),
+                [],
+                [0.5],
+            )
 
     def test_classical_regime_signs_at_alpha_one(self):
         h_s, h_b, v = _bath_setup()
