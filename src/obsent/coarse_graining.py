@@ -20,6 +20,8 @@ import numpy as np
 from . import tolerances as tol
 from .divergences import (
     _check_alpha,
+    _renyi_divergence,
+    _support,
     classical_petz_renyi,
     kl_divergence,
     petz_renyi,
@@ -205,36 +207,23 @@ def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
     return ClassicalState(cg.labels, _traces(cg, x))
 
 
-def _alpha_oe_from_pv(p: np.ndarray, v: np.ndarray, alpha: float) -> float:
-    """-(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha) over p_i > 0.
-
-    |alpha - 1| < ALPHA_NEAR_ONE evaluates the alpha -> 1 limit
-    -sum_i p_i log(p_i / V_i).
-    """
-    mask = p > 0
-    p, v = p[mask], v[mask]
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        return float(-np.sum(p * np.log(p / v)))
-    total = float(np.sum(p**alpha * v ** (1.0 - alpha)))
-    return -math.log(total) / (alpha - 1.0)
-
-
 def observational_entropy(cg: CoarseGraining, rho) -> float:
     """Observational entropy -sum_i p_i log(p_i / V_i) in nats."""
-    dist = outcomes(cg, rho)
-    return _alpha_oe_from_pv(dist.probabilities, dist.volumes, 1.0)
+    return alpha_oe(cg, rho, 1.0)
 
 
 def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     """Order-alpha observational entropy.
 
-    -(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha); zero-probability
-    outcomes contribute 0. |alpha - 1| < 1e-6 evaluates the plain
-    observational entropy (the alpha -> 1 limit).
+    -(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha), the negated
+    classical Renyi divergence of (p_i) from (V_i). Outcomes with
+    p_i <= SUPPORT_RTOL * max p count as zero-probability and contribute 0,
+    the cut renyi_entropy applies to eigenvalues. |alpha - 1| < 1e-6
+    evaluates the plain observational entropy (the alpha -> 1 limit).
     """
     _check_alpha(alpha)
     dist = outcomes(cg, rho)
-    return _alpha_oe_from_pv(dist.probabilities, dist.volumes, alpha)
+    return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
 
 
 def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -271,15 +260,15 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     """Closed-form derivative of alpha_oe with respect to alpha.
 
     -D(x || p) / (alpha - 1)^2 with x_i proportional to t_i^alpha V_i,
-    t_i = p_i / V_i. Always <= 0, which makes alpha_oe non-increasing
-    in alpha.
+    t_i = p_i / V_i, over the outcomes alpha_oe keeps. Always <= 0, which
+    makes alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
     if abs(alpha - 1.0) <= tol.ALPHA_NEAR_ONE:
         raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
     dist = outcomes(cg, rho)
     p, v = dist.probabilities, dist.volumes
-    mask = p > 0
+    mask = _support(p)
     p, v = p[mask], v[mask]
     t = p / v
     w = t**alpha * v

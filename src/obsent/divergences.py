@@ -2,18 +2,22 @@
 
 Everything is in nats. Divergences return math.inf (the distinguished
 INFINITE value) on support violations rather than raising; callers are
-expected to propagate it.
+expected to propagate it. Every classical and spectral entropy and
+divergence, alpha-OE included, is one order-alpha kernel over weights:
+entries at most SUPPORT_RTOL times the largest count as exact zeros, and
+a power sum that leaves the normal float range is redone in log space.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidAlpha, LengthMismatch, ValidationError
-from .operators import as_matrix, op_power, weight_outside_support
+from .operators import as_matrix, op_power, partial_trace, tensor, weight_outside_support
 
 INFINITE = math.inf
 
@@ -30,71 +34,95 @@ def _nonneg_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("weights must be finite")
     if v.size and float(v.min()) < -1e-12:
         raise ValidationError("negative weight", magnitude=-float(v.min()))
     return np.clip(v, 0.0, None)
 
 
+def _support(x: np.ndarray) -> np.ndarray:
+    """Mask of entries above SUPPORT_RTOL times the largest; the rest are zeros."""
+    x_max = float(x.max()) if x.size else 0.0
+    return x > tol.SUPPORT_RTOL * max(x_max, 1e-300)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _renyi_divergence(x, q, alpha: float) -> float:
+    """(1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha) over the support of x.
+
+    x and q are unnormalized weights; q may be a scalar. Entries x_i <=
+    SUPPORT_RTOL * max x count as exact zeros. |alpha - 1| < ALPHA_NEAR_ONE
+    evaluates the limit sum_i x_i log(x_i / q_i). INFINITE when a kept x_i
+    has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
+    (alpha < 1). A sum whose powers or terms leave the normal float range
+    is evaluated again in log space.
+    """
+    mask, q = _support(x), np.asarray(q, dtype=float)
+    x, q = x[mask], (q[mask] if q.ndim else q)
+    near_one = abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE
+    if x.size and not q.min() > 0:
+        if alpha > 1 or near_one:
+            return INFINITE
+        x, q = x[q > 0], q[q > 0]
+    if not x.size:
+        return 0.0 if near_one else INFINITE
+    if near_one:
+        total = float((x * np.log(x / q)).sum())
+        if math.isfinite(total):
+            return total
+        return float((x * (np.log(x) - np.log(q))).sum())
+    xa, qa = x**alpha, q ** (1.0 - alpha)
+    total = float((xa * qa).sum())
+    lowest = np.minimum(np.minimum(xa, qa), xa * qa).min()
+    if total < INFINITE and lowest >= sys.float_info.min:
+        return math.log(total) / (alpha - 1.0)
+    logs = alpha * np.log(x) + (1.0 - alpha) * np.log(q)
+    top = float(logs.max())
+    return (top + math.log(float(np.exp(logs - top).sum()))) / (alpha - 1.0)
+
+
 def kl_divergence(x, p) -> float:
     """Kullback-Leibler divergence sum_i x_i log(x_i / p_i).
 
-    Terms with x_i = 0 contribute 0; INFINITE when some x_i > 0 has p_i = 0.
+    Entries x_i <= SUPPORT_RTOL * max x count as exact zeros and contribute
+    0; INFINITE when a kept x_i has p_i = 0.
     """
     xv, pv = _nonneg_vector(x), _nonneg_vector(p)
     if xv.shape != pv.shape:
         raise LengthMismatch(f"length mismatch {xv.shape} vs {pv.shape}")
-    mask = xv > 0
-    if np.any(pv[mask] == 0):
-        return INFINITE
-    return float(np.sum(xv[mask] * np.log(xv[mask] / pv[mask])))
+    return _renyi_divergence(xv, pv, 1.0)
 
 
 def classical_petz_renyi(x, q, alpha: float) -> float:
     """Order-alpha Renyi divergence of non-negative weight vectors.
 
     (1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha). Inputs need not be
-    normalized. Zero x_i terms contribute 0. For alpha > 1 a nonzero x_i
-    over q_i = 0 gives INFINITE; for alpha < 1 the value is INFINITE when
-    the overlap sum vanishes.
+    normalized. Entries x_i <= SUPPORT_RTOL * max x count as exact zeros
+    and contribute 0. For alpha > 1 a kept x_i over q_i = 0 gives
+    INFINITE; for alpha < 1 the value is INFINITE when the overlap sum
+    vanishes.
     """
     _check_alpha(alpha)
     xv, qv = _nonneg_vector(x), _nonneg_vector(q)
     if xv.shape != qv.shape:
         raise LengthMismatch(f"length mismatch {xv.shape} vs {qv.shape}")
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        return kl_divergence(xv, qv)
-    mask = xv > 0
-    if alpha > 1 and np.any(qv[mask] == 0):
-        return INFINITE
-    inner = mask & (qv > 0)
-    total = float(np.sum(xv[inner] ** alpha * qv[inner] ** (1.0 - alpha)))
-    if total <= 0.0:
-        return INFINITE
-    return math.log(total) / (alpha - 1.0)
-
-
-def _support_values(lam: np.ndarray) -> np.ndarray:
-    """Entries above SUPPORT_RTOL times the largest; the rest are exact zeros."""
-    lam_max = float(lam.max()) if len(lam) else 0.0
-    return lam[lam > tol.SUPPORT_RTOL * max(lam_max, 1e-300)]
+    return _renyi_divergence(xv, qv, alpha)
 
 
 def von_neumann(rho) -> float:
     """von Neumann entropy -Tr(rho log rho) in nats."""
-    lam = _support_values(np.linalg.eigvalsh(as_matrix(rho)))
-    return float(-np.sum(lam * np.log(lam)))
+    return renyi_entropy(rho, 1.0)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
     """Renyi entropy (1/(1-alpha)) log Tr rho^alpha in nats.
 
-    |alpha - 1| < 1e-6 is evaluated as the von Neumann limit.
+    |alpha - 1| < 1e-6 is evaluated as the von Neumann limit. Eigenvalues
+    <= SUPPORT_RTOL * lambda_max count as exact zeros.
     """
     _check_alpha(alpha)
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        return von_neumann(rho)
-    lam = _support_values(np.linalg.eigvalsh(as_matrix(rho)))
-    return float(math.log(float(np.sum(lam**alpha))) / (1.0 - alpha))
+    return -_renyi_divergence(np.linalg.eigvalsh(as_matrix(rho)), 1.0, alpha)
 
 
 def umegaki(rho, sigma) -> float:
@@ -107,11 +135,9 @@ def umegaki(rho, sigma) -> float:
         raise DimensionMismatch(f"dims {rm.shape[0]} vs {sm.shape[0]}")
     if weight_outside_support(rm, sm) > _SUPPORT_LEAK_ATOL:
         return INFINITE
-    lam, vec = np.linalg.eigh(rm)
-    keep = lam > tol.SUPPORT_RTOL * max(float(lam[-1]), 1e-300)
-    ent = float(np.sum(lam[keep] * np.log(lam[keep])))
+    ent = -von_neumann(rm)
     slam, svec = np.linalg.eigh(sm)
-    skeep = slam > tol.SUPPORT_RTOL * max(float(slam[-1]), 1e-300)
+    skeep = _support(slam)
     log_sigma = (svec[:, skeep] * np.log(slam[skeep])) @ svec[:, skeep].conj().T
     cross = float(np.trace(rm @ log_sigma).real)
     return ent - cross
@@ -144,12 +170,7 @@ def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
     S_a(rho_A) + S_a(rho_B) - S_a(rho_AB). May be negative for some states
     and orders; the value is reported, never clamped.
     """
-    from .operators import partial_trace
-
     m = as_matrix(rho_ab)
-    d_a, d_b = dims
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(f"operator dim {m.shape[0]} != {d_a} * {d_b}")
     rho_a = partial_trace(m, dims, "A")
     rho_b = partial_trace(m, dims, "B")
     return (
@@ -164,11 +185,6 @@ def renyi_mutual_info_divergence_form(rho_ab, dims: tuple, alpha: float) -> floa
 
     Not asserted equal to the entropy-sum form; provided for comparison.
     """
-    from .operators import partial_trace, tensor
-
     m = as_matrix(rho_ab)
-    d_a, d_b = dims
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(f"operator dim {m.shape[0]} != {d_a} * {d_b}")
     prod = tensor(partial_trace(m, dims, "A"), partial_trace(m, dims, "B"))
     return petz_renyi(m, prod, alpha)

@@ -15,14 +15,13 @@ decompose_alpha_oe).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import CoarseGraining, alpha_oe, outcomes
-from .divergences import _check_alpha, petz_renyi, renyi_entropy, von_neumann
+from .divergences import _check_alpha, _renyi_divergence, petz_renyi, renyi_entropy
 from .errors import NonProjectiveCoarseGraining
 from .operators import as_matrix, op_power
 
@@ -93,16 +92,8 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     _check_alpha(alpha)
     ens = conditional_ensemble(cg, rho)
     p = np.array(ens.probabilities)
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        mixing = float(-np.sum(p * np.log(p)))
-        return mixing + float(
-            np.sum(p * np.array([von_neumann(s) for s in ens.states]))
-        )
-    mixing = -math.log(float(np.sum(p**alpha))) / (alpha - 1.0)
-    avg = float(
-        np.sum(p * np.array([renyi_entropy(s, alpha) for s in ens.states]))
-    )
-    return mixing + avg
+    ents = np.array([renyi_entropy(s, alpha) for s in ens.states])
+    return -_renyi_divergence(p, 1.0, alpha) + float(np.sum(p * ents))
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:

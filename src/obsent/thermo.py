@@ -20,15 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import (
-    CoarseGraining,
-    _alpha_oe_from_pv,
-    alpha_oe,
-    outcomes,
-    projective_cg,
-    tensor_cg,
-)
-from .divergences import _check_alpha, _support_values
+from .coarse_graining import CoarseGraining, outcomes, projective_cg, tensor_cg
+from .divergences import _check_alpha, _renyi_divergence
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -271,7 +264,7 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     if not np.isfinite(t0) or t0 <= 0:
         raise InvalidTemperature(f"temperature must be > 0, got {t0}")
     p = gibbs_distribution(levels, t0)
-    lhs = _alpha_oe_from_pv(p, np.full(p.shape, levels.volume), alpha)
+    lhs = -_renyi_divergence(p, levels.volume, alpha)
     t_new = t0 / alpha
     a_new = free_energy(levels, t_new).helmholtz_scaled
     a_old = free_energy(levels, t0).helmholtz_scaled
@@ -337,12 +330,14 @@ def closed_run(
 ) -> ClosedRunRecord:
     """Drive a closed system and track alpha-OE entropy production.
 
-    Each segment's Hamiltonian is eigendecomposed once; the state evolves in
-    that eigenbasis, and the segment's energy coarse-graining, effective
-    temperature and Gibbs entropies are shared by its samples. When the
-    initial state is not coarse-grained with respect to the initial energy
-    windows, the run proceeds but carries guarantee_void=True and the
-    entropy-production sign is no longer guaranteed.
+    Each segment's Hamiltonian is eigendecomposed once. Its energy windows
+    are spectral projectors of that Hamiltonian, so their probabilities stay
+    those of the segment's start state: the window alpha-OEs, effective
+    temperature and Gibbs entropies are computed once per segment and
+    shared by its samples. When the initial state is not coarse-grained
+    with respect to the initial energy windows, the run proceeds but
+    carries guarantee_void=True and the entropy-production sign is no
+    longer guaranteed.
     """
     rho = as_matrix(rho0)
     if rho.shape[0] != protocol.dim:
@@ -352,45 +347,44 @@ def closed_run(
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, protocol.total_duration)
 
-    # per segment: start time, spectrum, and start state in its eigenbasis
+    # per segment: spectrum, and start state in its eigenbasis
     segs = []
-    t_k, rho_k = 0.0, rho
+    rho_k = rho
     for h, duration in protocol.segments:
         lam, vec = np.linalg.eigh(validate_operator(h, "hermitian").matrix)
         tilde = vec.conj().T @ rho_k @ vec
-        segs.append((t_k, lam, vec, tilde))
+        segs.append((lam, vec, tilde))
         rho_k = _evolve(lam, vec, tilde, duration)
-        t_k += duration
 
     def segment_terms(k):
-        _, lam, vec, tilde = segs[k]
+        lam, vec, tilde = segs[k]
         energy = float(lam @ tilde.diagonal().real)
         beta = _beta_for_energy(lam, energy)
-        # Gibbs Renyi entropies, with renyi_entropy's cut on the weights
         w = _gibbs_weights(lam, beta)
-        w = _support_values(w / w.sum())
-        gibbs = {a: _alpha_oe_from_pv(w, np.ones(w.size), a) for a in alphas}
-        return _energy_cg(lam, vec, windowing), energy, beta, gibbs
+        w = w / w.sum()
+        cg = _energy_cg(lam, vec, windowing)
+        dist = outcomes(cg, vec @ tilde @ vec.conj().T)
+        p, v = dist.probabilities, dist.volumes
+        oe = {a: (-_renyi_divergence(p, v, a), -_renyi_divergence(w, 1.0, a))
+              for a in alphas}
+        return cg, energy, beta, oe
 
     k_cur = protocol.segment_index(0.0)
     terms = segment_terms(k_cur)
-    cg0, _, _, base_renyi = terms
+    cg0, _, _, base = terms
     premise = is_coarse_grained(cg0, rho, alphas[0])
     guarantee_void = not premise.matrix_close
-    base_oe = {a: alpha_oe(cg0, rho, a) for a in alphas}
 
     samples, findings = [], []
     for t in ts:
         k = protocol.segment_index(t)
         if k != k_cur:
             k_cur, terms = k, segment_terms(k)
-        cg_t, energy, beta_t, gibbs = terms
-        t_k, lam, vec, tilde = segs[k]
-        dist = outcomes(cg_t, _evolve(lam, vec, tilde, t - t_k))
+        _, energy, beta_t, oe = terms
         for a in alphas:
-            s_oe = _alpha_oe_from_pv(dist.probabilities, dist.volumes, a)
-            s_gibbs = gibbs[a]
-            heat = s_gibbs - base_renyi[a]
+            s_oe, s_gibbs = oe[a]
+            base_oe, base_renyi = base[a]
+            heat = s_gibbs - base_renyi
             xi3 = s_oe - s_gibbs + heat
             monitor_ok = s_oe <= s_gibbs + 1e-9
             if not monitor_ok:
@@ -409,7 +403,7 @@ def closed_run(
                     energy=energy,
                     beta_eff=beta_t,
                     entropy=s_oe,
-                    delta_entropy=s_oe - base_oe[a],
+                    delta_entropy=s_oe - base_oe,
                     heat_over_t=heat,
                     xi3=xi3,
                     gibbs_monitor_ok=monitor_ok,
@@ -449,7 +443,7 @@ def _classical_mutual_info(p_joint: np.ndarray, alpha: float) -> float:
     table, each H the order-alpha entropy with unit volumes."""
 
     def h(p):
-        return _alpha_oe_from_pv(p.ravel(), np.ones(p.size), alpha)
+        return -_renyi_divergence(p.ravel(), 1.0, alpha)
 
     return h(p_joint.sum(axis=1)) + h(p_joint.sum(axis=0)) - h(p_joint)
 
@@ -511,7 +505,7 @@ def open_run(
         )
         p_joint = dists[0].probabilities.reshape(n_s, n_b)
         return {
-            a: tuple(_alpha_oe_from_pv(d.probabilities, d.volumes, a) for d in dists)
+            a: tuple(-_renyi_divergence(d.probabilities, d.volumes, a) for d in dists)
             + (_classical_mutual_info(p_joint, a),)
             for a in alphas
         }

@@ -103,7 +103,11 @@ class PropertyResult:
         else:
             self.fails += 1
             if instance is not None and len(self.violations) < _MAX_RECORDED_VIOLATIONS:
-                self.violations.append(dict(instance, margin=margin))
+                # matrices are serialized only for the violations kept
+                self.violations.append(
+                    {k: operator_to_json(v) if isinstance(v, np.ndarray) else v
+                     for k, v in dict(instance, margin=margin).items()}
+                )
 
     def to_json(self) -> dict:
         worst = self.worst_margin
@@ -148,7 +152,7 @@ class VerificationReport:
 
 
 def _state_instance(rho, alpha=None, **extra) -> dict:
-    inst = {"state": operator_to_json(rho)}
+    inst = {"state": rho}
     if alpha is not None:
         inst["alpha"] = alpha
     inst.update(extra)
@@ -180,7 +184,7 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
         sigma = random_density(rng, d)  # full rank
         vals = [petz_renyi(rho, sigma, a) for a in ALPHA_GRID]
         margin = min(b - a for a, b in zip(vals, vals[1:]))
-        ordering.record(margin, _state_instance(rho, sigma=operator_to_json(sigma)))
+        ordering.record(margin, _state_instance(rho, sigma=sigma))
         for a, v in zip(ALPHA_GRID, vals):
             nonneg.record(v, _state_instance(rho, a))
         cg = random_coarse_graining(rng, d)

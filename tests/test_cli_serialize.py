@@ -17,7 +17,7 @@ from obsent.serialize import (
     operator_from_json,
     operator_to_json,
 )
-from obsent.verify import _SUITES, run_suite
+from obsent.verify import _SUITES, PropertyResult, run_suite
 
 from conftest import KET_PLUS, proj
 
@@ -249,6 +249,17 @@ class TestVerifyCommand:
         for name in _SUITES:
             expected += [p.name for p in run_suite(name, n=1, dim_max=2).properties]
         assert [p.name for p in run_suite("all", n=1, dim_max=2).properties] == expected
+
+    def test_violation_matrices_serialized_in_report(self, rng):
+        rho = random_density(rng, 3)
+        prop = PropertyResult("p", "survey", 0.0)
+        prop.record(-1.0, {"state": rho, "alpha": 2.0, "dims": [3]})
+        prop.record(1.0, {"state": rho})
+        (violation,) = prop.to_json()["violations"]
+        assert violation == {
+            "state": operator_to_json(rho), "alpha": 2.0, "dims": [3], "margin": -1.0
+        }
+        json.dumps(prop.to_json())
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -35,6 +35,7 @@ from obsent.generators import (
     random_density,
     random_merge,
     random_projective_cg,
+    random_unitary,
 )
 
 from conftest import HADAMARD, KET_PLUS, proj
@@ -176,6 +177,22 @@ class TestEntropies:
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
             alpha_oe(Z_BASIS, np.eye(2) / 2, 0.0)
+
+    def test_volume_power_underflow_evaluated_in_log_space(self):
+        # 4**(1 - 600) underflows to 0; the value is log 4
+        assert alpha_oe(identity_cg(4), np.eye(4) / 4, 600) == pytest.approx(
+            math.log(4), abs=1e-12
+        )
+
+    def test_rounding_level_probabilities_count_as_zero(self):
+        # outcome probabilities of ~1e-17 from rounding are cut like
+        # eigenvalues are, so an eigenstate has alpha-OE 0 also for alpha < 1
+        u = random_unitary(np.random.default_rng(0), 6)
+        rho = proj(u[:, 2])
+        cg = projective_cg(u)
+        for a in (0.3, 0.5, 0.7):
+            assert alpha_oe(cg, rho, a) == pytest.approx(0.0, abs=1e-12)
+            assert alpha_derivative(cg, rho, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_divergence_form_matches_sweep(self, rng):
         worst = 0.0

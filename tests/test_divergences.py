@@ -36,6 +36,12 @@ class TestKL:
     def test_support_violation(self):
         assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == INFINITE
 
+    def test_ratio_overflow_evaluated_in_log_space(self):
+        # x / p overflows to inf; the value is log(1 / 1e-310)
+        assert kl_divergence([1.0], [1e-310]) == pytest.approx(
+            310 * math.log(10), abs=1e-9
+        )
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             kl_divergence([1.0], [0.5, 0.5])
@@ -77,6 +83,11 @@ class TestVonNeumannAndRenyi:
         assert renyi_entropy(rho, 1 + 1e-7) == pytest.approx(
             von_neumann(rho), abs=1e-5
         )
+
+    def test_power_underflow_evaluated_in_log_space(self):
+        # 0.9**1e4 and 0.1**1e4 both underflow to 0; 0.1**1e4 is negligible
+        val = renyi_entropy(np.diag([0.9, 0.1]), 1e4)
+        assert val == pytest.approx(1e4 / 9999 * -math.log(0.9), abs=1e-12)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
@@ -161,6 +172,23 @@ class TestClassicalPetz:
         assert classical_petz_renyi([1.0, 0.0], [0.5, 0.5], 2.0) == pytest.approx(
             math.log(2.0)
         )
+
+    def test_power_underflow_evaluated_in_log_space(self):
+        # 0.25**600 underflows to 0; the value is -log 4
+        val = classical_petz_renyi([0.25] * 4, [1.0] * 4, 600)
+        assert val == pytest.approx(-math.log(4), abs=1e-12)
+
+    def test_dominant_term_with_underflowing_factor(self):
+        # 1e4**-98 underflows, losing the dominant term 1e3**99 * 1e4**-98
+        # = 1e-95 against 1e-3**99 = 1e-297
+        val = classical_petz_renyi([1e3, 1e-3], [1e4, 1.0], 99)
+        assert val == pytest.approx(-95 * math.log(10) / 98, abs=1e-12)
+
+    def test_non_finite_weights_raise_obsent_error(self):
+        with pytest.raises(ObsentError, match="finite"):
+            classical_petz_renyi([math.nan, 1.0], [1.0, 1.0], 2.0)
+        with pytest.raises(ObsentError, match="finite"):
+            kl_divergence([0.5, 0.5], [math.inf, 1.0])
 
     def test_negative_weights_raise_obsent_error(self):
         with pytest.raises(ObsentError, match="negative weight"):
