@@ -266,7 +266,11 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     _check_alpha(alpha)
     if abs(alpha - 1.0) <= tol.ALPHA_NEAR_ONE:
         raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
-    dist = outcomes(cg, rho)
+    return _alpha_derivative(outcomes(cg, rho), alpha)
+
+
+def _alpha_derivative(dist: OutcomeDistribution, alpha: float) -> float:
+    """alpha_derivative from the outcome distribution."""
     p, v = dist.probabilities, dist.volumes
     mask = _support(p)
     p, v = p[mask], v[mask]
@@ -384,10 +388,15 @@ def refinement_divergence_bound(
         raise NotARefinement(
             "map does not reproduce the coarser effects", magnitude=residual
         )
-    p = outcomes(finer, rho).probabilities
-    v = finer.volumes()
-    pc = outcomes(coarser, rho).probabilities
-    vc = coarser.volumes()
+    return _refinement_bound(outcomes(finer, rho), outcomes(coarser, rho), m, alpha)
+
+
+def _refinement_bound(
+    fine: OutcomeDistribution, coarse: OutcomeDistribution, m: RefinementMap, alpha
+) -> float:
+    """refinement_divergence_bound from the two outcome distributions."""
+    p, v = fine.probabilities, fine.volumes
+    pc, vc = coarse.probabilities, coarse.volumes
     ratios = np.sum(m.matrix * (v[:, None] * pc / vc) ** alpha, axis=1)
     q = ratios ** (1.0 / alpha)
     return classical_petz_renyi(p, q, alpha)

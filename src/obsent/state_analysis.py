@@ -16,6 +16,7 @@ decompose_alpha_oe).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,22 +62,82 @@ def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
     return (roots @ as_matrix(rho) @ roots).sum(axis=0)
 
 
+class _Measurement:
+    """The alpha-independent data of measuring rho with cg, each piece
+    computed on first use, so that an alpha grid reuses it."""
+
+    def __init__(self, cg: CoarseGraining, rho):
+        self.cg, self.rho = cg, as_matrix(rho)
+
+    @cached_property
+    def dist(self):
+        return outcomes(self.cg, self.rho)
+
+    @cached_property
+    def projective(self) -> bool:
+        return self.cg.is_projective()
+
+    @cached_property
+    def ensemble(self) -> ConditionalEnsemble:
+        keep = self.dist.probabilities > tol.PROB_FLOOR
+        p = self.dist.probabilities[keep]
+        effects = self.cg.effects[keep]
+        roots = op_power(effects, 0.5)
+        states = roots @ self.rho @ roots / p[:, None, None]
+        flats = effects / self.dist.volumes[keep][:, None, None]
+        return ConditionalEnsemble(
+            tuple(lab for lab, k in zip(self.cg.labels, keep) if k),
+            tuple(p.tolist()),
+            tuple(states),
+            tuple(flats),
+        )
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.array(self.ensemble.probabilities)
+
+    @cached_property
+    def spectra(self) -> list:
+        """Eigenvalues of each conditional state rho_i."""
+        return [np.linalg.eigvalsh(s) for s in self.ensemble.states]
+
+    @cached_property
+    def pairs(self) -> list:
+        """(rho_i, omega_i) per kept outcome."""
+        return list(zip(self.ensemble.states, self.ensemble.flat_states))
+
+    @cached_property
+    def post_state(self) -> np.ndarray:
+        return post_measurement_state(self.cg, self.rho)
+
+    @cached_property
+    def post_spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.post_state)
+
+    def renyi_mixture(self, alpha: float) -> float:
+        _check_alpha(alpha)
+        ents = np.array([-_renyi_divergence(lam, 1.0, alpha) for lam in self.spectra])
+        return -_renyi_divergence(self.weights, 1.0, alpha) + float(np.sum(self.weights * ents))
+
+    def decompose(self, alpha: float) -> tuple:
+        _check_alpha(alpha)
+        if not self.projective:
+            raise NonProjectiveCoarseGraining(
+                "decomposition requires a projective coarse-graining"
+            )
+        post_term = -_renyi_divergence(self.post_spectrum, 1.0, alpha)
+        div_term = float(
+            sum(
+                p * petz_renyi(s, w, alpha)
+                for p, (s, w) in zip(self.ensemble.probabilities, self.pairs)
+            )
+        )
+        return post_term, div_term
+
+
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
     """Conditional states and flat references per outcome."""
-    m = as_matrix(rho)
-    dist = outcomes(cg, m)
-    keep = dist.probabilities > tol.PROB_FLOOR
-    p = dist.probabilities[keep]
-    effects = cg.effects[keep]
-    roots = op_power(effects, 0.5)
-    states = roots @ m @ roots / p[:, None, None]
-    flats = effects / dist.volumes[keep][:, None, None]
-    return ConditionalEnsemble(
-        tuple(lab for lab, k in zip(cg.labels, keep) if k),
-        tuple(p.tolist()),
-        tuple(states),
-        tuple(flats),
-    )
+    return _Measurement(cg, rho).ensemble
 
 
 def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -89,11 +150,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     (1/(1-alpha)) log sum_i p_i^alpha exp((1-alpha) S_alpha(rho_i)), which
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
-    _check_alpha(alpha)
-    ens = conditional_ensemble(cg, rho)
-    p = np.array(ens.probabilities)
-    ents = np.array([renyi_entropy(s, alpha) for s in ens.states])
-    return -_renyi_divergence(p, 1.0, alpha) + float(np.sum(p * ents))
+    return _Measurement(cg, rho).renyi_mixture(alpha)
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -108,21 +165,7 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     D_i = D_alpha(rho_i || omega_i) and pi_i proportional to
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
-    _check_alpha(alpha)
-    if not cg.is_projective():
-        raise NonProjectiveCoarseGraining(
-            "decomposition requires a projective coarse-graining"
-        )
-    m = as_matrix(rho)
-    post_term = renyi_entropy(post_measurement_state(cg, m), alpha)
-    ens = conditional_ensemble(cg, m)
-    div_term = float(
-        sum(
-            p * petz_renyi(s, w, alpha)
-            for p, s, w in zip(ens.probabilities, ens.states, ens.flat_states)
-        )
-    )
-    return post_term, div_term
+    return _Measurement(cg, rho).decompose(alpha)
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:

@@ -26,14 +26,11 @@ import numpy as np
 
 from .coarse_graining import (
     RefinementMap,
-    alpha_derivative,
-    alpha_oe,
-    alpha_oe_divergence_form,
-    alpha_oe_gap,
+    _alpha_derivative,
+    _refinement_bound,
     check_refinement,
     identity_cg,
     merge_outcomes,
-    observational_entropy,
     outcomes,
     projective_cg,
     refinement_divergence_bound,
@@ -41,9 +38,9 @@ from .coarse_graining import (
     tensor_cg,
 )
 from .divergences import (
+    _renyi_divergence,
     classical_petz_renyi,
     petz_renyi,
-    renyi_entropy,
     renyi_mutual_info,
 )
 from .errors import NotARefinement
@@ -57,13 +54,7 @@ from .generators import (
 )
 from .operators import tensor
 from .serialize import operator_to_json
-from .state_analysis import (
-    coarse_grained_state,
-    decompose_alpha_oe,
-    is_coarse_grained,
-    post_measurement_state,
-    renyi_post_measurement,
-)
+from .state_analysis import _Measurement, coarse_grained_state, is_coarse_grained
 from .thermo import (
     DrivingProtocol,
     EnergyWindowing,
@@ -163,8 +154,18 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _finite_diff(cg, rho, alpha, h=1e-5) -> float:
-    return (alpha_oe(cg, rho, alpha + h) - alpha_oe(cg, rho, alpha - h)) / (2 * h)
+def _oe(dist, alpha: float) -> float:
+    """alpha_oe from an outcome distribution computed once per (cg, rho)."""
+    return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
+
+
+def _entropy(spectrum, alpha: float) -> float:
+    """renyi_entropy from a spectrum computed once per state."""
+    return -_renyi_divergence(spectrum, 1.0, alpha)
+
+
+def _finite_diff(dist, alpha, h=1e-5) -> float:
+    return (_oe(dist, alpha + h) - _oe(dist, alpha - h)) / (2 * h)
 
 
 # ----------------------------------------------------------------- suites
@@ -190,15 +191,15 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
         cg = random_coarse_graining(rng, d)
         p = outcomes(cg, rho).probabilities
         q = outcomes(cg, sigma).probabilities
-        for a in ALPHA_GRID:
-            quantum = petz_renyi(rho, sigma, a)
+        for a, quantum in zip(ALPHA_GRID, vals):
             classical = classical_petz_renyi(p, q, a)
             if math.isinf(quantum):
                 continue
             dpi.record(quantum - classical, _state_instance(rho, a))
+        one = petz_renyi(rho, sigma, 1.0)
         near = max(
-            abs(petz_renyi(rho, sigma, 1 + 1e-7) - petz_renyi(rho, sigma, 1.0)),
-            abs(petz_renyi(rho, sigma, 1 - 1e-7) - petz_renyi(rho, sigma, 1.0)),
+            abs(petz_renyi(rho, sigma, 1 + 1e-7) - one),
+            abs(petz_renyi(rho, sigma, 1 - 1e-7) - one),
         )
         limit.record(-near, _state_instance(rho))
         d_a = int(rng.integers(2, 4))
@@ -230,32 +231,27 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         d = int(rng.integers(2, dim_max + 1))
         cg = random_coarse_graining(rng, d)
         rho = random_density(rng, d)
-        s1 = observational_entropy(cg, rho)
-        near = max(
-            abs(alpha_oe(cg, rho, 1 + 1e-7) - s1),
-            abs(alpha_oe(cg, rho, 1 - 1e-7) - s1),
-        )
+        dist, lam = outcomes(cg, rho), np.linalg.eigvalsh(rho)
+        flat_p, flat = dist.volumes / d, np.eye(d) / d
+        s1 = _oe(dist, 1.0)
+        near = max(abs(_oe(dist, 1 + 1e-7) - s1), abs(_oe(dist, 1 - 1e-7) - s1))
         limit.record(-near, _state_instance(rho))
         svals = []
         for a in ALPHA_GRID:
-            s = alpha_oe(cg, rho, a)
+            s = _oe(dist, a)
             svals.append(s)
+            classical = classical_petz_renyi(dist.probabilities, flat_p, a)
             forms.record(
-                -abs(s - alpha_oe_divergence_form(cg, rho, a)),
-                _state_instance(rho, a),
+                -abs(s - (math.log(d) - classical)), _state_instance(rho, a)
             )
-            gap = alpha_oe_gap(cg, rho, a)
-            gap_id.record(
-                -abs(gap - (s - renyi_entropy(rho, a))), _state_instance(rho, a)
-            )
+            gap = petz_renyi(rho, flat, a) - classical
+            s_rho = _entropy(lam, a)
+            gap_id.record(-abs(gap - (s - s_rho)), _state_instance(rho, a))
             gap_pos.record(gap, _state_instance(rho, a))
-            bounds.record(
-                min(s - renyi_entropy(rho, a), math.log(d) - s),
-                _state_instance(rho, a),
-            )
-            deriv = alpha_derivative(cg, rho, a)
+            bounds.record(min(s - s_rho, math.log(d) - s), _state_instance(rho, a))
+            deriv = _alpha_derivative(dist, a)
             deriv_sign.record(-deriv, _state_instance(rho, a))
-            fd = _finite_diff(cg, rho, a)
+            fd = _finite_diff(dist, a)
             # floor keeps the relative test meaningful near zero derivatives
             rel = abs(deriv - fd) / max(abs(deriv), abs(fd), 1e-3)
             deriv_fd.record(-rel, _state_instance(rho, a))
@@ -268,25 +264,24 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         cg_b = random_coarse_graining(rng, 3)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        prod_cg = tensor_cg([cg_a, cg_b])
         prod_rho = tensor(rho_a, rho_b)
+        d_prod = outcomes(tensor_cg([cg_a, cg_b]), prod_rho)
+        d_a, d_b = outcomes(cg_a, rho_a), outcomes(cg_b, rho_b)
         for a in ALPHA_GRID:
-            total = alpha_oe(prod_cg, prod_rho, a)
-            parts = alpha_oe(cg_a, rho_a, a) + alpha_oe(cg_b, rho_b, a)
-            additivity.record(-abs(total - parts), _state_instance(prod_rho, a))
+            parts = _oe(d_a, a) + _oe(d_b, a)
+            additivity.record(
+                -abs(_oe(d_prod, a) - parts), _state_instance(prod_rho, a)
+            )
         # concavity
         rho2 = random_density(rng, d)
         lam = float(rng.uniform(0.05, 0.95))
         mix = lam * rho + (1 - lam) * rho2
+        d_mix, d_2 = outcomes(cg, mix), outcomes(cg, rho2)
         for a in ALPHA_LT1:
-            margin = alpha_oe(cg, mix, a) - (
-                lam * alpha_oe(cg, rho, a) + (1 - lam) * alpha_oe(cg, rho2, a)
-            )
+            margin = _oe(d_mix, a) - (lam * _oe(dist, a) + (1 - lam) * _oe(d_2, a))
             concave.record(margin, _state_instance(mix, a))
         for a in (2.0, 3.0):
-            margin = alpha_oe(cg, mix, a) - min(
-                alpha_oe(cg, rho, a), alpha_oe(cg, rho2, a)
-            )
+            margin = _oe(d_mix, a) - min(_oe(dist, a), _oe(d_2, a))
             quasi.record(margin, _state_instance(mix, a))
     return [
         limit,
@@ -319,46 +314,45 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
 
     rng = _rng(seed, 3)
     z, x = _mub_qubit_case()
+    seq = sequential(z, x)
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rho = random_density(rng, d)
         cgs = [random_coarse_graining(rng, d) for _ in range(4)]
+        stages = [cgs[0]]
+        for nxt in cgs[1:]:
+            stages.append(sequential(stages[-1], nxt))
+        dists, lam = [outcomes(c, rho) for c in stages], np.linalg.eigvalsh(rho)
         for a in ALPHA_GRID:
-            current = cgs[0]
-            values = [alpha_oe(current, rho, a)]
-            for nxt in cgs[1:]:
-                current = sequential(current, nxt)
-                values.append(alpha_oe(current, rho, a))
+            values = [_oe(dd, a) for dd in dists]
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
                 _state_instance(rho, a),
             )
-            above.record(values[-1] - renyi_entropy(rho, a), _state_instance(rho, a))
+            above.record(values[-1] - _entropy(lam, a), _state_instance(rho, a))
         # mutually-unbiased qubit case: exact equality
         rho_q = random_density(rng, 2)
-        seq = sequential(z, x)
+        d_seq, d_z = outcomes(seq, rho_q), outcomes(z, rho_q)
         for a in ALPHA_GRID:
             mub.record(
-                -abs(alpha_oe(seq, rho_q, a) - alpha_oe(z, rho_q, a)),
-                _state_instance(rho_q, a),
+                -abs(_oe(d_seq, a) - _oe(d_z, a)), _state_instance(rho_q, a)
             )
         # composing with the trivial second stage keeps t-ratios, so equality
         cg1 = random_coarse_graining(rng, d)
-        seq_triv = sequential(cg1, identity_cg(d))
+        d_triv = outcomes(sequential(cg1, identity_cg(d)), rho)
+        d_1 = outcomes(cg1, rho)
         for a in ALPHA_GRID:
             equality.record(
-                -abs(alpha_oe(seq_triv, rho, a) - alpha_oe(cg1, rho, a)),
-                _state_instance(rho, a),
+                -abs(_oe(d_triv, a) - _oe(d_1, a)), _state_instance(rho, a)
             )
         # converse of the equality condition, observed only
         cg2 = random_coarse_graining(rng, d)
         seq2 = sequential(cg1, cg2)
+        d_12 = outcomes(seq2, rho)
         for a in (2.0,):
-            if abs(alpha_oe(seq2, rho, a) - alpha_oe(cg1, rho, a)) <= 1e-9:
-                p1 = outcomes(cg1, rho).probabilities
-                v1 = cg1.volumes()
-                p12 = outcomes(seq2, rho).probabilities
-                v12 = seq2.volumes()
+            if abs(_oe(d_12, a) - _oe(d_1, a)) <= 1e-9:
+                p1, v1 = d_1.probabilities, d_1.volumes
+                p12, v12 = d_12.probabilities, d_12.volumes
                 worst = 0.0
                 for idx, (lab1, _) in enumerate(seq2.labels):
                     i = cg1.labels.index(lab1)
@@ -386,20 +380,22 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         coarser, rmap = random_merge(rng, cg)
         _, residual = check_refinement(cg, coarser, rmap)
         relation.record(-residual, _state_instance(rho))
+        fine, coarse = outcomes(cg, rho), outcomes(coarser, rho)
         for a in ALPHA_GT1:
-            gap = alpha_oe(coarser, rho, a) - alpha_oe(cg, rho, a)
+            gap = _oe(coarse, a) - _oe(fine, a)
             mono_hi.record(gap, _state_instance(rho, a))
-            d_bound = refinement_divergence_bound(cg, coarser, rmap, rho, a)
+            d_bound = _refinement_bound(fine, coarse, rmap, a)
             if not math.isinf(d_bound):
                 bound.record(gap - d_bound, _state_instance(rho, a))
         for a in ALPHA_LT1:
-            gap = alpha_oe(coarser, rho, a) - alpha_oe(cg, rho, a)
+            gap = _oe(coarse, a) - _oe(fine, a)
             mono_lo.record(gap, _state_instance(rho, a))
         # trivial coarser {I}: the bound equals the gap exactly
         triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
+        triv = outcomes(triv_cg, rho)
         for a in ALPHA_GT1:
-            gap = alpha_oe(triv_cg, rho, a) - alpha_oe(cg, rho, a)
-            d_bound = refinement_divergence_bound(cg, triv_cg, triv_map, rho, a)
+            gap = _oe(triv, a) - _oe(fine, a)
+            d_bound = _refinement_bound(fine, triv, triv_map, a)
             trivial.record(-abs(gap - d_bound), _state_instance(rho, a))
         # a non-stochastic map must be rejected
         bad = np.full((len(cg), len(coarser)), 0.37)
@@ -444,34 +440,30 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
         rho = random_density(rng, d)
         cg_r1 = random_rank1_projective_cg(rng, d)
         cg_gen = random_projective_cg(rng, d)
-        rho_post = post_measurement_state(cg_gen, rho)
+        r1, gen = _Measurement(cg_r1, rho), _Measurement(cg_gen, rho)
+        lam = np.linalg.eigvalsh(rho)
         trace_one.record(
-            -abs(float(np.trace(rho_post).real) - 1.0), _state_instance(rho)
+            -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
         )
         for a in alphas:
-            direct = renyi_entropy(post_measurement_state(cg_r1, rho), a)
+            direct = _entropy(r1.post_spectrum, a)
             post_r1.record(
-                -abs(renyi_post_measurement(cg_r1, rho, a) - direct),
-                _state_instance(rho, a),
+                -abs(r1.renyi_mixture(a) - direct), _state_instance(rho, a)
             )
-            p_term, d_term = decompose_alpha_oe(cg_r1, rho, a)
+            p_term, d_term = r1.decompose(a)
             split_r1.record(
-                -abs(p_term + d_term - alpha_oe(cg_r1, rho, a)),
-                _state_instance(rho, a),
+                -abs(p_term + d_term - _oe(r1.dist, a)), _state_instance(rho, a)
             )
-            direct_g = renyi_entropy(rho_post, a)
+            direct_g = _entropy(gen.post_spectrum, a)
             post_gen.record(
-                -abs(renyi_post_measurement(cg_gen, rho, a) - direct_g),
-                _state_instance(rho, a),
+                -abs(gen.renyi_mixture(a) - direct_g), _state_instance(rho, a)
             )
-            pg, dg = decompose_alpha_oe(cg_gen, rho, a)
-            split_gen.record(
-                -abs(pg + dg - alpha_oe(cg_gen, rho, a)), _state_instance(rho, a)
-            )
-            assembled = (direct_g - renyi_entropy(rho, a)) + dg
+            pg, dg = gen.decompose(a)
+            oe_g, s_rho = _oe(gen.dist, a), _entropy(lam, a)
+            split_gen.record(-abs(pg + dg - oe_g), _state_instance(rho, a))
+            assembled = (direct_g - s_rho) + dg
             assembly.record(
-                -abs(alpha_oe(cg_gen, rho, a) - renyi_entropy(rho, a) - assembled),
-                _state_instance(rho, a),
+                -abs(oe_g - s_rho - assembled), _state_instance(rho, a)
             )
         # coarse-grained-state biconditional
         rho_eq = random_coarse_grained_state(rng, cg_gen)
