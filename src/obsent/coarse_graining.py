@@ -260,22 +260,23 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     """Closed-form derivative of alpha_oe with respect to alpha.
 
     -D(x || p) / (alpha - 1)^2 with x_i proportional to t_i^alpha V_i,
-    t_i = p_i / V_i, over the outcomes alpha_oe keeps. Always <= 0, which
-    makes alpha_oe non-increasing in alpha.
+    t_i = p_i / V_i, over the outcomes alpha_oe keeps; weights that leave
+    the normal float range (large alpha) are built again in log space,
+    as alpha log t_i + log V_i minus its maximum. Always <= 0, which makes
+    alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
     if abs(alpha - 1.0) <= tol.ALPHA_NEAR_ONE:
         raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
-    return _alpha_derivative(outcomes(cg, rho), alpha)
-
-
-def _alpha_derivative(dist: OutcomeDistribution, alpha: float) -> float:
-    """alpha_derivative from the outcome distribution."""
+    dist = outcomes(cg, rho)
     p, v = dist.probabilities, dist.volumes
     mask = _support(p)
     p, v = p[mask], v[mask]
-    t = p / v
-    w = t**alpha * v
+    with np.errstate(over="ignore"):
+        w = (p / v) ** alpha * v
+    if not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
+        logw = alpha * np.log(p / v) + np.log(v)
+        w = np.exp(logw - logw.max())
     x = w / w.sum()
     return -kl_divergence(x, p) / (alpha - 1.0) ** 2
 
@@ -391,12 +392,13 @@ def refinement_divergence_bound(
     return _refinement_bound(outcomes(finer, rho), outcomes(coarser, rho), m, alpha)
 
 
-def _refinement_bound(
-    fine: OutcomeDistribution, coarse: OutcomeDistribution, m: RefinementMap, alpha
-) -> float:
-    """refinement_divergence_bound from the two outcome distributions."""
-    p, v = fine.probabilities, fine.volumes
-    pc, vc = coarse.probabilities, coarse.volumes
-    ratios = np.sum(m.matrix * (v[:, None] * pc / vc) ** alpha, axis=1)
-    q = ratios ** (1.0 / alpha)
-    return classical_petz_renyi(p, q, alpha)
+@np.errstate(divide="ignore")
+def _refinement_bound(fine, coarse, m: RefinementMap, alpha: float) -> float:
+    """refinement_divergence_bound from the two outcome distributions; log Q_i
+    is a logsumexp over j, so (V_i p'_j / V'_j)^alpha cannot underflow."""
+    v, pc, vc = fine.volumes, coarse.probabilities, coarse.volumes
+    logs = np.log(m.matrix) + alpha * np.log(v[:, None] * pc / vc)
+    top = logs.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    q = np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / alpha)
+    return classical_petz_renyi(fine.probabilities, q, alpha)

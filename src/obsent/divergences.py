@@ -17,12 +17,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidAlpha, LengthMismatch, ValidationError
-from .operators import as_matrix, op_power, partial_trace, tensor, weight_outside_support
+from .operators import _check_square, _psd_eigh, as_matrix, partial_trace, tensor
 
 INFINITE = math.inf
-
-#: Tr(rho Q_sigma) above this counts as a support violation.
-_SUPPORT_LEAK_ATOL = 1e-11
 
 
 def _check_alpha(alpha: float) -> None:
@@ -115,53 +112,65 @@ def von_neumann(rho) -> float:
     return renyi_entropy(rho, 1.0)
 
 
+def _checked_matrix(x) -> np.ndarray:
+    """x as a square complex matrix, with finite entries and positive trace."""
+    m = as_matrix(x)
+    _check_square(m)
+    if not (np.isfinite(m).all() and np.trace(m).real > 0):
+        raise ValidationError("expected finite entries and a positive trace")
+    return m
+
+
+def _spectral_pair(rho, sigma) -> tuple:
+    """Nussbaum-Szkola pair (P, Q) of two PSD matrices, as flat vectors.
+
+    Tr rho^alpha sigma^(1-alpha) = sum P^alpha Q^(1-alpha) and
+    D(rho || sigma) = D(P || Q); see petz_renyi for P, Q and the support rule.
+    """
+    rm, sm = _checked_matrix(rho), _checked_matrix(sigma)
+    if rm.shape != sm.shape:
+        raise DimensionMismatch(f"dims {rm.shape[0]} vs {sm.shape[0]}")
+    (lam, u), (mu, v) = _psd_eigh(rm), _psd_eigh(sm)
+    overlap = np.abs(u.conj().T @ v) ** 2
+    return (lam[:, None] * overlap).ravel(), (overlap * mu).ravel()
+
+
 def renyi_entropy(rho, alpha: float) -> float:
     """Renyi entropy (1/(1-alpha)) log Tr rho^alpha in nats.
 
     |alpha - 1| < 1e-6 is evaluated as the von Neumann limit. Eigenvalues
-    <= SUPPORT_RTOL * lambda_max count as exact zeros.
+    <= SUPPORT_RTOL * lambda_max count as exact zeros. A matrix with a
+    non-finite entry or a trace that is not positive raises ValidationError.
     """
     _check_alpha(alpha)
-    return -_renyi_divergence(np.linalg.eigvalsh(as_matrix(rho)), 1.0, alpha)
+    return -_renyi_divergence(np.linalg.eigvalsh(_checked_matrix(rho)), 1.0, alpha)
 
 
 def umegaki(rho, sigma) -> float:
     """Quantum relative entropy Tr rho (log rho - log sigma).
 
-    INFINITE when supp(rho) is not contained in supp(sigma).
+    The Nussbaum-Szkola form sum P log(P / Q) (see petz_renyi, whose
+    support rule it shares): INFINITE when supp(rho) is not contained in
+    supp(sigma).
     """
-    rm, sm = as_matrix(rho), as_matrix(sigma)
-    if rm.shape != sm.shape:
-        raise DimensionMismatch(f"dims {rm.shape[0]} vs {sm.shape[0]}")
-    if weight_outside_support(rm, sm) > _SUPPORT_LEAK_ATOL:
-        return INFINITE
-    ent = -von_neumann(rm)
-    slam, svec = np.linalg.eigh(sm)
-    skeep = _support(slam)
-    log_sigma = (svec[:, skeep] * np.log(slam[skeep])) @ svec[:, skeep].conj().T
-    cross = float(np.trace(rm @ log_sigma).real)
-    return ent - cross
+    return _renyi_divergence(*_spectral_pair(rho, sigma), 1.0)
 
 
 def petz_renyi(rho, sigma, alpha: float) -> float:
     """Petz-Renyi relative entropy (1/(alpha-1)) log Tr(rho^a sigma^(1-a)).
 
-    Delegates to umegaki for |alpha - 1| < 1e-6. For alpha > 1 a support
-    violation gives INFINITE; for alpha < 1 the value is INFINITE only when
-    the supports are orthogonal.
+    The classical order-alpha divergence of the Nussbaum-Szkola pair
+    P_jk = lam_j |<u_j|v_k>|^2, Q_jk = mu_k |<u_j|v_k>|^2, with rho =
+    sum_j lam_j |u_j><u_j| and sigma = sum_k mu_k |v_k><v_k|; |alpha - 1|
+    < 1e-6 gives the umegaki limit. Support rule: eigenvalues <=
+    SUPPORT_RTOL times the largest of their matrix, and entries P_jk <=
+    SUPPORT_RTOL * max P, are exact zeros. A kept P_jk over a zero mu_k
+    gives INFINITE for alpha >= 1; for alpha < 1 the value is INFINITE only
+    when no kept P_jk lies over a nonzero mu_k. Indefinite arguments raise
+    NotPSD.
     """
     _check_alpha(alpha)
-    rm, sm = as_matrix(rho), as_matrix(sigma)
-    if rm.shape != sm.shape:
-        raise DimensionMismatch(f"dims {rm.shape[0]} vs {sm.shape[0]}")
-    if abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE:
-        return umegaki(rm, sm)
-    if alpha > 1 and weight_outside_support(rm, sm) > _SUPPORT_LEAK_ATOL:
-        return INFINITE
-    overlap = float(np.trace(op_power(rm, alpha) @ op_power(sm, 1.0 - alpha)).real)
-    if overlap <= 0.0:
-        return INFINITE
-    return math.log(overlap) / (alpha - 1.0)
+    return _renyi_divergence(*_spectral_pair(rho, sigma), alpha)
 
 
 def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:

@@ -165,27 +165,23 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     m = as_matrix(A)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    lam, vec = _psd_eigh(m, support_rtol)
+    keep = lam > 0
+    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
+    return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
+    """eigh of a PSD matrix or (..., d, d) stack, with eigenvalues <=
+    support_rtol * lambda_max of their matrix set to exact zeros. A negative
+    eigenvalue beyond the PSD floor raises NotPSD."""
     lam, vec = np.linalg.eigh(m)
     lam_max = lam[..., -1:]
     neg = -lam[..., :1]
     bad = neg > tol.PSD_EIGENVALUE_FLOOR * np.maximum(lam_max, 1.0)
     if np.any(bad):
-        raise NotPSD("op_power needs a PSD matrix", magnitude=float(neg[bad][0]))
-    keep = lam > support_rtol * lam_max
-    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
-    return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
-
-
-def support_projector(A, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
-    """Projector onto the support (range) of a PSD matrix."""
-    return op_power(A, 0.0, support_rtol)
-
-
-def weight_outside_support(x, support, support_rtol: float = tol.SUPPORT_RTOL) -> float:
-    """Tr(x Q) where Q projects onto the orthocomplement of supp(support)."""
-    m = as_matrix(x)
-    q = np.eye(m.shape[0]) - support_projector(support, support_rtol)
-    return float(np.trace(m @ q).real)
+        raise NotPSD("expected a PSD matrix", magnitude=float(neg[bad][0]))
+    return np.where(lam > support_rtol * lam_max, lam, 0.0), vec
 
 
 def tensor(*ops) -> np.ndarray:

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, alpha_oe, outcomes
-from .divergences import _check_alpha, _renyi_divergence, petz_renyi, renyi_entropy
+from .coarse_graining import CoarseGraining, OutcomeDistribution, alpha_oe, outcomes
+from .divergences import _check_alpha, _renyi_divergence, _spectral_pair, renyi_entropy
 from .errors import NonProjectiveCoarseGraining
 from .operators import as_matrix, op_power
 
@@ -58,19 +58,18 @@ class CoarseGrainedReport:
 
 def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
     """Unselective post-measurement state sum_i sqrt(Pi_i) rho sqrt(Pi_i)."""
-    roots = op_power(cg.effects, 0.5)
-    return (roots @ as_matrix(rho) @ roots).sum(axis=0)
+    return _Measurement(cg, rho).post_state
 
 
 class _Measurement:
     """The alpha-independent data of measuring rho with cg, each piece
-    computed on first use, so that an alpha grid reuses it."""
+    computed once on first use and shared by a whole alpha grid."""
 
     def __init__(self, cg: CoarseGraining, rho):
         self.cg, self.rho = cg, as_matrix(rho)
 
     @cached_property
-    def dist(self):
+    def dist(self) -> OutcomeDistribution:
         return outcomes(self.cg, self.rho)
 
     @cached_property
@@ -78,37 +77,36 @@ class _Measurement:
         return self.cg.is_projective()
 
     @cached_property
+    def lueders(self) -> np.ndarray:
+        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
+        roots = op_power(self.cg.effects, 0.5)
+        return roots @ self.rho @ roots
+
+    @cached_property
     def ensemble(self) -> ConditionalEnsemble:
         keep = self.dist.probabilities > tol.PROB_FLOOR
         p = self.dist.probabilities[keep]
-        effects = self.cg.effects[keep]
-        roots = op_power(effects, 0.5)
-        states = roots @ self.rho @ roots / p[:, None, None]
-        flats = effects / self.dist.volumes[keep][:, None, None]
         return ConditionalEnsemble(
             tuple(lab for lab, k in zip(self.cg.labels, keep) if k),
             tuple(p.tolist()),
-            tuple(states),
-            tuple(flats),
+            tuple(self.lueders[keep] / p[:, None, None]),
+            tuple(self.cg.effects[keep] / self.dist.volumes[keep][:, None, None]),
         )
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array(self.ensemble.probabilities)
-
-    @cached_property
-    def spectra(self) -> list:
+    def spectra(self) -> np.ndarray:
         """Eigenvalues of each conditional state rho_i."""
-        return [np.linalg.eigvalsh(s) for s in self.ensemble.states]
+        return np.linalg.eigvalsh(np.stack(self.ensemble.states))
 
     @cached_property
     def pairs(self) -> list:
-        """(rho_i, omega_i) per kept outcome."""
-        return list(zip(self.ensemble.states, self.ensemble.flat_states))
+        """Nussbaum-Szkola pair of (rho_i, omega_i) per kept outcome."""
+        ens = self.ensemble
+        return [_spectral_pair(s, w) for s, w in zip(ens.states, ens.flat_states)]
 
     @cached_property
     def post_state(self) -> np.ndarray:
-        return post_measurement_state(self.cg, self.rho)
+        return self.lueders.sum(axis=0)
 
     @cached_property
     def post_spectrum(self) -> np.ndarray:
@@ -116,8 +114,9 @@ class _Measurement:
 
     def renyi_mixture(self, alpha: float) -> float:
         _check_alpha(alpha)
+        p = np.array(self.ensemble.probabilities)
         ents = np.array([-_renyi_divergence(lam, 1.0, alpha) for lam in self.spectra])
-        return -_renyi_divergence(self.weights, 1.0, alpha) + float(np.sum(self.weights * ents))
+        return -_renyi_divergence(p, 1.0, alpha) + float(np.sum(p * ents))
 
     def decompose(self, alpha: float) -> tuple:
         _check_alpha(alpha)
@@ -128,8 +127,8 @@ class _Measurement:
         post_term = -_renyi_divergence(self.post_spectrum, 1.0, alpha)
         div_term = float(
             sum(
-                p * petz_renyi(s, w, alpha)
-                for p, (s, w) in zip(self.ensemble.probabilities, self.pairs)
+                p * _renyi_divergence(*pair, alpha)
+                for p, pair in zip(self.ensemble.probabilities, self.pairs)
             )
         )
         return post_term, div_term

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,17 @@ class TestDerivative:
         with pytest.raises(InvalidAlpha):
             alpha_derivative(Z_BASIS, np.eye(2) / 2, 1.0 + 1e-8)
 
+    @pytest.mark.parametrize("alpha", [100.0, 300.0, 1000.0, 1e4])
+    def test_large_alpha_stays_finite(self, alpha):
+        # t**alpha * V used to underflow to all zeros at alpha = 1000
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 4)
+        cg = random_coarse_graining(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = alpha_derivative(cg, rho, alpha)
+        assert math.isfinite(val) and val <= 0.0
+
 
 class TestTensorCg:
     def test_four_effects(self):
@@ -463,6 +475,30 @@ class TestRefinement:
         ratio = math.exp(div[1])
         assert math.log(9 / 13 + 4 / 13 * ratio) == pytest.approx(gap, abs=1e-12)
         assert math.log(0.6 + 0.4 * ratio) == pytest.approx(bound, abs=1e-12)
+
+    def test_bound_at_large_alpha_does_not_underflow(self):
+        # (V_i p'_j / V'_j)**1e4 underflowed to 0 and the bound read inf
+        cg = projective_cg(np.eye(3))
+        coarse, m = merge_outcomes(cg, [list(cg.labels)])
+        rho = np.diag([0.5, 0.3, 0.2])
+        gap = alpha_oe(coarse, rho, 1e4) - alpha_oe(cg, rho, 1e4)
+        bound = refinement_divergence_bound(cg, coarse, m, rho, 1e4)
+        assert gap == pytest.approx(0.4053957864579435, abs=1e-12)
+        assert bound == pytest.approx(gap, abs=1e-12)
+
+    def test_bound_for_a_non_deterministic_map(self):
+        # every finer outcome splits evenly over the two coarser outcomes
+        fine = projective_cg(np.eye(2))
+        coarse = CoarseGraining(("a", "b"), [np.eye(2) / 2, np.eye(2) / 2])
+        m = RefinementMap(np.full((2, 2), 0.5))
+        rho = np.diag([0.7, 0.3])
+        p, v = np.array([0.7, 0.3]), np.ones(2)
+        pc, vc = np.array([0.5, 0.5]), np.ones(2)
+        for a in (1.5, 2.0, 3.0):
+            q = np.sum(m.matrix * (v[:, None] * pc / vc) ** a, axis=1) ** (1 / a)
+            assert refinement_divergence_bound(
+                fine, coarse, m, rho, a
+            ) == pytest.approx(classical_petz_renyi(p, q, a), abs=1e-12)
 
     def test_bound_requires_alpha_above_one(self, rng):
         cg = random_projective_cg(rng, 3)

@@ -17,8 +17,15 @@ from obsent import (
     von_neumann,
 )
 from obsent.divergences import renyi_mutual_info_divergence_form
-from obsent.errors import InvalidAlpha, LengthMismatch, ObsentError
-from obsent.generators import random_coarse_graining, random_density
+from obsent.errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    LengthMismatch,
+    NotPSD,
+    ObsentError,
+    ValidationError,
+)
+from obsent.generators import random_coarse_graining, random_density, random_unitary
 from obsent.coarse_graining import outcomes
 
 from conftest import bell_state, proj, KET_PLUS
@@ -93,6 +100,16 @@ class TestVonNeumannAndRenyi:
         with pytest.raises(InvalidAlpha):
             renyi_entropy(np.eye(2) / 2, -0.5)
 
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 2)), np.full((2, 2), np.nan), -np.eye(2), np.ones((2, 3))]
+    )
+    def test_empty_or_malformed_matrix_raises(self, bad):
+        # a zero or NaN matrix used to give -inf
+        with pytest.raises(ValidationError):
+            renyi_entropy(bad, 2.0)
+        with pytest.raises(ValidationError):
+            petz_renyi(np.eye(2) / 2, bad, 2.0)
+
 
 class TestUmegaki:
     def test_self_divergence(self, rng):
@@ -104,6 +121,17 @@ class TestUmegaki:
 
     def test_support_violation(self):
         assert umegaki(np.eye(2) / 2, np.diag([1.0, 0.0])) == INFINITE
+
+    def test_rejects_indefinite(self):
+        # accepted silently before the Nussbaum-Szkola form
+        with pytest.raises(NotPSD):
+            umegaki(np.diag([1.2, -0.2]), np.eye(2) / 2)
+        with pytest.raises(NotPSD):
+            umegaki(np.eye(2) / 2, np.diag([1.2, -0.2]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            umegaki(np.eye(2) / 2, np.eye(3) / 3)
 
 
 class TestPetzRenyi:
@@ -118,6 +146,37 @@ class TestPetzRenyi:
 
     def test_support_violation_above_one(self):
         assert petz_renyi(np.eye(2) / 2, np.diag([1.0, 0.0]), 2.0) == INFINITE
+
+    def test_support_violation_in_rotated_basis(self, rng):
+        # rank-2 rho with weight outside the rank-2 support of sigma
+        u = random_unitary(rng, 3)
+        rho = u @ np.diag([0.5, 0.5, 0.0]) @ u.conj().T
+        sigma = u @ np.diag([0.0, 0.6, 0.4]) @ u.conj().T
+        assert petz_renyi(rho, sigma, 2.0) == INFINITE
+        assert umegaki(rho, sigma) == INFINITE
+        assert math.isfinite(petz_renyi(rho, sigma, 0.5))
+
+    def test_large_alpha_against_flat_state(self):
+        # the op_power form gave nan: 0.9**5000 underflows, 0.5**-4999 overflows
+        val = petz_renyi(np.diag([0.9, 0.1]), np.eye(2) / 2, 5000)
+        expected = math.log(2) + 5000 / 4999 * math.log(0.9)
+        assert val == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", [39, 156])
+    def test_self_divergence_is_zero_to_rounding(self, seed):
+        # the op_power form gave -2.89e-10 (seed 39) and +4.7e-10 (seed 156)
+        rho = random_density(np.random.default_rng(seed), 6)
+        assert abs(petz_renyi(rho, rho, 3.0)) <= 1e-14
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPSD):
+            petz_renyi(np.diag([1.2, -0.2]), np.eye(2) / 2, 2.0)
+        with pytest.raises(NotPSD):
+            petz_renyi(np.eye(2) / 2, np.diag([1.2, -0.2]), 0.5)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            petz_renyi(np.eye(2) / 2, np.eye(3) / 3, 2.0)
 
     def test_orthogonal_states_below_one(self):
         assert (

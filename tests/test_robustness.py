@@ -1,7 +1,7 @@
-"""Property test: the order-alpha entropies and classical divergences return
-a finite number, INFINITE, or raise an ObsentError over the valid range
-(alpha from 1e-3 to 1e4, weights scaled from 1e-6 to 1e6, rank-deficient
-states with spectra spanning many orders of magnitude)."""
+"""Property test: the order-alpha entropies and the classical and quantum
+divergences return a finite number, INFINITE, or raise an ObsentError over
+the valid range (alpha from 1e-3 to 1e4, weights scaled from 1e-6 to 1e6,
+rank-deficient states with spectra spanning many orders of magnitude)."""
 
 import math
 
@@ -11,16 +11,35 @@ from hypothesis import strategies as st
 
 from obsent import (
     INFINITE,
+    alpha_derivative,
     alpha_oe,
     alpha_oe_divergence_form,
+    alpha_oe_gap,
     classical_petz_renyi,
     kl_divergence,
     observational_entropy,
+    petz_renyi,
+    refinement_divergence_bound,
     renyi_entropy,
+    renyi_mutual_info_divergence_form,
+    umegaki,
     von_neumann,
 )
 from obsent.errors import ObsentError
-from obsent.generators import random_coarse_graining, random_unitary
+from obsent.generators import (
+    random_coarse_graining,
+    random_merge,
+    random_projective_cg,
+    random_unitary,
+)
+
+
+def _state(rng, dim, rank, spread):
+    """Rank-deficient state whose eigenvalues span up to 10**-spread."""
+    lam = np.zeros(dim)
+    lam[: min(rank, dim)] = 10.0 ** (-spread * rng.uniform(size=min(rank, dim)))
+    u = random_unitary(rng, dim)
+    return (u * (lam / lam.sum())) @ u.conj().T
 
 
 def _finite_infinite_or_error(fn, *args):
@@ -45,11 +64,7 @@ def test_finite_infinite_or_obsent_error(
 ):
     rng = np.random.default_rng(seed)
     alpha = 10.0**log_alpha
-    # rank-deficient state whose eigenvalues span up to 10**-spread
-    lam = np.zeros(dim)
-    lam[: min(rank, dim)] = 10.0 ** (-spread * rng.uniform(size=min(rank, dim)))
-    u = random_unitary(rng, dim)
-    rho = (u * (lam / lam.sum())) @ u.conj().T
+    rho = _state(rng, dim, rank, spread)
     cg = random_coarse_graining(rng, dim)
     x = rng.dirichlet(np.ones(dim)) * 10.0 ** log_scales[0]
     q = rng.dirichlet(np.ones(dim)) * 10.0 ** log_scales[1]
@@ -64,3 +79,15 @@ def test_finite_infinite_or_obsent_error(
     _finite_infinite_or_error(classical_petz_renyi, x, q, alpha)
     _finite_infinite_or_error(classical_petz_renyi, q, x, alpha)
     _finite_infinite_or_error(kl_divergence, x, q)
+
+    sigma = _state(rng, dim, max(dim + 1 - rank, 1), spread)
+    rho_ab = _state(rng, 2 * dim, 2 * rank, spread)
+    fine = random_projective_cg(rng, dim)
+    coarser, rmap = random_merge(rng, fine)
+    for a, b in ((rho, sigma), (sigma, rho), (rho, rho)):
+        _finite_infinite_or_error(petz_renyi, a, b, alpha)
+        _finite_infinite_or_error(umegaki, a, b)
+    _finite_infinite_or_error(alpha_oe_gap, cg, rho, alpha)
+    _finite_infinite_or_error(renyi_mutual_info_divergence_form, rho_ab, (2, dim), alpha)
+    _finite_infinite_or_error(alpha_derivative, cg, rho, alpha)
+    _finite_infinite_or_error(refinement_divergence_bound, fine, coarser, rmap, rho, alpha)
