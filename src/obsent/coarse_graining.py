@@ -274,7 +274,7 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     p, v = p[mask], v[mask]
     with np.errstate(over="ignore"):
         w = (p / v) ** alpha * v
-    if not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
+    if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
         logw = alpha * np.log(p / v) + np.log(v)
         w = np.exp(logw - logw.max())
     x = w / w.sum()

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, OutcomeDistribution, alpha_oe, outcomes
+from .coarse_graining import CoarseGraining, alpha_oe, outcomes
 from .divergences import _check_alpha, _renyi_divergence, _spectral_pair, renyi_entropy
 from .errors import NonProjectiveCoarseGraining
 from .operators import as_matrix, op_power
@@ -67,10 +67,7 @@ class _Measurement:
 
     def __init__(self, cg: CoarseGraining, rho):
         self.cg, self.rho = cg, as_matrix(rho)
-
-    @cached_property
-    def dist(self) -> OutcomeDistribution:
-        return outcomes(self.cg, self.rho)
+        self.dist = outcomes(cg, self.rho)
 
     @cached_property
     def projective(self) -> bool:
@@ -94,9 +91,9 @@ class _Measurement:
         )
 
     @cached_property
-    def spectra(self) -> np.ndarray:
+    def spectra(self) -> list:
         """Eigenvalues of each conditional state rho_i."""
-        return np.linalg.eigvalsh(np.stack(self.ensemble.states))
+        return [np.linalg.eigvalsh(s) for s in self.ensemble.states]
 
     @cached_property
     def pairs(self) -> list:
@@ -125,13 +122,9 @@ class _Measurement:
                 "decomposition requires a projective coarse-graining"
             )
         post_term = -_renyi_divergence(self.post_spectrum, 1.0, alpha)
-        div_term = float(
-            sum(
-                p * _renyi_divergence(*pair, alpha)
-                for p, pair in zip(self.ensemble.probabilities, self.pairs)
-            )
-        )
-        return post_term, div_term
+        probs = self.ensemble.probabilities
+        terms = (p * _renyi_divergence(*pair, alpha) for p, pair in zip(probs, self.pairs))
+        return post_term, float(sum(terms))
 
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:

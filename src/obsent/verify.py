@@ -318,14 +318,14 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         stages = [cgs[0]]
         for nxt in cgs[1:]:
             stages.append(sequential(stages[-1], nxt))
-        dists, lam = [outcomes(c, rho) for c in stages], np.linalg.eigvalsh(rho)
+        dists, spec = [outcomes(c, rho) for c in stages], np.linalg.eigvalsh(rho)
         for a in ALPHA_GRID:
             values = [_oe(dd, a) for dd in dists]
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
                 _state_instance(rho, a),
             )
-            above.record(values[-1] - _entropy(lam, a), _state_instance(rho, a))
+            above.record(values[-1] - _entropy(spec, a), _state_instance(rho, a))
         # mutually-unbiased qubit case: exact equality
         rho_q = random_density(rng, 2)
         d_seq, d_z = outcomes(seq, rho_q), outcomes(z, rho_q)
@@ -431,7 +431,7 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
         cg_r1 = random_rank1_projective_cg(rng, d)
         cg_gen = random_projective_cg(rng, d)
         r1, gen = _Measurement(cg_r1, rho), _Measurement(cg_gen, rho)
-        lam = np.linalg.eigvalsh(rho)
+        spec = np.linalg.eigvalsh(rho)
         trace_one.record(
             -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
         )
@@ -449,7 +449,7 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
                 -abs(gen.renyi_mixture(a) - direct_g), _state_instance(rho, a)
             )
             pg, dg = gen.decompose(a)
-            oe_g, s_rho = _oe(gen.dist, a), _entropy(lam, a)
+            oe_g, s_rho = _oe(gen.dist, a), _entropy(spec, a)
             split_gen.record(-abs(pg + dg - oe_g), _state_instance(rho, a))
             assembled = (direct_g - s_rho) + dg
             assembly.record(

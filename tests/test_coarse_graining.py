@@ -262,6 +262,9 @@ class TestDerivative:
         with pytest.raises(InvalidAlpha):
             alpha_derivative(Z_BASIS, np.eye(2) / 2, 1.0 + 1e-8)
 
+    def test_zero_operator_has_zero_derivative(self):
+        assert alpha_derivative(Z_BASIS, np.zeros((2, 2)), 2.0) == 0.0
+
     @pytest.mark.parametrize("alpha", [100.0, 300.0, 1000.0, 1e4])
     def test_large_alpha_stays_finite(self, alpha):
         # t**alpha * V used to underflow to all zeros at alpha = 1000

@@ -88,6 +88,10 @@ def test_finite_infinite_or_obsent_error(
         _finite_infinite_or_error(petz_renyi, a, b, alpha)
         _finite_infinite_or_error(umegaki, a, b)
     _finite_infinite_or_error(alpha_oe_gap, cg, rho, alpha)
-    _finite_infinite_or_error(renyi_mutual_info_divergence_form, rho_ab, (2, dim), alpha)
+    _finite_infinite_or_error(
+        renyi_mutual_info_divergence_form, rho_ab, (2, dim), alpha
+    )
     _finite_infinite_or_error(alpha_derivative, cg, rho, alpha)
-    _finite_infinite_or_error(refinement_divergence_bound, fine, coarser, rmap, rho, alpha)
+    _finite_infinite_or_error(
+        refinement_divergence_bound, fine, coarser, rmap, rho, alpha
+    )

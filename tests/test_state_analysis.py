@@ -56,6 +56,14 @@ class TestPostMeasurementState:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_zero_operator_gives_no_raw_error():
+    # an operator without outcomes has an empty ensemble and no spectra
+    zero = np.zeros((2, 2))
+    assert len(conditional_ensemble(Z_BASIS, zero).states) == 0
+    assert renyi_post_measurement(Z_BASIS, zero, 2.0) == -math.inf
+    assert decompose_alpha_oe(Z_BASIS, zero, 2.0) == (-math.inf, 0.0)
+
+
 class TestConditionalEnsemble:
     def test_diagonal_qubit(self):
         ens = conditional_ensemble(Z_BASIS, np.diag([0.75, 0.25]))
