@@ -2,10 +2,11 @@
 
 Everything is in nats. Divergences return math.inf (the distinguished
 INFINITE value) on support violations rather than raising; callers are
-expected to propagate it. Every classical and spectral entropy and
-divergence, alpha-OE included, is one order-alpha kernel over weights:
-entries at most SUPPORT_RTOL times the largest count as exact zeros, and
-a power sum that leaves the normal float range is redone in log space.
+expected to propagate it. Every entropy and divergence, alpha-OE and the
+quantum ones (by their Nussbaum-Szkola pair) included, is one order-alpha
+kernel over weights: entries at most SUPPORT_RTOL times the largest are
+exact zeros, and a power sum that leaves the normal float range is redone
+in log space.
 """
 
 from __future__ import annotations
