@@ -171,116 +171,119 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+_REQUIRED = object()
+
+
+def _field(cfg, key: str, default=_REQUIRED):
+    """cfg[key] of a JSON object; default, when given, stands in for a missing key."""
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"expected a JSON object holding {key!r}, got {cfg!r:.40}")
+    if key in cfg:
+        return cfg[key]
+    if default is _REQUIRED:
+        raise SchemaError(f"missing {key!r}")
+    return default
+
+
+def _numbers(cfg, key: str, default=_REQUIRED, ndim: int = 1):
+    """cfg[key] as an ndim-dimensional float array, JSON booleans read as 0
+    and 1; a missing key gives the default as it is."""
+    value = _field(cfg, key, default)
+    if key not in cfg:
+        return value
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "biuf":
+        what = "a number" if ndim == 0 else "a list of numbers"
+        raise SchemaError(f"{key!r} must be {what}, got {value!r:.40}")
+    return arr.astype(float)
+
+
+def _number(cfg, key: str, default=_REQUIRED):
+    value = _numbers(cfg, key, default, ndim=0)
+    return float(value) if key in cfg else value
+
+
 def _sample_times(node, horizon) -> np.ndarray:
     if isinstance(node, list):
-        return np.array([float(t) for t in node])
+        return _numbers({"sample_times": node}, "sample_times")
     if isinstance(node, dict) and "count" in node:
-        count = int(node["count"])
-        if count <= 0:
+        count = node["count"]
+        if not isinstance(count, int) or count <= 0:
             raise SchemaError("sample_times.count must be a positive integer")
-        end = float(node.get("horizon", horizon if horizon is not None else 0.0))
+        end = _number(node, "horizon", horizon if horizon is not None else 0.0)
         if end <= 0:
             raise SchemaError("sample_times.horizon must be positive")
         return np.linspace(end / count, end, count)
     raise SchemaError("sample_times must be a list or {'count': ..., 'horizon': ...}")
 
 
-def _emit_csv(csv_text: str, out) -> None:
+def _finish_run(record, warning: str, out) -> None:
+    """Report the void guarantee and the findings on stderr, then write the CSV."""
+    if record.guarantee_void:
+        print(f"warning: {warning}; entropy-production guarantee void", file=sys.stderr)
+    for finding in record.findings:
+        print(f"finding: {json.dumps(finding, sort_keys=True)}", file=sys.stderr)
+    csv_text = run_to_csv(record)
     if out:
         Path(out).write_text(csv_text, encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
 
 
+def _operator(cfg, key: str, base: Path) -> np.ndarray:
+    return resolve_operator(_field(cfg, key), base)
+
+
 def cmd_closed_sim(args) -> int:
     cfg = load_json(args.config)
     base = Path(args.config).parent
-    for key in ("protocol", "initial_state", "delta", "alphas", "sample_times"):
-        if key not in cfg:
-            raise SchemaError(f"closed-sim config needs {key!r}")
-    segments = []
-    for seg in cfg["protocol"]:
-        h = validate_operator(resolve_operator(seg["hamiltonian"], base), "hermitian")
-        segments.append((h.matrix, float(seg["duration"])))
-    protocol = DrivingProtocol(tuple(segments))
-    rho0 = validate_operator(resolve_operator(cfg["initial_state"], base), "density")
-    windowing = EnergyWindowing(float(cfg["delta"]), cfg.get("origin"))
-    times = _sample_times(cfg["sample_times"], protocol.total_duration)
-    record = closed_run(protocol, rho0, windowing, cfg["alphas"], times)
-    if record.guarantee_void:
-        print(
-            "warning: initial state is not coarse-grained for the initial "
-            "energy windows; entropy-production guarantee void",
-            file=sys.stderr,
+    segments = _field(cfg, "protocol")
+    if not isinstance(segments, list):
+        raise SchemaError(f"'protocol' must be a list, got {segments!r:.40}")
+    protocol = DrivingProtocol(
+        tuple(
+            (_operator(seg, "hamiltonian", base), _number(seg, "duration"))
+            for seg in segments
         )
-    for finding in record.findings:
-        print(f"finding: {json.dumps(finding, sort_keys=True)}", file=sys.stderr)
-    _emit_csv(run_to_csv(record), args.out)
-    by_alpha = {}
-    for s in record.samples:
-        by_alpha.setdefault(s.alpha, []).append(s.delta_entropy)
-    for a in sorted(by_alpha):
-        print(
-            f"alpha={a:g} min dS={format_float(min(by_alpha[a]))}",
-            file=sys.stderr,
-        )
+    )
+    rho0 = validate_operator(_operator(cfg, "initial_state", base), "density")
+    windowing = EnergyWindowing(_number(cfg, "delta"), _number(cfg, "origin", None))
+    times = _sample_times(_field(cfg, "sample_times"), protocol.total_duration)
+    record = closed_run(protocol, rho0, windowing, _numbers(cfg, "alphas"), times)
+    warning = "initial state is not coarse-grained for the initial energy windows"
+    _finish_run(record, warning, args.out)
+    for a in sorted({s.alpha for s in record.samples}):
+        min_ds = min(s.delta_entropy for s in record.samples if s.alpha == a)
+        print(f"alpha={a:g} min dS={format_float(min_ds)}", file=sys.stderr)
     return 0
 
 
 def cmd_open_sim(args) -> int:
     cfg = load_json(args.config)
     base = Path(args.config).parent
-    for key in (
-        "system_hamiltonian",
-        "bath_hamiltonian",
-        "coupling",
-        "system_state",
-        "bath_beta",
-        "delta",
-        "alphas",
-        "sample_times",
-    ):
-        if key not in cfg:
-            raise SchemaError(f"open-sim config needs {key!r}")
-    h_s = validate_operator(resolve_operator(cfg["system_hamiltonian"], base), "hermitian")
-    h_b = validate_operator(resolve_operator(cfg["bath_hamiltonian"], base), "hermitian")
-    v_sb = validate_operator(resolve_operator(cfg["coupling"], base), "hermitian")
-    rho_s = validate_operator(resolve_operator(cfg["system_state"], base), "density")
-    basis = None
-    if "system_basis" in cfg:
-        basis = resolve_operator(cfg["system_basis"], base)
-    windowing = EnergyWindowing(float(cfg["delta"]), cfg.get("origin"))
-    times = _sample_times(cfg["sample_times"], None)
+    basis = _field(cfg, "system_basis", None)
     record = open_run(
-        h_s,
-        h_b,
-        v_sb,
-        rho_s,
-        float(cfg["bath_beta"]),
-        windowing,
-        cfg["alphas"],
-        times,
-        system_basis=basis,
+        _operator(cfg, "system_hamiltonian", base),
+        _operator(cfg, "bath_hamiltonian", base),
+        _operator(cfg, "coupling", base),
+        validate_operator(_operator(cfg, "system_state", base), "density"),
+        _number(cfg, "bath_beta"),
+        EnergyWindowing(_number(cfg, "delta"), _number(cfg, "origin", None)),
+        _numbers(cfg, "alphas"),
+        _sample_times(_field(cfg, "sample_times"), None),
+        system_basis=None if basis is None else resolve_operator(basis, base),
     )
-    if record.guarantee_void:
-        print(
-            "warning: initial joint state is not coarse-grained for the "
-            "product windows; entropy-production guarantee void",
-            file=sys.stderr,
-        )
-    for finding in record.findings:
-        print(f"finding: {json.dumps(finding, sort_keys=True)}", file=sys.stderr)
-    _emit_csv(run_to_csv(record), args.out)
+    warning = "initial joint state is not coarse-grained for the product windows"
+    _finish_run(record, warning, args.out)
     return 0
 
 
 def cmd_free_energy(args) -> int:
     obj = load_json(args.levels)
-    if "energies" not in obj:
-        raise SchemaError("level-system file needs 'energies'")
-    levels = LevelSystem(
-        np.asarray(obj["energies"], dtype=float), float(obj.get("volume", 1.0))
-    )
+    levels = LevelSystem(_numbers(obj, "energies"), _number(obj, "volume", 1.0))
     alphas = args.alpha or [2.0]
     k = _scale(args.bits)
     fe = free_energy(levels, args.t0)

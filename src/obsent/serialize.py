@@ -12,7 +12,6 @@ left empty; floats carry 17 significant digits, locale-independent.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -43,37 +42,28 @@ def format_float(x: float) -> str:
 
 def operator_to_json(matrix) -> dict:
     m = as_matrix(matrix)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in m
-        ],
-    }
+    return {"dim": int(m.shape[0]), "entries": np.stack([m.real, m.imag], -1).tolist()}
 
 
 def operator_from_json(obj) -> np.ndarray:
+    """Read the operator encoding; JSON booleans read as 0 and 1."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise SchemaError("operator object needs 'dim' and 'entries'")
     dim = obj["dim"]
     if not isinstance(dim, int) or dim <= 0:
         raise SchemaError(f"'dim' must be a positive integer, got {dim!r}")
-    entries = obj["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise SchemaError(f"'entries' is not a {dim} x {dim} grid")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, (list, tuple))
-                or len(cell) != 2
-                or not all(isinstance(c, (int, float)) for c in cell)
-            ):
-                raise SchemaError(f"entry ({i},{j}) is not an [re, im] pair")
-            re, im = float(cell[0]), float(cell[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise SchemaError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    try:
+        grid = np.asarray(obj["entries"])
+    except ValueError:  # ragged nesting
+        grid = None
+    if grid is None or grid.shape != (dim, dim, 2):
+        raise SchemaError(f"'entries' is not a {dim} x {dim} grid of [re, im] pairs")
+    if grid.dtype.kind not in "biuf":
+        raise SchemaError("'entries' holds a value that is not a number")
+    if not np.all(np.isfinite(grid)):
+        raise SchemaError("'entries' holds a value that is not finite")
+    # the view keeps each part's bits, signed zeros included
+    return np.ascontiguousarray(grid, dtype=float).view(complex)[..., 0]
 
 
 def coarse_graining_to_json(cg: CoarseGraining) -> dict:
@@ -89,8 +79,12 @@ def coarse_graining_to_json(cg: CoarseGraining) -> dict:
 def coarse_graining_from_json(obj) -> CoarseGraining:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise SchemaError("coarse-graining object needs 'effects'")
+    if not isinstance(obj["effects"], list):
+        raise SchemaError("'effects' must be a list")
     labels, effects = [], []
     for k, item in enumerate(obj["effects"]):
+        if not isinstance(item, dict):
+            raise SchemaError(f"effect {k} is not an object")
         if "matrix" not in item:
             raise SchemaError(f"effect {k} has no 'matrix'")
         labels.append(item.get("label", str(k)))
@@ -102,11 +96,11 @@ def coarse_graining_from_json(obj) -> CoarseGraining:
     return CoarseGraining(tuple(labels), tuple(effects))
 
 
-def load_json(path) -> dict:
+def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -119,6 +113,8 @@ def dump_json(obj, path) -> None:
 def resolve_operator(node, base_dir: Path) -> np.ndarray:
     """Resolve an inline operator object or a {"path": ...} file reference."""
     if isinstance(node, dict) and "path" in node:
+        if not isinstance(node["path"], str):
+            raise SchemaError(f"'path' must be a string, got {node['path']!r:.40}")
         return operator_from_json(load_json(base_dir / node["path"]))
     return operator_from_json(node)
 
@@ -152,11 +148,8 @@ def open_record_rows(record: OpenRunRecord):
 def rows_to_csv(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row.get(col)
-            cells.append("" if value is None else format_float(value))
-        lines.append(",".join(cells))
+        cells = (row.get(col) for col in CSV_COLUMNS)
+        lines.append(",".join("" if v is None else format_float(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 

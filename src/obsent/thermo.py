@@ -55,6 +55,8 @@ class EnergyWindowing:
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta <= 0:
             raise ValidationError(f"window width must be > 0, got {self.delta}")
+        if self.origin is not None and not np.isfinite(self.origin):
+            raise ValidationError(f"window origin must be finite, got {self.origin}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class DrivingProtocol:
                 raise DimensionMismatch(
                     f"segment dim {m.shape[0]} != {dim}"
                 )
-            if duration < 0:
-                raise ValidationError(f"negative segment duration {duration}")
+            if not 0 <= duration < math.inf:
+                raise ValidationError(f"segment duration {duration} is not in [0, inf)")
             segs.append((m, float(duration)))
         if not segs:
             raise ValidationError("protocol needs at least one segment")
@@ -301,10 +303,10 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
     ts = [float(t) for t in sample_times]
     if not ts:
         raise ValidationError("at least one sample time is required")
+    if not all(0 <= t < math.inf for t in ts):
+        raise ValidationError("sample times must be finite and non-negative")
     if any(b - a <= 0 for a, b in zip(ts, ts[1:])):
         raise ValidationError("sample times must be strictly increasing")
-    if ts[0] < 0:
-        raise ValidationError("sample times must be non-negative")
     if horizon is not None and ts[-1] > horizon + 1e-12:
         raise ValidationError(
             f"sample time {ts[-1]} exceeds protocol duration {horizon}"
@@ -470,9 +472,10 @@ def open_run(
     productions). The factorization joint = sys + bath - MI is exact when
     all bath windows share one volume; its residual is recorded.
     """
-    hs, hb = as_matrix(h_s), as_matrix(h_b)
+    hs = validate_operator(h_s, "hermitian").matrix
+    hb = as_matrix(h_b)  # validated by energy_cg below
     ds, db = hs.shape[0], hb.shape[0]
-    v = as_matrix(v_sb)
+    v = validate_operator(v_sb, "hermitian").matrix
     if v.shape[0] != ds * db:
         raise DimensionMismatch(
             f"coupling dim {v.shape[0]} != {ds} * {db}"

@@ -1,16 +1,16 @@
 """Numerical tolerances used across the package.
 
 All tolerances scale with the OBSENT_TOL environment variable (a positive
-float multiplier, default 1.0), read once at import. Library functions take
-explicit tolerance arguments defaulting to these module constants, so a
-caller can always override per call.
+finite float multiplier, default 1.0), read once at import. Library
+functions take explicit tolerance arguments defaulting to these module
+constants, so a caller can always override per call.
 """
 
 import os
 
 _scale = float(os.environ.get("OBSENT_TOL", "1.0"))
-if _scale <= 0:
-    raise ValueError("OBSENT_TOL must be a positive float")
+if not 0 < _scale < float("inf"):
+    raise ValueError("OBSENT_TOL must be a positive finite float")
 
 
 def scaled(x: float) -> float:

@@ -1,9 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsent import projective_cg
 from obsent.cli import _build_parser, _sample_times, main
@@ -41,6 +50,38 @@ class TestOperatorJson:
     def test_rejects_bad_cell(self):
         with pytest.raises(SchemaError):
             operator_from_json({"dim": 1, "entries": [[[1.0]]]})
+
+    @pytest.mark.parametrize(
+        "first_cell",
+        [[0.0], [1, "x"], [1, None], [10**400, 0], [[1, 0], [0, 0]], {"re": 1}],
+    )
+    def test_rejects_malformed_cell(self, first_cell):
+        entries = [[first_cell, [0, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(SchemaError):
+            operator_from_json({"dim": 2, "entries": entries})
+
+    @pytest.mark.parametrize("entries", ["ab", 5, {"re": 1}, None])
+    def test_rejects_non_grid_entries(self, entries):
+        with pytest.raises(SchemaError):
+            operator_from_json({"dim": 2, "entries": entries})
+
+    def test_bitwise_equal_to_per_cell_read(self, rng):
+        def per_cell(obj):
+            out = np.empty((obj["dim"], obj["dim"]), dtype=complex)
+            for i, row in enumerate(obj["entries"]):
+                for j, (re, im) in enumerate(row):
+                    out[i, j] = complex(float(re), float(im))
+            return out
+
+        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m[0, :] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324]
+        obj = operator_to_json(m)
+        obj["entries"][1][0] = [True, 3]  # booleans read as 0/1, ints as floats
+        obj["entries"][1][1] = [False, -(2**60) + 1]
+        got, want = operator_from_json(obj), per_cell(obj)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 1].real) and np.signbit(got[0, 2].imag)
 
 
 class TestCoarseGrainingJson:
@@ -394,3 +435,157 @@ class TestSimCommands:
         with pytest.raises(SystemExit) as exc:
             main(["entropy"])  # missing positional arguments
         assert exc.value.code == 1
+
+
+def _open_config(**overrides):
+    x_b = np.eye(3, k=1) + np.eye(3, k=-1)
+    return {
+        "system_hamiltonian": operator_to_json(np.diag([0.0, 1.0])),
+        "bath_hamiltonian": operator_to_json(np.diag([0.0, 0.35, 0.8])),
+        "coupling": operator_to_json(0.15 * np.kron(np.array([[0, 1], [1, 0]]), x_b)),
+        "system_state": operator_to_json(np.diag([0.7, 0.3])),
+        "system_basis": operator_to_json(np.eye(2)),
+        "bath_beta": 1.0,
+        "delta": 0.3,
+        "origin": -0.1,
+        "alphas": [2.0],
+        "sample_times": [0.5, 1.0],
+        **overrides,
+    }
+
+
+def _argv(tmp_path, command, payload):
+    """CLI argv running command on payload; entropy payloads are coarse-grainings."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "entropy":
+        _write_state(tmp_path / "rho.json", np.eye(2) / 2)
+        return ["entropy", str(tmp_path / "rho.json"), str(path)]
+    if command == "free-energy":
+        return ["free-energy", str(path), "--t0", "1.0"]
+    return [command, str(path), "--out", str(tmp_path / "run.csv")]
+
+
+def _closed_dict(**overrides):
+    h = operator_to_json(np.diag([0.0, 1.0]))
+    return {
+        "protocol": [{"hamiltonian": h, "duration": 1.2}],
+        "initial_state": operator_to_json(np.eye(2) / 2),
+        "delta": 0.4,
+        "origin": 0.0,
+        "alphas": [2.0],
+        "sample_times": {"count": 3, "horizon": 1.0},
+        **overrides,
+    }
+
+
+_BAD_INPUTS = {
+    "duration-string": ("closed-sim", _closed_dict(protocol=[{"duration": "x"}])),
+    "segment-without-hamiltonian": ("closed-sim", _closed_dict(protocol=[{"duration": 1.0}])),
+    "protocol-number": ("closed-sim", _closed_dict(protocol=5)),
+    "alphas-number": ("closed-sim", _closed_dict(alphas=5)),
+    "alphas-strings": ("closed-sim", _closed_dict(alphas=["x"])),
+    "origin-string": ("closed-sim", _closed_dict(origin="x")),
+    "origin-nan": ("closed-sim", _closed_dict(origin=math.nan)),
+    "count-string": ("closed-sim", _closed_dict(sample_times={"count": "x"})),
+    "count-fraction": ("closed-sim", _closed_dict(sample_times={"count": 2.5})),
+    "sample-time-nan": ("closed-sim", _closed_dict(sample_times=[math.nan])),
+    "entries-number": ("closed-sim", _closed_dict(initial_state={"dim": 2, "entries": 5})),
+    "path-number": ("closed-sim", _closed_dict(initial_state={"path": 5})),
+    "config-not-object": ("closed-sim", [1, 2]),
+    "open-coupling-not-hermitian": (
+        "open-sim",
+        _open_config(coupling=operator_to_json(np.triu(np.ones((6, 6))))),
+    ),
+    "open-sample-time-inf": ("open-sim", _open_config(sample_times=[0.5, math.inf])),
+    "effects-number": ("entropy", {"dim": 2, "effects": 5}),
+    "effect-number": ("entropy", {"effects": [5]}),
+    "energies-string": ("free-energy", {"energies": "ab"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
+    command, payload = _BAD_INPUTS[case]
+    assert main(_argv(tmp_path, command, payload)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("obsent: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_utf8_file_exits_one(tmp_path, capsys):
+    (tmp_path / "levels.json").write_bytes(b'{"energies": [0, 1\xff]}')
+    assert main(["free-energy", str(tmp_path / "levels.json"), "--t0", "1"]) == 1
+    assert capsys.readouterr().err.startswith("obsent: SchemaError")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_obsent_tol_must_be_positive_and_finite(value):
+    env = {**os.environ, "OBSENT_TOL": value, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import obsent"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "OBSENT_TOL must be a positive finite float" in proc.stderr
+
+
+# Field values a config may hold: numbers, non-finite numbers, strings,
+# booleans, null, lists and objects.
+_POOL = [
+    0, -1, 0.5, 3, 2.5, 1e300, -1e300, math.nan, math.inf, -math.inf,
+    "x", "", True, False, None, [], [2.0], ["x"], [1.0, math.nan], [[1.0]],
+    {}, {"count": 2}, {"count": 2.5}, {"dim": 2}, {"path": 5}, {"path": "no.json"},
+]
+
+
+def _fields(cfg, prefix=()):
+    """Paths to every field of nested dicts and the first list item."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from _fields(value[0], prefix + (key, 0))
+
+
+def _replace(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+_VALID = {
+    "closed-sim": _closed_dict(),
+    "open-sim": _open_config(),
+    "free-energy": {"energies": [0.0, 1.0, 2.5], "volume": 2.0},
+}
+_TARGETS = [
+    (command, path)
+    for command, cfg in _VALID.items()
+    for path in _fields(cfg)
+    if "entries" not in path  # the operator reader has its own tests
+]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    replacements=st.lists(
+        st.tuples(st.sampled_from(_TARGETS), st.sampled_from(_POOL)), min_size=1, max_size=2
+    )
+)
+def test_fuzzed_configs_exit_zero_or_one(replacements):
+    command = replacements[0][0][0]
+    cfg = json.loads(json.dumps(_VALID[command]))
+    for (cmd, path), value in replacements:
+        if cmd == command:
+            with contextlib.suppress(KeyError, IndexError, TypeError):
+                _replace(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv(Path(tmp), command, cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("obsent: ")

@@ -53,6 +53,11 @@ class TestEnergyCg:
         with pytest.raises(ValidationError):
             EnergyWindowing(0.0)
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(ValidationError, match="origin"):
+            energy_cg(np.diag([0.0, 1.0]), EnergyWindowing(0.5, origin))
+
     def test_windows_sum_the_merged_level_projectors(self, rng):
         # reference: one spectral projector per merged level, summed per bin
         levels = np.repeat([0.0, 0.3, 0.3 + 1e-11, 1.1, 2.0], [2, 1, 1, 3, 1])
@@ -243,6 +248,18 @@ class TestClosedRun:
             closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), [0.5, 0.5])
         with pytest.raises(ValidationError):
             closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), [5.0])
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.5, math.nan], [math.inf]])
+    def test_non_finite_sample_times_rejected(self, times):
+        protocol = _qubit_quench()
+        rho0 = gibbs_state(protocol.segments[0][0], 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), times)
+
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+    def test_segment_duration_must_be_finite_and_non_negative(self, duration):
+        with pytest.raises(ValidationError, match="duration"):
+            DrivingProtocol(((np.diag([0.0, 1.0]), duration),))
 
     def test_heat_integral_telescopes(self):
         protocol = _qubit_quench()
@@ -488,3 +505,40 @@ class TestOpenRun:
         for s in record.samples:
             assert s.mutual_info >= -1e-9
             assert s.xi2 >= -1e-9
+
+    def _run(self, h_s, h_b, v, times=(0.5, 1.0)):
+        return open_run(
+            h_s,
+            h_b,
+            v,
+            np.diag([0.7, 0.3]).astype(complex),
+            1.0,
+            EnergyWindowing(0.3),
+            (2.0,),
+            times,
+        )
+
+    def test_non_hermitian_system_hamiltonian_raises(self):
+        h_s, h_b, v = _bath_setup()
+        h_s[0, 1] = 0.5
+        with pytest.raises(NotHermitian):
+            self._run(h_s, h_b, v)
+
+    def test_non_hermitian_coupling_raises(self):
+        # eigh reads one triangle only: unchecked, this upper-triangle change
+        # would leave every xi1 as it was
+        h_s, h_b, v = _bath_setup()
+        v[0, 1] += 0.5
+        with pytest.raises(NotHermitian):
+            self._run(h_s, h_b, v)
+
+    def test_non_hermitian_bath_hamiltonian_raises(self):
+        h_s, h_b, v = _bath_setup()
+        h_b[0, 1] = 0.5
+        with pytest.raises(NotHermitian):
+            self._run(h_s, h_b, v)
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.5, math.inf]])
+    def test_non_finite_sample_times_rejected(self, times):
+        with pytest.raises(ValidationError, match="finite"):
+            self._run(*_bath_setup(), times=times)
