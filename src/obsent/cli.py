@@ -79,13 +79,11 @@ def _build_parser() -> _Parser:
         help="feed one non-stochastic refinement map to exercise the failure path",
     )
 
-    p_closed = sub.add_parser("closed-sim", help="closed-system driven run")
-    p_closed.add_argument("config", help="run configuration JSON file")
-    p_closed.add_argument("--out", default=None, help="write CSV here (default stdout)")
-
-    p_open = sub.add_parser("open-sim", help="system-bath run")
-    p_open.add_argument("config", help="run configuration JSON file")
-    p_open.add_argument("--out", default=None, help="write CSV here (default stdout)")
+    runs = (("closed-sim", "closed-system driven run"), ("open-sim", "system-bath run"))
+    for name, text in runs:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config", help="run configuration JSON file")
+        p.add_argument("--out", default=None, help="write CSV here (default stdout)")
 
     p_free = sub.add_parser("free-energy", help="level-system free energies")
     p_free.add_argument("levels", help="level-system JSON file")

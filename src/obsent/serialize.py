@@ -100,7 +100,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: UTF-8, JSON
         raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 

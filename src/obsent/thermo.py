@@ -141,8 +141,11 @@ def _energy_cg(lam, vec, windowing: EnergyWindowing) -> CoarseGraining:
     delta = windowing.delta
     bins: dict = {}
     for a, b, value in levels:
-        k = math.floor((value - origin) / delta + 1e-12)
-        if k < 0 and (value - origin) / delta > -1e-9:
+        x = (value - origin) / delta
+        if not math.isfinite(x):
+            raise ValidationError(f"energy {value} is {x} windows from the origin")
+        k = math.floor(x + 1e-12)
+        if k < 0 and x > -1e-9:
             k = 0
         bins.setdefault(k, []).extend(range(a, b))
     keys = sorted(bins)

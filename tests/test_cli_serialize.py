@@ -513,10 +513,14 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-def test_non_utf8_file_exits_one(tmp_path, capsys):
-    (tmp_path / "levels.json").write_bytes(b'{"energies": [0, 1\xff]}')
+@pytest.mark.parametrize(
+    "content", [b'{"energies": [0, 1\xff]}', b"[" * 100_000], ids=["non-utf8", "deep"]
+)
+def test_unreadable_json_exits_one(tmp_path, capsys, content):
+    (tmp_path / "levels.json").write_bytes(content)
     assert main(["free-energy", str(tmp_path / "levels.json"), "--t0", "1"]) == 1
-    assert capsys.readouterr().err.startswith("obsent: SchemaError")
+    err = capsys.readouterr().err
+    assert err.startswith("obsent: SchemaError") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

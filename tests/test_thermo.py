@@ -58,6 +58,10 @@ class TestEnergyCg:
         with pytest.raises(ValidationError, match="origin"):
             energy_cg(np.diag([0.0, 1.0]), EnergyWindowing(0.5, origin))
 
+    def test_rejects_window_index_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="windows from the origin"):
+            energy_cg(np.diag([0.0, 1.0]), EnergyWindowing(1e-10, 1e308))
+
     def test_windows_sum_the_merged_level_projectors(self, rng):
         # reference: one spectral projector per merged level, summed per bin
         levels = np.repeat([0.0, 0.3, 0.3 + 1e-11, 1.1, 2.0], [2, 1, 1, 3, 1])
