@@ -25,6 +25,7 @@ from .divergences import renyi_entropy
 from .errors import ObsentError, SchemaError
 from .operators import validate_operator
 from .serialize import (
+    _floats,
     coarse_graining_from_json,
     dump_json,
     format_float,
@@ -183,30 +184,19 @@ def _field(cfg, key: str, default=_REQUIRED):
     return default
 
 
-def _numbers(cfg, key: str, default=_REQUIRED, ndim: int = 1):
-    """cfg[key] as an ndim-dimensional float array, JSON booleans read as 0
-    and 1; a missing key gives the default as it is."""
-    value = _field(cfg, key, default)
-    if key not in cfg:
-        return value
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "biuf":
-        what = "a number" if ndim == 0 else "a list of numbers"
-        raise SchemaError(f"{key!r} must be {what}, got {value!r:.40}")
-    return arr.astype(float)
+def _numbers(cfg, key: str) -> np.ndarray:
+    return _floats(_field(cfg, key), key, 1)
 
 
 def _number(cfg, key: str, default=_REQUIRED):
-    value = _numbers(cfg, key, default, ndim=0)
-    return float(value) if key in cfg else value
+    """cfg[key] as a float; a missing key gives the default as it is."""
+    value = _field(cfg, key, default)
+    return float(_floats(value, key, 0)) if key in cfg else value
 
 
 def _sample_times(node, horizon) -> np.ndarray:
     if isinstance(node, list):
-        return _numbers({"sample_times": node}, "sample_times")
+        return _floats(node, "sample_times", 1)
     if isinstance(node, dict) and "count" in node:
         count = node["count"]
         if not isinstance(count, int) or count <= 0:

@@ -45,25 +45,32 @@ def operator_to_json(matrix) -> dict:
     return {"dim": int(m.shape[0]), "entries": np.stack([m.real, m.imag], -1).tolist()}
 
 
+def _floats(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON number (ndim 0) or ndim-deep nested lists of numbers as a float
+    array; JSON booleans read as 0 and 1."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "biuf":
+        what = {0: "a number", 1: "a list of numbers"}.get(ndim, f"{ndim}-deep lists")
+        raise SchemaError(f"{name!r} must be {what}, got {value!r:.40}")
+    return arr.astype(float, copy=False)
+
+
 def operator_from_json(obj) -> np.ndarray:
-    """Read the operator encoding; JSON booleans read as 0 and 1."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise SchemaError("operator object needs 'dim' and 'entries'")
     dim = obj["dim"]
     if not isinstance(dim, int) or dim <= 0:
         raise SchemaError(f"'dim' must be a positive integer, got {dim!r}")
-    try:
-        grid = np.asarray(obj["entries"])
-    except ValueError:  # ragged nesting
-        grid = None
-    if grid is None or grid.shape != (dim, dim, 2):
+    grid = _floats(obj["entries"], "entries", 3)
+    if grid.shape != (dim, dim, 2):
         raise SchemaError(f"'entries' is not a {dim} x {dim} grid of [re, im] pairs")
-    if grid.dtype.kind not in "biuf":
-        raise SchemaError("'entries' holds a value that is not a number")
     if not np.all(np.isfinite(grid)):
         raise SchemaError("'entries' holds a value that is not finite")
     # the view keeps each part's bits, signed zeros included
-    return np.ascontiguousarray(grid, dtype=float).view(complex)[..., 0]
+    return grid.view(complex)[..., 0]
 
 
 def coarse_graining_to_json(cg: CoarseGraining) -> dict:
@@ -148,8 +155,11 @@ def open_record_rows(record: OpenRunRecord):
 def rows_to_csv(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = (row.get(col) for col in CSV_COLUMNS)
-        lines.append(",".join("" if v is None else format_float(v) for v in cells))
+        cells = []
+        for col in CSV_COLUMNS:
+            value = row.get(col)
+            cells.append("" if value is None else format_float(value))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
