@@ -481,7 +481,10 @@ def _closed_dict(**overrides):
 
 _BAD_INPUTS = {
     "duration-string": ("closed-sim", _closed_dict(protocol=[{"duration": "x"}])),
-    "segment-without-hamiltonian": ("closed-sim", _closed_dict(protocol=[{"duration": 1.0}])),
+    "segment-without-hamiltonian": (
+        "closed-sim",
+        _closed_dict(protocol=[{"duration": 1.0}]),
+    ),
     "protocol-number": ("closed-sim", _closed_dict(protocol=5)),
     "alphas-number": ("closed-sim", _closed_dict(alphas=5)),
     "alphas-strings": ("closed-sim", _closed_dict(alphas=["x"])),
