@@ -10,6 +10,7 @@ Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     NotPSD,
     NotSquare,
     TraceNotOne,
+    ValidationError,
 )
 
 
@@ -215,7 +217,10 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
 
 def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
     """V (tilde * e^(-i lam t) e^(+i lam t)^T) V^H: the state with matrix
-    tilde in the eigenbasis of H = V diag(lam) V^H, evolved under H for t."""
+    tilde in the eigenbasis of H = V diag(lam) V^H, evolved under H for t.
+    A phase lam * t that is not a finite float raises ValidationError."""
+    if not math.isfinite(float(t) * float(np.max(np.abs(lam)))):
+        raise ValidationError(f"phase lambda * t is not finite at t = {t}")
     w = vec * np.exp(-1j * lam * t)
     return w @ tilde @ w.conj().T
 

@@ -1,10 +1,15 @@
 """Energy-window coarse-grainings, Gibbs states, and entropy-production runs.
 
-Closed runs drive a state exactly through piecewise-constant Hamiltonian
-segments, each eigendecomposed once; its samples share the segment's energy
-coarse-graining and effective temperature. Open runs evolve a
-system-bath product state under a static joint Hamiltonian and track the
-joint, marginal, and mutual-information terms of the outcome statistics.
+An energy window is a sum of eigenprojectors of its Hamiltonian, so the
+runs bin eigenbasis populations instead of forming window effects. Closed
+runs drive a state exactly through piecewise-constant Hamiltonian segments,
+each eigendecomposed once; its samples share the segment's window
+probabilities and effective temperature. Open runs evolve a system-bath
+product state under a static joint Hamiltonian; every joint window is
+diagonal in system_basis x (bath eigenbasis), and the system and bath
+outcome probabilities are the row and column sums of the joint table. A
+run's premise, that its start state equals its coarse-grained state, is a
+max-abs matrix distance.
 
 Heat over temperature is accumulated through the defining relation
 T dS = dQ for the fictitious Gibbs state matched to the instantaneous mean
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, outcomes, projective_cg, tensor_cg
-from .divergences import _check_alpha, _renyi_divergence
+from .coarse_graining import CoarseGraining, OutcomeDistribution, projective_cg
+from .divergences import _check_alpha, _checked_matrix, _renyi_divergence
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -30,15 +35,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .operators import (
-    _evolve,
-    _levels,
-    as_matrix,
-    partial_trace,
-    tensor,
-    validate_operator,
-)
-from .state_analysis import is_coarse_grained
+from .operators import _evolve, _levels, as_matrix, tensor, validate_operator
 
 
 @dataclass(frozen=True)
@@ -131,27 +128,37 @@ def energy_cg(H, windowing: EnergyWindowing) -> CoarseGraining:
     eigenvectors whose (degeneracy-merged) eigenvalue lies in the bin.
     """
     lam, vec = np.linalg.eigh(validate_operator(H, "hermitian").matrix)
-    return _energy_cg(lam, vec, windowing)
+    labels, bins = _window_bins(lam, windowing)
+    cols = [vec[:, bins == w] for w in range(len(labels))]
+    return CoarseGraining(labels, [c @ c.conj().T for c in cols])
 
 
-def _energy_cg(lam, vec, windowing: EnergyWindowing) -> CoarseGraining:
-    """energy_cg from H's ascending eigenvalues lam and eigenvectors vec."""
+def _window_bins(lam: np.ndarray, windowing: EnergyWindowing) -> tuple:
+    """(labels, bins) of the non-empty energy windows of ascending lam:
+    labels[w] names window w, and bins[j] is the window of eigenvector j.
+    Degenerate levels (operators._levels) go whole into their mean's window."""
     levels = _levels(lam)
     origin = levels[0][2] if windowing.origin is None else windowing.origin
     delta = windowing.delta
-    bins: dict = {}
-    for a, b, value in levels:
+    ks = []
+    for _, _, value in levels:
         x = (value - origin) / delta
         if not math.isfinite(x):
             raise ValidationError(f"energy {value} is {x} windows from the origin")
-        k = math.floor(x + 1e-12)
-        if k < 0 and x > -1e-9:
-            k = 0
-        bins.setdefault(k, []).extend(range(a, b))
-    keys = sorted(bins)
-    labels = [f"[{origin + k * delta:.9g},{origin + (k + 1) * delta:.9g})" for k in keys]
-    effects = [vec[:, bins[k]] @ vec[:, bins[k]].conj().T for k in keys]
-    return CoarseGraining(tuple(labels), effects)
+        k = math.floor(x + tol.WINDOW_EDGE_SLACK)
+        ks.append(0 if k < 0 and x > -tol.WINDOW_ORIGIN_SLACK else k)
+    index = {k: w for w, k in enumerate(sorted(set(ks)))}
+    labels = [f"[{origin + k * delta:.9g},{origin + (k + 1) * delta:.9g})" for k in index]
+    bins = np.repeat([index[k] for k in ks], [b - a for a, b, _ in levels])
+    return labels, bins
+
+
+def _is_coarse_grained(rho, basis, bins, dist: OutcomeDistribution) -> bool:
+    """Whether rho is within CG_STATE_ATOL (max-abs) of its coarse-grained
+    state basis diag((p / V)[bins]) basis^H, for windows `bins` of the
+    orthonormal columns of basis."""
+    cg_state = (basis * (dist.probabilities / dist.volumes)[bins]) @ basis.conj().T
+    return float(np.max(np.abs(rho - cg_state))) <= tol.CG_STATE_ATOL
 
 
 def gibbs_state(H, beta: float) -> np.ndarray:
@@ -189,8 +196,8 @@ def effective_beta(H, rho) -> float:
 
 def _beta_for_energy(lam: np.ndarray, target: float) -> float:
     """effective_beta for ascending spectrum lam and mean energy target."""
-    span = max(float(lam[-1] - lam[0]), 1.0)
-    if target <= lam[0] + 1e-12 * span or target >= lam[-1] - 1e-12 * span:
+    slack = tol.ENERGY_ENDPOINT_RTOL * max(float(lam[-1] - lam[0]), 1.0)
+    if target <= lam[0] + slack or target >= lam[-1] - slack:
         raise EnergyOutOfRange(
             f"mean energy {target} is at or beyond the spectral endpoints "
             f"[{lam[0]}, {lam[-1]}]"
@@ -336,15 +343,16 @@ def closed_run(
     """Drive a closed system and track alpha-OE entropy production.
 
     Each segment's Hamiltonian is eigendecomposed once. Its energy windows
-    are spectral projectors of that Hamiltonian, so their probabilities stay
-    those of the segment's start state: the window alpha-OEs, effective
-    temperature and Gibbs entropies are computed once per segment and
-    shared by its samples. When the initial state is not coarse-grained
-    with respect to the initial energy windows, the run proceeds but
-    carries guarantee_void=True and the entropy-production sign is no
+    are sums of its eigenprojectors, so their probabilities stay those of
+    the segment's start state: its eigenbasis populations summed per
+    window. The window alpha-OEs, effective temperature and Gibbs entropies
+    are computed once per segment and shared by its samples. When the
+    initial state is farther than CG_STATE_ATOL (max-abs) from its
+    coarse-grained state for the initial energy windows, the run proceeds
+    but carries guarantee_void=True and the entropy-production sign is no
     longer guaranteed.
     """
-    rho = as_matrix(rho0)
+    rho = _checked_matrix(rho0)
     if rho.shape[0] != protocol.dim:
         raise DimensionMismatch(
             f"state dim {rho.shape[0]} != protocol dim {protocol.dim}"
@@ -352,33 +360,32 @@ def closed_run(
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, protocol.total_duration)
 
-    # per segment: spectrum, and start state in its eigenbasis
-    segs = []
-    rho_k = rho
-    for h, duration in protocol.segments:
+    # per segment: spectrum, eigenvectors and start-state populations; the
+    # state after the last segment is never read
+    segs, rho_k = [], rho
+    for k, (h, duration) in enumerate(protocol.segments):
         lam, vec = np.linalg.eigh(validate_operator(h, "hermitian").matrix)
         tilde = vec.conj().T @ rho_k @ vec
-        segs.append((lam, vec, tilde))
-        rho_k = _evolve(lam, vec, tilde, duration)
+        segs.append((lam, vec, tilde.diagonal().real))
+        if k + 1 < len(protocol.segments):
+            rho_k = _evolve(lam, vec, tilde, duration)
 
     def segment_terms(k):
-        lam, vec, tilde = segs[k]
-        energy = float(lam @ tilde.diagonal().real)
+        lam, vec, pop = segs[k]
+        energy = float(lam @ pop)
         beta = _beta_for_energy(lam, energy)
         w = _gibbs_weights(lam, beta)
         w = w / w.sum()
-        cg = _energy_cg(lam, vec, windowing)
-        dist = outcomes(cg, vec @ tilde @ vec.conj().T)
-        p, v = dist.probabilities, dist.volumes
-        oe = {a: (-_renyi_divergence(p, v, a), -_renyi_divergence(w, 1.0, a))
-              for a in alphas}
-        return cg, energy, beta, oe
+        labels, bins = _window_bins(lam, windowing)
+        dist = OutcomeDistribution(labels, np.bincount(bins, pop), np.bincount(bins))
+        oe = {a: (-_renyi_divergence(dist.probabilities, dist.volumes, a),
+                  -_renyi_divergence(w, 1.0, a)) for a in alphas}
+        return (vec, bins, dist), energy, beta, oe
 
     k_cur = protocol.segment_index(0.0)
     terms = segment_terms(k_cur)
-    cg0, _, _, base = terms
-    premise = is_coarse_grained(cg0, rho, alphas[0])
-    guarantee_void = not premise.matrix_close
+    windows0, _, _, base = terms
+    guarantee_void = not _is_coarse_grained(rho, *windows0)
 
     samples, findings = [], []
     for t in ts:
@@ -393,14 +400,8 @@ def closed_run(
             xi3 = s_oe - s_gibbs + heat
             monitor_ok = s_oe <= s_gibbs + 1e-9
             if not monitor_ok:
-                findings.append(
-                    {
-                        "type": "gibbs_max_violation",
-                        "t": t,
-                        "alpha": a,
-                        "margin": s_oe - s_gibbs,
-                    }
-                )
+                findings.append({"type": "gibbs_max_violation", "t": t, "alpha": a,
+                                 "margin": s_oe - s_gibbs})
             samples.append(
                 ClosedSample(
                     t=t,
@@ -443,16 +444,6 @@ class OpenRunRecord:
         return min(s.xi1 for s in self.samples)
 
 
-def _classical_mutual_info(p_joint: np.ndarray, alpha: float) -> float:
-    """Renyi mutual information H(p_s) + H(p_b) - H(p) of a joint outcome
-    table, each H the order-alpha entropy with unit volumes."""
-
-    def h(p):
-        return -_renyi_divergence(p.ravel(), 1.0, alpha)
-
-    return h(p_joint.sum(axis=1)) + h(p_joint.sum(axis=0)) - h(p_joint)
-
-
 def open_run(
     h_s,
     h_b,
@@ -467,62 +458,71 @@ def open_run(
     """Evolve system + bath jointly and track entropy-production terms.
 
     The joint state starts as rho_s0 tensor gibbs(h_b, bath_beta) and
-    evolves under h_s x I + I x h_b + v_sb. The system is measured in
-    system_basis (columns; default computational) with rank-1 projectors,
-    the bath in energy windows of h_b. Per sample the record carries the
-    joint alpha-OE, both marginal alpha-OEs, the outcome mutual
+    evolves under h_s x I + I x h_b + v_sb. The system is measured in the
+    orthonormal columns of system_basis (default computational), the bath
+    in energy windows of h_b. Every joint outcome is a set of columns of
+    B = system_basis x (h_b eigenvectors), so the joint table bins the
+    evolved populations diag(B^H rho(t) B), and its row and column sums are
+    the system and bath outcome probabilities. Per sample the record
+    carries the joint alpha-OE, both marginal alpha-OEs, the outcome mutual
     information, xi1 (joint production), and xi2 (sum of marginal
     productions). The factorization joint = sys + bath - MI is exact when
-    all bath windows share one volume; its residual is recorded.
+    all bath windows share one volume; its residual is recorded. The
+    premise check is as in closed_run, for the initial joint state.
     """
     hs = validate_operator(h_s, "hermitian").matrix
-    hb = as_matrix(h_b)  # validated by energy_cg below
+    hb = validate_operator(h_b, "hermitian").matrix
     ds, db = hs.shape[0], hb.shape[0]
     v = validate_operator(v_sb, "hermitian").matrix
     if v.shape[0] != ds * db:
-        raise DimensionMismatch(
-            f"coupling dim {v.shape[0]} != {ds} * {db}"
-        )
-    rho_s = as_matrix(rho_s0)
+        raise DimensionMismatch(f"coupling dim {v.shape[0]} != {ds} * {db}")
+    rho_s = _checked_matrix(rho_s0)
     if rho_s.shape[0] != ds:
         raise DimensionMismatch(f"system state dim {rho_s.shape[0]} != {ds}")
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, None)
 
     basis = np.eye(ds, dtype=complex) if system_basis is None else as_matrix(system_basis)
-    cg_s = projective_cg(basis, labels=tuple(f"s{k}" for k in range(ds)))
-    cg_b = energy_cg(hb, w_b)
-    cg_joint = tensor_cg([cg_s, cg_b])
+    if basis.shape != (ds, ds):
+        raise DimensionMismatch(f"system basis shape {basis.shape} != {(ds, ds)}")
+    vol_s = projective_cg(basis).volumes()  # checks that basis is orthonormal
+    lam_b, vec_b = np.linalg.eigh(hb)
+    bins_b = _window_bins(lam_b, w_b)[1]
+    vol_b = np.bincount(bins_b)
+    vol_joint = np.outer(vol_s, vol_b).ravel()
+    # column (i, j) of b lies in joint window (i, bins_b[j]), i.e. row-major
+    b = np.kron(basis, vec_b)
+    joint_bins = (np.arange(ds)[:, None] * len(vol_b) + bins_b).ravel()
 
-    h_joint = tensor(hs, np.eye(db)) + tensor(np.eye(ds), hb) + v
-    rho_b = gibbs_state(hb, bath_beta)
-    rho0 = tensor(rho_s, rho_b)
+    lam, vec = np.linalg.eigh(tensor(hs, np.eye(db)) + tensor(np.eye(ds), hb) + v)
+    rho0 = tensor(rho_s, gibbs_state(hb, bath_beta))
+    tilde0 = vec.conj().T @ rho0 @ vec
+    b_vec = b.conj().T @ vec
 
-    premise = is_coarse_grained(cg_joint, rho0, alphas[0])
-    guarantee_void = not premise.matrix_close
+    def joint_at(t):
+        pop = _evolve(lam, b_vec, tilde0, t).diagonal().real
+        return OutcomeDistribution((), np.bincount(joint_bins, pop), vol_joint)
 
-    n_s, n_b = len(cg_s), len(cg_b)
+    def h(x, vol, a):
+        return -_renyi_divergence(x, vol, a)
 
-    def per_alpha_terms(rho_sb):
-        dists = (
-            outcomes(cg_joint, rho_sb),
-            outcomes(cg_s, partial_trace(rho_sb, (ds, db), "A")),
-            outcomes(cg_b, partial_trace(rho_sb, (ds, db), "B")),
-        )
-        p_joint = dists[0].probabilities.reshape(n_s, n_b)
+    def per_alpha_terms(joint):
+        p = joint.probabilities
+        p_s, p_b = p.reshape(ds, -1).sum(axis=1), p.reshape(ds, -1).sum(axis=0)
+        # the last term is the outcome mutual information, with unit volumes
         return {
-            a: tuple(-_renyi_divergence(d.probabilities, d.volumes, a) for d in dists)
-            + (_classical_mutual_info(p_joint, a),)
+            a: (h(p, vol_joint, a), h(p_s, vol_s, a), h(p_b, vol_b, a),
+                h(p_s, 1.0, a) + h(p_b, 1.0, a) - h(p, 1.0, a))
             for a in alphas
         }
 
-    base = per_alpha_terms(rho0)
-    lam, vec = np.linalg.eigh(h_joint)
-    tilde0 = vec.conj().T @ rho0 @ vec
+    joint0 = joint_at(0.0)
+    base = per_alpha_terms(joint0)
+    guarantee_void = not _is_coarse_grained(rho0, b, joint_bins, joint0)
 
     samples, findings = [], []
     for t in ts:
-        terms = per_alpha_terms(_evolve(lam, vec, tilde0, t))
+        terms = per_alpha_terms(joint_at(t))
         for a in alphas:
             s_joint, s_sys, s_bath, mi = terms[a]
             b_joint, b_sys, b_bath, _ = base[a]
@@ -554,5 +554,5 @@ def open_run(
         tuple(samples),
         guarantee_void,
         tuple(findings),
-        tuple(float(v) for v in cg_b.volumes()),
+        tuple(float(v) for v in vol_b),
     )

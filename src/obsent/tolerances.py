@@ -6,10 +6,14 @@ functions take explicit tolerance arguments defaulting to these module
 constants, so a caller can always override per call.
 """
 
+import math
 import os
 
-_scale = float(os.environ.get("OBSENT_TOL", "1.0"))
-if not 0 < _scale < float("inf"):
+try:
+    _scale = float(os.environ.get("OBSENT_TOL", "1.0"))
+except ValueError:
+    _scale = math.nan
+if not 0 < _scale < math.inf:
     raise ValueError("OBSENT_TOL must be a positive finite float")
 
 
@@ -52,6 +56,18 @@ PROB_FLOOR = scaled(1e-14)
 
 #: Max-abs matrix distance for "state equals its coarse-grained state".
 CG_STATE_ATOL = scaled(1e-8)
+
+#: Mean energies within this fraction of the spectral span (at least 1) of
+#: an endpoint have no effective temperature.
+ENERGY_ENDPOINT_RTOL = scaled(1e-12)
+
+#: Added to an energy's window coordinate (E - origin) / delta before
+#: flooring, so a level on a window edge up to rounding opens the upper window.
+WINDOW_EDGE_SLACK = scaled(1e-12)
+
+#: Window coordinates in (-WINDOW_ORIGIN_SLACK, 0) count as window 0: a level
+#: a rounding error below the origin stays in the first window.
+WINDOW_ORIGIN_SLACK = scaled(1e-9)
 
 #: |energy mismatch| target for the effective-temperature bisection.
 BETA_ENERGY_ATOL = scaled(1e-10)

@@ -526,7 +526,7 @@ def test_unreadable_json_exits_one(tmp_path, capsys, content):
     assert err.startswith("obsent: SchemaError") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc", ""])
 def test_obsent_tol_must_be_positive_and_finite(value):
     env = {**os.environ, "OBSENT_TOL": value, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(

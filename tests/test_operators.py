@@ -10,7 +10,13 @@ from obsent import (
     tensor,
     validate_operator,
 )
-from obsent.errors import DimensionMismatch, NotPSD, NotSquare, TraceNotOne
+from obsent.errors import (
+    DimensionMismatch,
+    NotPSD,
+    NotSquare,
+    TraceNotOne,
+    ValidationError,
+)
 from obsent.generators import random_density
 
 from conftest import PAULI_X, bell_state, proj, KET0
@@ -177,3 +183,8 @@ class TestPropagate:
             purity_in = float(np.trace(rho @ rho).real)
             purity_out = float(np.trace(out @ out).real)
             assert abs(purity_in - purity_out) <= 1e-9
+
+    def test_overflowing_phase_raises(self):
+        # 2 * 1e308 is beyond the float range: numpy would warn and return nan
+        with pytest.raises(ValidationError, match="not finite"):
+            propagate(np.diag([0.6, 0.4]), 2 * PAULI_X, 1e308)

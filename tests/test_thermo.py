@@ -16,8 +16,8 @@ from obsent import (
     jackson_check,
     open_run,
 )
-from obsent.coarse_graining import alpha_oe
-from obsent.divergences import renyi_entropy
+from obsent.coarse_graining import alpha_oe, outcomes, projective_cg, tensor_cg
+from obsent.divergences import classical_petz_renyi, renyi_entropy
 from obsent.errors import (
     EnergyOutOfRange,
     InvalidAlpha,
@@ -25,7 +25,8 @@ from obsent.errors import (
     NotHermitian,
     ValidationError,
 )
-from obsent.operators import spectral
+from obsent.operators import partial_trace, spectral
+from obsent.state_analysis import is_coarse_grained
 from conftest import PAULI_X
 
 ALPHAS = (1.0 + 1e-7, 0.5, 2.0, 3.0)
@@ -379,6 +380,20 @@ class TestClosedRunSegments:
         with pytest.raises(ValidationError):
             closed_run(protocol, rho0, EnergyWindowing(0.5), [], [0.5])
 
+    def test_overflowing_phase_after_a_segment_raises(self):
+        # lambda * t = 2e308 is beyond the float range
+        long_first = DrivingProtocol(((np.diag([0.0, 2.0]), 1e308), (PAULI_X, 1.0)))
+        with pytest.raises(ValidationError, match="not finite"):
+            closed_run(long_first, np.diag([0.6, 0.4]), EnergyWindowing(0.5), (2.0,), [1.0])
+
+    def test_last_segment_is_not_evolved(self):
+        # the state after the last segment is never read, so its phases
+        # cannot overflow
+        protocol = DrivingProtocol(((np.diag([0.0, 2.0]), 1e308),))
+        record = closed_run(protocol, np.diag([0.6, 0.4]), EnergyWindowing(0.5), (2.0,), [1.0])
+        assert record.samples[0].energy == pytest.approx(0.8, abs=1e-12)
+        assert record.samples[0].delta_entropy == 0.0
+
 
 def _bath_setup():
     h_s = np.diag([0.0, 1.0]).astype(complex)
@@ -388,6 +403,116 @@ def _bath_setup():
         x_b[k, k + 1] = x_b[k + 1, k] = 1.0
     v = 0.15 * np.kron(PAULI_X, x_b)
     return h_s, h_b, v
+
+
+def _per_sample_open_run(h_s, h_b, v_sb, rho_s0, bath_beta, w_b, alphas, ts, basis):
+    """Open run through the coarse-graining layer at every sample: a
+    tensor_cg joint stack, partial_trace plus outcomes for each marginal,
+    a dense propagator, and is_coarse_grained for the premise. Returns the
+    OpenSample fields per row, the bath volumes and guarantee_void."""
+    ds, db = h_s.shape[0], h_b.shape[0]
+    cg_s, cg_b = projective_cg(basis), energy_cg(h_b, w_b)
+    cg_joint = tensor_cg([cg_s, cg_b])
+    h = np.kron(h_s, np.eye(db)) + np.kron(np.eye(ds), h_b) + v_sb
+    rho0 = np.kron(rho_s0, gibbs_state(h_b, bath_beta))
+
+    def entropy(p, a):
+        return -classical_petz_renyi(p, np.ones_like(p), a)
+
+    def terms(rho, a):
+        marginals = partial_trace(rho, (ds, db), "A"), partial_trace(rho, (ds, db), "B")
+        p = outcomes(cg_joint, rho).probabilities
+        p_s, p_b = (outcomes(cg, m).probabilities for cg, m in zip((cg_s, cg_b), marginals))
+        return (
+            alpha_oe(cg_joint, rho, a),
+            alpha_oe(cg_s, marginals[0], a),
+            alpha_oe(cg_b, marginals[1], a),
+            entropy(p_s, a) + entropy(p_b, a) - entropy(p, a),
+        )
+
+    rows = []
+    for t in ts:
+        u = _propagator(h, t)
+        rho_t = u @ rho0 @ u.conj().T
+        for a in alphas:
+            s_joint, s_sys, s_bath, mi = terms(rho_t, a)
+            b_joint, b_sys, b_bath, _ = terms(rho0, a)
+            rows.append(
+                {
+                    "t": t,
+                    "alpha": a,
+                    "joint_entropy": s_joint,
+                    "system_entropy": s_sys,
+                    "bath_entropy": s_bath,
+                    "mutual_info": mi,
+                    "xi1": s_joint - b_joint,
+                    "xi2": (s_sys - b_sys) + (s_bath - b_bath),
+                    "factorization_residual": s_joint - (s_sys + s_bath - mi),
+                }
+            )
+    void = not is_coarse_grained(cg_joint, rho0, alphas[0]).matrix_close
+    return rows, tuple(cg_b.volumes()), void
+
+
+class TestOpenRunReference:
+    HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+
+    def _setup(self, rng):
+        # a Haar-rotated bath with doubly degenerate levels, a random coupling
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        h_b = (q * np.repeat([0.0, 0.45, 1.0], 2)) @ q.conj().T
+        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        v = 0.05 * (g + g.conj().T)
+        return np.diag([0.0, 1.0]).astype(complex), h_b, v
+
+    @pytest.mark.parametrize(
+        "case, void",
+        [
+            # |+><+| in the Hadamard basis: the joint windows of the second
+            # basis vector start empty; one degenerate level per window
+            ("empty_windows", False),
+            # diag(.7, .3) is coherent in the Hadamard basis
+            ("coherent", True),
+            ("computational_basis", True),
+        ],
+    )
+    def test_matches_per_sample_algorithm(self, rng, case, void):
+        h_s, h_b, v = self._setup(rng)
+        plus = self.HADAMARD[:, :1]
+        rho_s, basis, windowing = {
+            "empty_windows": (plus @ plus.conj().T, self.HADAMARD, EnergyWindowing(0.3)),
+            "coherent": (np.diag([0.7, 0.3]), self.HADAMARD, EnergyWindowing(0.5)),
+            "computational_basis": (np.diag([0.6, 0.4]), None, EnergyWindowing(0.5)),
+        }[case]
+        ts = [0.0, 0.6, 1.5, 3.0]
+        record = open_run(h_s, h_b, v, rho_s, 0.8, windowing, ALPHAS, ts, basis)
+        expected, bath_volumes, expected_void = _per_sample_open_run(
+            h_s, h_b, v, rho_s, 0.8, windowing, ALPHAS, ts,
+            np.eye(2, dtype=complex) if basis is None else basis,
+        )
+        assert record.guarantee_void == expected_void == void
+        np.testing.assert_allclose(record.bath_volumes, bath_volumes, rtol=0, atol=1e-12)
+        assert len(record.samples) == len(expected)
+        for sample, row in zip(record.samples, expected):
+            got = dataclasses.asdict(sample)
+            assert set(got) == set(row)
+            for name in row:
+                assert got[name] == pytest.approx(row[name], abs=1e-12), name
+
+    def test_overflowing_phase_raises(self):
+        # lambda * t beyond the float range at the sample time 1e308
+        x_b = np.eye(3, k=1) + np.eye(3, k=-1)
+        with pytest.raises(ValidationError, match="not finite"):
+            open_run(
+                np.diag([0.0, 1.0]),
+                np.diag([0.0, 0.35, 0.8]),
+                0.15 * np.kron(PAULI_X, x_b),
+                np.diag([0.6, 0.4]),
+                1.0,
+                EnergyWindowing(0.3),
+                (2.0,),
+                [1e308],
+            )
 
 
 class TestOpenRun:
