@@ -57,16 +57,13 @@ PROB_FLOOR = scaled(1e-14)
 #: Max-abs matrix distance for "state equals its coarse-grained state".
 CG_STATE_ATOL = scaled(1e-8)
 
-#: Mean energies within this fraction of the spectral span (at least 1) of
-#: an endpoint have no effective temperature.
+#: Endpoint slack of effective_beta, relative to max(spectral span, 1).
 ENERGY_ENDPOINT_RTOL = scaled(1e-12)
 
-#: Added to an energy's window coordinate (E - origin) / delta before
-#: flooring, so a level on a window edge up to rounding opens the upper window.
+#: Slack added to (E - origin) / delta before flooring it to a window index.
 WINDOW_EDGE_SLACK = scaled(1e-12)
 
-#: Window coordinates in (-WINDOW_ORIGIN_SLACK, 0) count as window 0: a level
-#: a rounding error below the origin stays in the first window.
+#: Window coordinates in (-WINDOW_ORIGIN_SLACK, 0) count as window 0.
 WINDOW_ORIGIN_SLACK = scaled(1e-9)
 
 #: |energy mismatch| target for the effective-temperature bisection.

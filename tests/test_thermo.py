@@ -473,6 +473,8 @@ class TestOpenRunReference:
             ("empty_windows", False),
             # diag(.7, .3) is coherent in the Hadamard basis
             ("coherent", True),
+            # width 0.5 puts the levels 0 and 0.45, with different Gibbs
+            # weights, in one window
             ("computational_basis", True),
         ],
     )
