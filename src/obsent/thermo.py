@@ -155,17 +155,21 @@ def _window_bins(lam: np.ndarray, windowing: EnergyWindowing) -> tuple:
 
 def _is_coarse_grained(rho, basis, bins, dist: OutcomeDistribution) -> bool:
     """Whether rho is within CG_STATE_ATOL (max-abs) of its coarse-grained
-    state basis diag((p / V)[bins]) basis^H, for windows `bins` of the
-    orthonormal columns of basis."""
+    state basis diag((p / V)[bins]) basis^H = sum_w (p_w / V_w) E_w, where
+    E_w sums the rank-1 effects b b^H of the columns b in window w."""
     cg_state = (basis * (dist.probabilities / dist.volumes)[bins]) @ basis.conj().T
     return float(np.max(np.abs(rho - cg_state))) <= tol.CG_STATE_ATOL
 
 
 def gibbs_state(H, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H) / Z, computed spectrally."""
+    return _gibbs_state(*np.linalg.eigh(as_matrix(H)), beta)
+
+
+def _gibbs_state(lam: np.ndarray, vec: np.ndarray, beta: float) -> np.ndarray:
+    """gibbs_state from H's ascending eigenvalues lam and eigenvectors vec."""
     if not np.isfinite(beta):
         raise ValidationError(f"beta must be finite, got {beta}")
-    lam, vec = np.linalg.eigh(as_matrix(H))
     w = _gibbs_weights(lam, beta)
     w /= w.sum()
     return (vec * w) @ vec.conj().T
@@ -362,7 +366,8 @@ def closed_run(
 
     # per segment: spectrum, eigenvectors and start-state populations; the
     # state after the last segment is never read
-    segs, rho_k = [], rho
+    segs = []
+    rho_k = rho
     for k, (h, duration) in enumerate(protocol.segments):
         lam, vec = np.linalg.eigh(validate_operator(h, "hermitian").matrix)
         tilde = vec.conj().T @ rho_k @ vec
@@ -400,8 +405,14 @@ def closed_run(
             xi3 = s_oe - s_gibbs + heat
             monitor_ok = s_oe <= s_gibbs + 1e-9
             if not monitor_ok:
-                findings.append({"type": "gibbs_max_violation", "t": t, "alpha": a,
-                                 "margin": s_oe - s_gibbs})
+                findings.append(
+                    {
+                        "type": "gibbs_max_violation",
+                        "t": t,
+                        "alpha": a,
+                        "margin": s_oe - s_gibbs,
+                    }
+                )
             samples.append(
                 ClosedSample(
                     t=t,
@@ -458,24 +469,27 @@ def open_run(
     """Evolve system + bath jointly and track entropy-production terms.
 
     The joint state starts as rho_s0 tensor gibbs(h_b, bath_beta) and
-    evolves under h_s x I + I x h_b + v_sb. The system is measured in the
-    orthonormal columns of system_basis (default computational), the bath
-    in energy windows of h_b. Every joint outcome is a set of columns of
-    B = system_basis x (h_b eigenvectors), so the joint table bins the
-    evolved populations diag(B^H rho(t) B), and its row and column sums are
-    the system and bath outcome probabilities. Per sample the record
-    carries the joint alpha-OE, both marginal alpha-OEs, the outcome mutual
-    information, xi1 (joint production), and xi2 (sum of marginal
-    productions). The factorization joint = sys + bath - MI is exact when
-    all bath windows share one volume; its residual is recorded. The
-    premise check is as in closed_run, for the initial joint state.
+    evolves under h_s x I + I x h_b + v_sb. The system is measured in
+    system_basis (columns b_i; default computational) with rank-1 effects
+    b_i b_i^H, which must sum to I: an orthonormal basis or a tight frame.
+    The bath is measured in energy windows of h_b. Every joint outcome is a
+    set of columns of B = system_basis x (h_b eigenvectors), so the joint
+    table bins the evolved populations diag(B^H rho(t) B), and its row and
+    column sums are the system and bath outcome probabilities. Per sample
+    the record carries the joint alpha-OE, both marginal alpha-OEs, the
+    outcome mutual information, xi1 (joint production), and xi2 (sum of
+    marginal productions). The factorization joint = sys + bath - MI is
+    exact when all bath windows share one volume; its residual is recorded.
+    The premise check is as in closed_run, for the initial joint state.
     """
     hs = validate_operator(h_s, "hermitian").matrix
     hb = validate_operator(h_b, "hermitian").matrix
     ds, db = hs.shape[0], hb.shape[0]
     v = validate_operator(v_sb, "hermitian").matrix
     if v.shape[0] != ds * db:
-        raise DimensionMismatch(f"coupling dim {v.shape[0]} != {ds} * {db}")
+        raise DimensionMismatch(
+            f"coupling dim {v.shape[0]} != {ds} * {db}"
+        )
     rho_s = _checked_matrix(rho_s0)
     if rho_s.shape[0] != ds:
         raise DimensionMismatch(f"system state dim {rho_s.shape[0]} != {ds}")
@@ -483,19 +497,20 @@ def open_run(
     ts = _check_sample_times(sample_times, None)
 
     basis = np.eye(ds, dtype=complex) if system_basis is None else as_matrix(system_basis)
-    if basis.shape != (ds, ds):
-        raise DimensionMismatch(f"system basis shape {basis.shape} != {(ds, ds)}")
-    vol_s = projective_cg(basis).volumes()  # checks that basis is orthonormal
+    if basis.ndim != 2 or basis.shape[0] != ds:
+        raise DimensionMismatch(f"system basis shape {basis.shape} != ({ds}, n)")
+    vol_s = projective_cg(basis).volumes()  # checks that sum b_i b_i^H = I
+    n_s = len(vol_s)
     lam_b, vec_b = np.linalg.eigh(hb)
     bins_b = _window_bins(lam_b, w_b)[1]
     vol_b = np.bincount(bins_b)
     vol_joint = np.outer(vol_s, vol_b).ravel()
     # column (i, j) of b lies in joint window (i, bins_b[j]), i.e. row-major
     b = np.kron(basis, vec_b)
-    joint_bins = (np.arange(ds)[:, None] * len(vol_b) + bins_b).ravel()
+    joint_bins = (np.arange(n_s)[:, None] * len(vol_b) + bins_b).ravel()
 
     lam, vec = np.linalg.eigh(tensor(hs, np.eye(db)) + tensor(np.eye(ds), hb) + v)
-    rho0 = tensor(rho_s, gibbs_state(hb, bath_beta))
+    rho0 = tensor(rho_s, _gibbs_state(lam_b, vec_b, bath_beta))
     tilde0 = vec.conj().T @ rho0 @ vec
     b_vec = b.conj().T @ vec
 
@@ -508,7 +523,7 @@ def open_run(
 
     def per_alpha_terms(joint):
         p = joint.probabilities
-        p_s, p_b = p.reshape(ds, -1).sum(axis=1), p.reshape(ds, -1).sum(axis=0)
+        p_s, p_b = p.reshape(n_s, -1).sum(axis=1), p.reshape(n_s, -1).sum(axis=0)
         # the last term is the outcome mutual information, with unit volumes
         return {
             a: (h(p, vol_joint, a), h(p_s, vol_s, a), h(p_b, vol_b, a),

@@ -456,6 +456,11 @@ def _per_sample_open_run(h_s, h_b, v_sb, rho_s0, bath_beta, w_b, alphas, ts, bas
 
 class TestOpenRunReference:
     HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    # three real unit vectors 120 degrees apart, scaled so b b^H sums to I
+    TRINE = np.sqrt(2 / 3) * np.array(
+        [np.cos(2 * np.pi * np.arange(3) / 3), np.sin(2 * np.pi * np.arange(3) / 3)],
+        dtype=complex,
+    )
 
     def _setup(self, rng):
         # a Haar-rotated bath with doubly degenerate levels, a random coupling
@@ -476,6 +481,8 @@ class TestOpenRunReference:
             # width 0.5 puts the levels 0 and 0.45, with different Gibbs
             # weights, in one window
             ("computational_basis", True),
+            # a tight frame of three rank-1 effects of volume 2/3
+            ("trine_frame", True),
         ],
     )
     def test_matches_per_sample_algorithm(self, rng, case, void):
@@ -485,6 +492,7 @@ class TestOpenRunReference:
             "empty_windows": (plus @ plus.conj().T, self.HADAMARD, EnergyWindowing(0.3)),
             "coherent": (np.diag([0.7, 0.3]), self.HADAMARD, EnergyWindowing(0.5)),
             "computational_basis": (np.diag([0.6, 0.4]), None, EnergyWindowing(0.5)),
+            "trine_frame": (np.diag([0.7, 0.3]), self.TRINE, EnergyWindowing(0.3)),
         }[case]
         ts = [0.0, 0.6, 1.5, 3.0]
         record = open_run(h_s, h_b, v, rho_s, 0.8, windowing, ALPHAS, ts, basis)
@@ -673,3 +681,23 @@ class TestOpenRun:
     def test_non_finite_sample_times_rejected(self, times):
         with pytest.raises(ValidationError, match="finite"):
             self._run(*_bath_setup(), times=times)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.eye(3),  # three rows for a qubit
+            np.ones(2),  # not a matrix
+            np.eye(2)[:, :1],  # b b^H does not sum to I
+        ],
+    )
+    def test_bad_system_basis_rejected(self, basis):
+        with pytest.raises(ValidationError):
+            open_run(
+                *_bath_setup(),
+                np.diag([0.7, 0.3]),
+                1.0,
+                EnergyWindowing(0.3),
+                (2.0,),
+                [0.5],
+                system_basis=basis,
+            )
