@@ -501,6 +501,8 @@ def open_run(
         raise DimensionMismatch(f"system basis shape {basis.shape} != ({ds}, n)")
     vol_s = projective_cg(basis).volumes()  # checks that sum b_i b_i^H = I
     n_s = len(vol_s)
+    if n_s != basis.shape[1]:
+        raise ValidationError(f"system basis has {basis.shape[1] - n_s} zero columns")
     lam_b, vec_b = np.linalg.eigh(hb)
     bins_b = _window_bins(lam_b, w_b)[1]
     vol_b = np.bincount(bins_b)

@@ -688,6 +688,7 @@ class TestOpenRun:
             np.eye(3),  # three rows for a qubit
             np.ones(2),  # not a matrix
             np.eye(2)[:, :1],  # b b^H does not sum to I
+            np.eye(2, 3),  # a zero column, whose effect would be dropped
         ],
     )
     def test_bad_system_basis_rejected(self, basis):
