@@ -20,6 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .divergences import (
     _check_alpha,
+    _checked_matrix,
     _renyi_divergence,
     _support,
     classical_petz_renyi,
@@ -61,16 +62,27 @@ class CoarseGraining:
             )
         if not labels:
             raise ValidationError("a coarse-graining needs at least one effect")
-        dim = as_matrix(self.effects[0]).shape[0]
-        stack = np.empty((len(labels), dim, dim), dtype=complex)
-        for k, (lab, e) in enumerate(zip(labels, self.effects)):
-            e = as_matrix(e)
-            if e.shape != (dim, dim):
-                raise DimensionMismatch(
-                    f"effect {lab!r} has shape {e.shape}, expected {(dim, dim)}"
-                )
-            np.add(e, e.conj().T, out=stack[k])
-            stack[k] *= 0.5
+        raw = self.effects
+        if not isinstance(raw, np.ndarray):
+            raw = [getattr(e, "matrix", e) for e in raw]
+        try:
+            raw = np.asarray(raw, dtype=complex)
+        except ValueError:  # a ragged list
+            raw = None
+        if raw is None or raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
+            dim = as_matrix(self.effects[0]).shape[0]
+            for lab, e in zip(labels, self.effects):
+                shape = as_matrix(e).shape
+                if shape != (dim, dim):
+                    raise DimensionMismatch(
+                        f"effect {lab!r} has shape {shape}, expected {(dim, dim)}"
+                    )
+        # the Hermitian parts (E + E^H) / 2, written into the owned stack
+        stack = np.empty(raw.shape, dtype=complex)
+        np.conjugate(raw.swapaxes(1, 2), out=stack)
+        stack += raw
+        stack *= 0.5
+        dim = stack.shape[1]
         lam_min = np.linalg.eigvalsh(stack)[:, 0]
         bad = np.flatnonzero(lam_min < -tol.PSD_EIGENVALUE_FLOOR)
         if bad.size:
@@ -219,10 +231,13 @@ def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     classical Renyi divergence of (p_i) from (V_i). Outcomes with
     p_i <= SUPPORT_RTOL * max p count as zero-probability and contribute 0,
     the cut renyi_entropy applies to eigenvalues. |alpha - 1| < 1e-6
-    evaluates the plain observational entropy (the alpha -> 1 limit).
+    evaluates the plain observational entropy (the alpha -> 1 limit). A
+    state with a non-finite entry or a trace that is not positive raises
+    ValidationError, here and in every function of this module that reads
+    entropies of rho.
     """
     _check_alpha(alpha)
-    dist = outcomes(cg, rho)
+    dist = outcomes(cg, _checked_matrix(rho))
     return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
 
 
@@ -233,7 +248,7 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     floating-point error.
     """
     _check_alpha(alpha)
-    m = _match_dims(cg, rho)
+    m = _match_dims(cg, _checked_matrix(rho))
     d = cg.dim
     p = measurement_channel(cg, m).weights
     q = cg.volumes() / d
@@ -266,19 +281,28 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
-    if abs(alpha - 1.0) <= tol.ALPHA_NEAR_ONE:
-        raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
-    dist = outcomes(cg, rho)
+    [deriv] = _alpha_derivative(outcomes(cg, _checked_matrix(rho)), [alpha]).tolist()
+    return deriv
+
+
+def _alpha_derivative(dist: OutcomeDistribution, alphas) -> np.ndarray:
+    """alpha_derivative from an outcome distribution, one value per order of
+    the 1-d array alphas; the support cut and the ratios t_i are shared."""
     p, v = dist.probabilities, dist.volumes
     mask = _support(p)
     p, v = p[mask], v[mask]
-    with np.errstate(over="ignore"):
-        w = (p / v) ** alpha * v
-    if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
-        logw = alpha * np.log(p / v) + np.log(v)
-        w = np.exp(logw - logw.max())
-    x = w / w.sum()
-    return -kl_divergence(x, p) / (alpha - 1.0) ** 2
+    t = p / v
+    out = []
+    for a in np.asarray(alphas, dtype=float).tolist():
+        if abs(a - 1.0) <= tol.ALPHA_NEAR_ONE:
+            raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
+        with np.errstate(over="ignore"):
+            w = t**a * v
+        if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
+            logw = a * np.log(t) + np.log(v)
+            w = np.exp(logw - logw.max())
+        out.append(-kl_divergence(w / w.sum(), p) / (a - 1.0) ** 2)
+    return np.array(out)
 
 
 def tensor_cg(parts) -> CoarseGraining:
@@ -389,7 +413,8 @@ def refinement_divergence_bound(
         raise NotARefinement(
             "map does not reproduce the coarser effects", magnitude=residual
         )
-    return _refinement_bound(outcomes(finer, rho), outcomes(coarser, rho), m, alpha)
+    state = _checked_matrix(rho)
+    return _refinement_bound(outcomes(finer, state), outcomes(coarser, state), m, alpha)
 
 
 @np.errstate(divide="ignore")

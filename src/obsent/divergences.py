@@ -23,9 +23,12 @@ from .operators import _check_square, _psd_eigh, as_matrix, partial_trace, tenso
 INFINITE = math.inf
 
 
-def _check_alpha(alpha: float) -> None:
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise InvalidAlpha(f"alpha must be a positive real, got {alpha}")
+def _check_alpha(alpha) -> None:
+    """Reject an order, or any order of a 1-d array, that is not a positive
+    finite real."""
+    bad = [a for a in np.ravel(alpha).tolist() if not 0 < a < math.inf]
+    if bad:
+        raise InvalidAlpha(f"alpha must be a positive real, got {bad[0]}")
 
 
 def _nonneg_vector(x) -> np.ndarray:
@@ -46,38 +49,64 @@ def _support(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _renyi_divergence(x, q, alpha: float) -> float:
+def _renyi_divergence(x, q, alpha):
     """(1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha) over the support of x.
 
-    x and q are unnormalized weights; q may be a scalar. Entries x_i <=
+    x and q are unnormalized weights; q may be a scalar. alpha is one order
+    (the result is a float) or a 1-d array of orders (the result is an array
+    with one value per order); each entry of an array result is
+    bit-identical to the float result for that order. Entries x_i <=
     SUPPORT_RTOL * max x count as exact zeros. |alpha - 1| < ALPHA_NEAR_ONE
     evaluates the limit sum_i x_i log(x_i / q_i). INFINITE when a kept x_i
     has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
     (alpha < 1). A sum whose powers or terms leave the normal float range
-    is evaluated again in log space.
+    is evaluated again in log space, for the orders that need it only.
+    The support and q > 0 cuts are made once for all orders.
     """
+    orders = np.asarray(alpha, dtype=float)
+    alphas = orders.ravel().tolist()
+    out = [INFINITE] * len(alphas)
     mask, q = _support(x), np.asarray(q, dtype=float)
     x, q = x[mask], (q[mask] if q.ndim else q)
-    near_one = abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE
-    if x.size and not q.min() > 0:
-        if alpha > 1 or near_one:
-            return INFINITE
+    q_gap = x.size and not q.min() > 0
+    if q_gap:
         x, q = x[q > 0], q[q > 0]
-    if not x.size:
-        return 0.0 if near_one else INFINITE
-    if near_one:
-        total = float((x * np.log(x / q)).sum())
-        if math.isfinite(total):
-            return total
-        return float((x * (np.log(x) - np.log(q))).sum())
-    xa, qa = x**alpha, q ** (1.0 - alpha)
-    total = float((xa * qa).sum())
-    lowest = np.minimum(np.minimum(xa, qa), xa * qa).min()
-    if total < INFINITE and lowest >= sys.float_info.min:
-        return math.log(total) / (alpha - 1.0)
-    logs = alpha * np.log(x) + (1.0 - alpha) * np.log(q)
-    top = float(logs.max())
-    return (top + math.log(float(np.exp(logs - top).sum()))) / (alpha - 1.0)
+    # a q gap leaves the limit and the orders above 1 INFINITE
+    limit, powers = [], []
+    for k, a in enumerate(alphas):
+        if abs(a - 1.0) < tol.ALPHA_NEAR_ONE:
+            if not q_gap:
+                limit.append(k)
+        elif x.size and not (q_gap and a > 1):
+            powers.append(k)
+    if limit:
+        total = float((x * np.log(x / q)).sum()) if x.size else 0.0
+        if not math.isfinite(total):
+            total = float((x * (np.log(x) - np.log(q))).sum())
+        for k in limit:
+            out[k] = total
+    if powers:
+        # one row per order of x^alpha, q^(1-alpha) and their product; a
+        # row is computed alike in every grid, since numpy's power may
+        # round differently for a broadcast exponent
+        xa, qa, terms = stack = np.empty((3, len(powers), x.size))
+        for row, k in enumerate(powers):
+            np.power(x, alphas[k], out=xa[row])
+            np.power(q, 1.0 - alphas[k], out=qa[row])
+        np.multiply(xa, qa, out=terms)
+        # an order whose sum overflows, or one of whose powers or terms is
+        # below the normal range, is redone in log space
+        normal = stack.min() >= sys.float_info.min
+        lowest = None if normal else stack.min(axis=(0, 2)).tolist()
+        for row, (k, total) in enumerate(zip(powers, terms.sum(axis=1).tolist())):
+            a = alphas[k]
+            if total < INFINITE and (normal or lowest[row] >= sys.float_info.min):
+                out[k] = math.log(total) / (a - 1.0)
+                continue
+            logs = a * np.log(x) + (1.0 - a) * np.log(q)
+            top = float(logs.max())
+            out[k] = (top + math.log(float(np.exp(logs - top).sum()))) / (a - 1.0)
+    return out[0] if orders.ndim == 0 else np.array(out)
 
 
 def kl_divergence(x, p) -> float:

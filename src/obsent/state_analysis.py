@@ -10,7 +10,9 @@ unless every effect is rank 1. For projective effects of any rank,
 Tr rho'^alpha = sum_i p_i^alpha Tr rho_i^alpha, so the exact relations take
 exponential means of the conditional entropies and divergences where these
 formulas take p_i-weighted averages (see renyi_post_measurement and
-decompose_alpha_oe).
+decompose_alpha_oe). Those two reject a state with a non-finite entry or
+a trace that is not positive (ValidationError); the post-measurement
+state and the conditional ensemble are defined for any operator.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, alpha_oe, outcomes
-from .divergences import _check_alpha, _renyi_divergence, _spectral_pair, renyi_entropy
+from .coarse_graining import CoarseGraining, outcomes
+from .divergences import (
+    _check_alpha,
+    _checked_matrix,
+    _renyi_divergence,
+    _spectral_pair,
+)
 from .errors import NonProjectiveCoarseGraining
 from .operators import as_matrix, op_power
 
@@ -63,7 +70,9 @@ def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
 
 class _Measurement:
     """The alpha-independent data of measuring rho with cg, each piece
-    computed once on first use and shared by a whole alpha grid."""
+    computed once on first use and shared by a whole alpha grid. The
+    alpha-dependent methods take one order or a 1-d array of orders, as
+    the kernel does."""
 
     def __init__(self, cg: CoarseGraining, rho):
         self.cg, self.rho = cg, as_matrix(rho)
@@ -109,13 +118,16 @@ class _Measurement:
     def post_spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.post_state)
 
-    def renyi_mixture(self, alpha: float) -> float:
+    def renyi_mixture(self, alpha):
         _check_alpha(alpha)
-        p = np.array(self.ensemble.probabilities)
-        ents = np.array([-_renyi_divergence(lam, 1.0, alpha) for lam in self.spectra])
-        return -_renyi_divergence(p, 1.0, alpha) + float(np.sum(p * ents))
+        probs = self.ensemble.probabilities
+        ents = (
+            p * -_renyi_divergence(lam, 1.0, alpha)
+            for p, lam in zip(probs, self.spectra)
+        )
+        return -_renyi_divergence(np.array(probs), 1.0, alpha) + sum(ents, 0.0)
 
-    def decompose(self, alpha: float) -> tuple:
+    def decompose(self, alpha) -> tuple:
         _check_alpha(alpha)
         if not self.projective:
             raise NonProjectiveCoarseGraining(
@@ -124,7 +136,7 @@ class _Measurement:
         post_term = -_renyi_divergence(self.post_spectrum, 1.0, alpha)
         probs = self.ensemble.probabilities
         terms = (p * _renyi_divergence(*pair, alpha) for p, pair in zip(probs, self.pairs))
-        return post_term, float(sum(terms))
+        return post_term, sum(terms, 0.0)
 
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
@@ -142,7 +154,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     (1/(1-alpha)) log sum_i p_i^alpha exp((1-alpha) S_alpha(rho_i)), which
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
-    return _Measurement(cg, rho).renyi_mixture(alpha)
+    return _Measurement(cg, _checked_matrix(rho)).renyi_mixture(alpha)
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -157,7 +169,7 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     D_i = D_alpha(rho_i || omega_i) and pi_i proportional to
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
-    return _Measurement(cg, rho).decompose(alpha)
+    return _Measurement(cg, _checked_matrix(rho)).decompose(alpha)
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
@@ -176,12 +188,26 @@ def is_coarse_grained(
     disagreement between the two.
     """
     _check_alpha(alpha)
-    m = as_matrix(rho)
+    [report] = _coarse_grained_reports(cg, rho, [alpha], atol)
+    return report
+
+
+def _coarse_grained_reports(
+    cg: CoarseGraining, rho, alphas, atol: float = tol.CG_STATE_ATOL
+) -> list:
+    """is_coarse_grained for each order of the 1-d array alphas; the matrix
+    test, the outcomes and the spectrum are computed once."""
+    m = _checked_matrix(rho)
     matrix_residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
-    entropy_residual = abs(alpha_oe(cg, m, alpha) - renyi_entropy(m, alpha))
-    return CoarseGrainedReport(
-        matrix_close=matrix_residual <= atol,
-        entropy_close=entropy_residual <= atol,
-        matrix_residual=matrix_residual,
-        entropy_residual=entropy_residual,
-    )
+    dist = outcomes(cg, m)
+    oe = -_renyi_divergence(dist.probabilities, dist.volumes, alphas)
+    renyi = -_renyi_divergence(np.linalg.eigvalsh(m), 1.0, alphas)
+    return [
+        CoarseGrainedReport(
+            matrix_close=matrix_residual <= atol,
+            entropy_close=entropy_residual <= atol,
+            matrix_residual=matrix_residual,
+            entropy_residual=entropy_residual,
+        )
+        for entropy_residual in np.abs(oe - renyi).tolist()
+    ]

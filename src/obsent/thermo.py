@@ -20,6 +20,7 @@ quadrature is involved. Units: hbar = 1, Boltzmann constant = 1, nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,17 +182,22 @@ def _gibbs_weights(lam: np.ndarray, beta: float) -> np.ndarray:
     return np.exp(-beta * (lam - ref))
 
 
-def _gibbs_energy(lam: np.ndarray, beta: float) -> float:
+def _gibbs_moments(lam: np.ndarray, beta: float) -> tuple:
+    """Mean and variance of the energy in the Gibbs state at beta."""
     w = _gibbs_weights(lam, beta)
-    return float(np.sum(lam * w) / np.sum(w))
+    total = np.sum(w)
+    mean = float(np.sum(lam * w) / total)
+    return mean, float(np.sum((lam - mean) ** 2 * w) / total)
 
 
 def effective_beta(H, rho) -> float:
     """Inverse temperature of the Gibbs state matching Tr(H rho).
 
-    Solved by bisection on [-BETA_RANGE, BETA_RANGE]; the Gibbs mean energy
-    is strictly decreasing in beta. Negative results (population inversion)
-    are returned, not rejected.
+    The Gibbs mean energy is strictly decreasing in beta. It is solved by
+    safeguarded Newton steps whose bracket, step floor and energy
+    tolerance all scale with the spectral span, so the solve works alike
+    at every spectral scale. Negative results (population inversion) are
+    returned, not rejected.
     """
     hm = as_matrix(H)
     lam = np.linalg.eigvalsh(hm)
@@ -199,32 +205,42 @@ def effective_beta(H, rho) -> float:
 
 
 def _beta_for_energy(lam: np.ndarray, target: float) -> float:
-    """effective_beta for ascending spectrum lam and mean energy target."""
-    slack = tol.ENERGY_ENDPOINT_RTOL * max(float(lam[-1] - lam[0]), 1.0)
-    if target <= lam[0] + slack or target >= lam[-1] - slack:
+    """effective_beta for ascending spectrum lam and mean energy target.
+
+    The Gibbs mean energy E falls strictly in beta, with dE/dbeta = -Var H.
+    Every scale is the spectral span: a bracket doubles from [-1, 1] / span
+    until it holds the root, Newton steps that leave it are replaced by
+    bisection until the step is at rounding level, and |E - target| must
+    then be within BETA_ENERGY_RTOL * span.
+    """
+    span = float(lam[-1] - lam[0])
+    slack = tol.ENERGY_ENDPOINT_RTOL * span
+    if not lam[0] + slack < target < lam[-1] - slack:
         raise EnergyOutOfRange(
             f"mean energy {target} is at or beyond the spectral endpoints "
             f"[{lam[0]}, {lam[-1]}]"
         )
-    lo, hi = -tol.BETA_RANGE, tol.BETA_RANGE
-    if _gibbs_energy(lam, lo) < target or _gibbs_energy(lam, hi) > target:
-        raise NoConvergence(
-            f"target energy {target} not bracketed by beta in [{lo}, {hi}]"
-        )
-    # bisect to interval exhaustion, then check the energy tolerance; this
-    # pins beta itself, not just the energy mismatch
+    lo, hi = -1.0 / span, 1.0 / span
+    while _gibbs_moments(lam, hi)[0] > target and hi < math.inf:
+        lo, hi = hi, 2.0 * hi
+    while _gibbs_moments(lam, lo)[0] < target and lo > -math.inf:
+        lo, hi = 2.0 * lo, lo
+    beta = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _gibbs_energy(lam, mid) > target:
-            lo = mid
+        energy, var = _gibbs_moments(lam, beta)
+        if energy > target:
+            lo = beta
         else:
-            hi = mid
-        if hi - lo < 1e-13:
+            hi = beta
+        step = beta + (energy - target) / var if var > 0 else lo
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(nxt - beta) <= 4 * sys.float_info.epsilon * max(abs(beta), 1 / span):
             break
-    mid = 0.5 * (lo + hi)
-    if abs(_gibbs_energy(lam, mid) - target) > tol.BETA_ENERGY_ATOL:
-        raise NoConvergence("bisection did not reach the energy tolerance")
-    return mid
+        beta = nxt
+    miss = abs(energy - target)
+    if not miss <= tol.BETA_ENERGY_RTOL * span:
+        raise NoConvergence(f"mean energy missed by {miss} at beta {beta}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -332,8 +348,7 @@ def _check_alphas(alphas) -> list:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValidationError("at least one alpha is required")
-    for a in alphas:
-        _check_alpha(a)
+    _check_alpha(alphas)
     return alphas
 
 
@@ -383,9 +398,11 @@ def closed_run(
         w = w / w.sum()
         labels, bins = _window_bins(lam, windowing)
         dist = OutcomeDistribution(labels, np.bincount(bins, pop), np.bincount(bins))
-        oe = {a: (-_renyi_divergence(dist.probabilities, dist.volumes, a),
-                  -_renyi_divergence(w, 1.0, a)) for a in alphas}
-        return (vec, bins, dist), energy, beta, oe
+        # one (window alpha-OE, Gibbs Renyi entropy) pair per alpha
+        oe = -_renyi_divergence(dist.probabilities, dist.volumes, alphas)
+        gibbs = -_renyi_divergence(w, 1.0, alphas)
+        pairs = list(zip(oe.tolist(), gibbs.tolist()))
+        return (vec, bins, dist), energy, beta, pairs
 
     k_cur = protocol.segment_index(0.0)
     terms = segment_terms(k_cur)
@@ -398,9 +415,7 @@ def closed_run(
         if k != k_cur:
             k_cur, terms = k, segment_terms(k)
         _, energy, beta_t, oe = terms
-        for a in alphas:
-            s_oe, s_gibbs = oe[a]
-            base_oe, base_renyi = base[a]
+        for a, (s_oe, s_gibbs), (base_oe, base_renyi) in zip(alphas, oe, base):
             heat = s_gibbs - base_renyi
             xi3 = s_oe - s_gibbs + heat
             monitor_ok = s_oe <= s_gibbs + 1e-9
@@ -520,18 +535,17 @@ def open_run(
         pop = _evolve(lam, b_vec, tilde0, t).diagonal().real
         return OutcomeDistribution((), np.bincount(joint_bins, pop), vol_joint)
 
-    def h(x, vol, a):
-        return -_renyi_divergence(x, vol, a)
+    def h(x, vol):
+        return -_renyi_divergence(x, vol, alphas)
 
     def per_alpha_terms(joint):
+        """One (joint, system, bath alpha-OE, outcome mutual information)
+        tuple per alpha; the mutual information takes unit volumes."""
         p = joint.probabilities
         p_s, p_b = p.reshape(n_s, -1).sum(axis=1), p.reshape(n_s, -1).sum(axis=0)
-        # the last term is the outcome mutual information, with unit volumes
-        return {
-            a: (h(p, vol_joint, a), h(p_s, vol_s, a), h(p_b, vol_b, a),
-                h(p_s, 1.0, a) + h(p_b, 1.0, a) - h(p, 1.0, a))
-            for a in alphas
-        }
+        terms = (h(p, vol_joint), h(p_s, vol_s), h(p_b, vol_b),
+                 h(p_s, 1.0) + h(p_b, 1.0) - h(p, 1.0))
+        return list(zip(*(v.tolist() for v in terms)))
 
     joint0 = joint_at(0.0)
     base = per_alpha_terms(joint0)
@@ -540,9 +554,9 @@ def open_run(
     samples, findings = [], []
     for t in ts:
         terms = per_alpha_terms(joint_at(t))
-        for a in alphas:
-            s_joint, s_sys, s_bath, mi = terms[a]
-            b_joint, b_sys, b_bath, _ = base[a]
+        for a, (s_joint, s_sys, s_bath, mi), (b_joint, b_sys, b_bath, _) in zip(
+            alphas, terms, base
+        ):
             xi1 = s_joint - b_joint
             xi2 = (s_sys - b_sys) + (s_bath - b_bath)
             residual = s_joint - (s_sys + s_bath - mi)

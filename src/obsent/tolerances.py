@@ -57,7 +57,7 @@ PROB_FLOOR = scaled(1e-14)
 #: Max-abs matrix distance for "state equals its coarse-grained state".
 CG_STATE_ATOL = scaled(1e-8)
 
-#: Endpoint slack of effective_beta, relative to max(spectral span, 1).
+#: Endpoint slack of effective_beta, relative to the spectral span.
 ENERGY_ENDPOINT_RTOL = scaled(1e-12)
 
 #: Slack added to (E - origin) / delta before flooring it to a window index.
@@ -66,8 +66,5 @@ WINDOW_EDGE_SLACK = scaled(1e-12)
 #: Window coordinates in (-WINDOW_ORIGIN_SLACK, 0) count as window 0.
 WINDOW_ORIGIN_SLACK = scaled(1e-9)
 
-#: |energy mismatch| target for the effective-temperature bisection.
-BETA_ENERGY_ATOL = scaled(1e-10)
-
-#: Bisection search interval for inverse temperatures.
-BETA_RANGE = 50.0
+#: |energy mismatch| accepted by effective_beta, relative to the spectral span.
+BETA_ENERGY_RTOL = scaled(1e-10)

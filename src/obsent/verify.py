@@ -26,9 +26,9 @@ import numpy as np
 
 from .coarse_graining import (
     RefinementMap,
-    alpha_derivative,
-    alpha_oe,
+    _alpha_derivative,
     _refinement_bound,
+    alpha_oe,
     check_refinement,
     identity_cg,
     merge_outcomes,
@@ -38,12 +38,7 @@ from .coarse_graining import (
     sequential,
     tensor_cg,
 )
-from .divergences import (
-    _renyi_divergence,
-    _spectral_pair,
-    classical_petz_renyi,
-    renyi_mutual_info,
-)
+from .divergences import _renyi_divergence, _spectral_pair
 from .errors import NotARefinement
 from .generators import (
     random_coarse_grained_state,
@@ -53,9 +48,9 @@ from .generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from .operators import tensor
+from .operators import partial_trace, tensor
 from .serialize import operator_to_json
-from .state_analysis import _Measurement, coarse_grained_state, is_coarse_grained
+from .state_analysis import _coarse_grained_reports, _Measurement, coarse_grained_state
 from .thermo import (
     DrivingProtocol,
     EnergyWindowing,
@@ -155,14 +150,31 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _oe(dist, alpha: float) -> float:
-    """alpha_oe from an outcome distribution computed once per (cg, rho)."""
+def _oe(dist, alpha):
+    """alpha_oe from an outcome distribution computed once per (cg, rho),
+    for one order or a grid (one value per order)."""
     return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
 
 
-def _entropy(spectrum, alpha: float) -> float:
-    """renyi_entropy from a spectrum computed once per state."""
+def _entropy(spectrum, alpha):
+    """renyi_entropy from a spectrum computed once per state, for one order
+    or a grid."""
     return -_renyi_divergence(spectrum, 1.0, alpha)
+
+
+def _mutual_info(rho_ab, dims, alpha):
+    """renyi_mutual_info from one spectrum per state, for one order or a
+    grid."""
+    rho_a, rho_b = partial_trace(rho_ab, dims, "A"), partial_trace(rho_ab, dims, "B")
+    s_a, s_b, s_ab = (
+        _entropy(np.linalg.eigvalsh(m), alpha) for m in (rho_a, rho_b, rho_ab)
+    )
+    return s_a + s_b - s_ab
+
+
+def _grid(values) -> dict:
+    """ALPHA_GRID entry -> value, from one grid evaluation."""
+    return dict(zip(ALPHA_GRID, values.tolist()))
 
 
 # ----------------------------------------------------------------- suites
@@ -181,7 +193,9 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
         rho = random_density(rng, d)
         sigma = random_density(rng, d)  # full rank
         pair = _spectral_pair(rho, sigma)
-        vals = [_renyi_divergence(*pair, a) for a in ALPHA_GRID]
+        *vals, one, above, below = _renyi_divergence(
+            *pair, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7)
+        ).tolist()
         margin = min(b - a for a, b in zip(vals, vals[1:]))
         ordering.record(margin, _state_instance(rho, sigma=sigma))
         for a, v in zip(ALPHA_GRID, vals):
@@ -189,25 +203,20 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
         cg = random_coarse_graining(rng, d)
         p = outcomes(cg, rho).probabilities
         q = outcomes(cg, sigma).probabilities
-        for a, quantum in zip(ALPHA_GRID, vals):
-            classical = classical_petz_renyi(p, q, a)
+        # classical_petz_renyi(p, q, a) over the grid
+        classical = _renyi_divergence(p, q, ALPHA_GRID).tolist()
+        for a, quantum, c in zip(ALPHA_GRID, vals, classical):
             if math.isinf(quantum):
                 continue
-            dpi.record(quantum - classical, _state_instance(rho, a))
-        one = _renyi_divergence(*pair, 1.0)
-        near = max(
-            abs(_renyi_divergence(*pair, 1 + 1e-7) - one),
-            abs(_renyi_divergence(*pair, 1 - 1e-7) - one),
-        )
+            dpi.record(quantum - c, _state_instance(rho, a))
+        near = max(abs(above - one), abs(below - one))
         limit.record(-near, _state_instance(rho))
         d_a = int(rng.integers(2, 4))
         d_b = int(rng.integers(2, 4))
         rho_ab = random_density(rng, d_a * d_b)
-        for a in ALPHA_GRID:
-            mi_sign.record(
-                renyi_mutual_info(rho_ab, (d_a, d_b), a),
-                _state_instance(rho_ab, a, dims=[d_a, d_b]),
-            )
+        mis = _mutual_info(rho_ab, (d_a, d_b), ALPHA_GRID).tolist()
+        for a, mi in zip(ALPHA_GRID, mis):
+            mi_sign.record(mi, _state_instance(rho_ab, a, dims=[d_a, d_b]))
     return [ordering, dpi, nonneg, limit, mi_sign]
 
 
@@ -224,6 +233,9 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     concave = PropertyResult("concavity_alpha_lt1", "hard", 1e-10)
     quasi = PropertyResult("quasi_concavity_alpha_gt1", "hard", 1e-10)
 
+    # the grid, the alpha -> 1 neighbours and the finite-difference points
+    near = (1 + 1e-7, 1 - 1e-7)
+    steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
     rng = _rng(seed, 2)
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
@@ -232,22 +244,30 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         dist, spec = outcomes(cg, rho), np.linalg.eigvalsh(rho)
         flat_p, flat_pair = dist.volumes / d, _spectral_pair(rho, np.eye(d) / d)
         s1 = alpha_oe(cg, rho, 1.0)  # the public path, against the hoisted grid
-        near = max(abs(_oe(dist, 1 + 1e-7) - s1), abs(_oe(dist, 1 - 1e-7) - s1))
-        limit.record(-near, _state_instance(rho))
-        svals = [_oe(dist, a) for a in ALPHA_GRID]
-        for a, s in zip(ALPHA_GRID, svals):
-            classical = classical_petz_renyi(dist.probabilities, flat_p, a)
-            forms.record(
-                -abs(s - (math.log(d) - classical)), _state_instance(rho, a)
-            )
-            gap = _renyi_divergence(*flat_pair, a) - classical
-            s_rho = _entropy(spec, a)
+        oe = _oe(dist, ALPHA_GRID + near + steps).tolist()
+        svals, (above, below), fd_points = oe[:5], oe[5:7], oe[7:]
+        limit.record(-max(abs(above - s1), abs(below - s1)), _state_instance(rho))
+        # classical_petz_renyi(p, flat_p, a) and petz_renyi(rho, I/d, a)
+        classical = _renyi_divergence(dist.probabilities, flat_p, ALPHA_GRID).tolist()
+        quantum = _renyi_divergence(*flat_pair, ALPHA_GRID).tolist()
+        columns = zip(
+            ALPHA_GRID,
+            svals,
+            classical,
+            quantum,
+            _entropy(spec, ALPHA_GRID).tolist(),
+            _alpha_derivative(dist, ALPHA_GRID).tolist(),
+            fd_points[0::2],
+            fd_points[1::2],
+        )
+        for a, s, c, qu, s_rho, deriv, up, down in columns:
+            forms.record(-abs(s - (math.log(d) - c)), _state_instance(rho, a))
+            gap = qu - c
             gap_id.record(-abs(gap - (s - s_rho)), _state_instance(rho, a))
             gap_pos.record(gap, _state_instance(rho, a))
             bounds.record(min(s - s_rho, math.log(d) - s), _state_instance(rho, a))
-            deriv = alpha_derivative(cg, rho, a)
             deriv_sign.record(-deriv, _state_instance(rho, a))
-            fd = (_oe(dist, a + 1e-5) - _oe(dist, a - 1e-5)) / 2e-5
+            fd = (up - down) / 2e-5
             # floor keeps the relative test meaningful near zero derivatives
             rel = abs(deriv - fd) / max(abs(deriv), abs(fd), 1e-3)
             deriv_fd.record(-rel, _state_instance(rho, a))
@@ -263,21 +283,21 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         prod_rho = tensor(rho_a, rho_b)
         d_prod = outcomes(tensor_cg([cg_a, cg_b]), prod_rho)
         d_a, d_b = outcomes(cg_a, rho_a), outcomes(cg_b, rho_b)
-        for a in ALPHA_GRID:
-            parts = _oe(d_a, a) + _oe(d_b, a)
-            additivity.record(
-                -abs(_oe(d_prod, a) - parts), _state_instance(prod_rho, a)
-            )
+        parts = (_oe(d_a, ALPHA_GRID) + _oe(d_b, ALPHA_GRID)).tolist()
+        for a, whole, part in zip(ALPHA_GRID, _oe(d_prod, ALPHA_GRID).tolist(), parts):
+            additivity.record(-abs(whole - part), _state_instance(prod_rho, a))
         # concavity
         rho2 = random_density(rng, d)
         lam = float(rng.uniform(0.05, 0.95))
         mix = lam * rho + (1 - lam) * rho2
-        d_mix, d_2 = outcomes(cg, mix), outcomes(cg, rho2)
+        s = dict(zip(ALPHA_GRID, svals))
+        s_mix = _grid(_oe(outcomes(cg, mix), ALPHA_GRID))
+        s_2 = _grid(_oe(outcomes(cg, rho2), ALPHA_GRID))
         for a in ALPHA_LT1:
-            margin = _oe(d_mix, a) - (lam * _oe(dist, a) + (1 - lam) * _oe(d_2, a))
+            margin = s_mix[a] - (lam * s[a] + (1 - lam) * s_2[a])
             concave.record(margin, _state_instance(mix, a))
         for a in (2.0, 3.0):
-            margin = _oe(d_mix, a) - min(_oe(dist, a), _oe(d_2, a))
+            margin = s_mix[a] - min(s[a], s_2[a])
             quasi.record(margin, _state_instance(mix, a))
     return [
         limit,
@@ -318,34 +338,32 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         stages = [cgs[0]]
         for nxt in cgs[1:]:
             stages.append(sequential(stages[-1], nxt))
-        dists, spec = [outcomes(c, rho) for c in stages], np.linalg.eigvalsh(rho)
-        for a in ALPHA_GRID:
-            values = [_oe(dd, a) for dd in dists]
+        grids = [_oe(outcomes(c, rho), ALPHA_GRID).tolist() for c in stages]
+        s_rho = _entropy(np.linalg.eigvalsh(rho), ALPHA_GRID).tolist()
+        for a, values, s in zip(ALPHA_GRID, zip(*grids), s_rho):
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
                 _state_instance(rho, a),
             )
-            above.record(values[-1] - _entropy(spec, a), _state_instance(rho, a))
+            above.record(values[-1] - s, _state_instance(rho, a))
         # mutually-unbiased qubit case: exact equality
         rho_q = random_density(rng, 2)
         d_seq, d_z = outcomes(seq, rho_q), outcomes(z, rho_q)
-        for a in ALPHA_GRID:
-            mub.record(
-                -abs(_oe(d_seq, a) - _oe(d_z, a)), _state_instance(rho_q, a)
-            )
+        pairs = zip(_oe(d_seq, ALPHA_GRID).tolist(), _oe(d_z, ALPHA_GRID).tolist())
+        for a, (u, v) in zip(ALPHA_GRID, pairs):
+            mub.record(-abs(u - v), _state_instance(rho_q, a))
         # composing with the trivial second stage keeps t-ratios, so equality
         cg1 = random_coarse_graining(rng, d)
         d_triv = outcomes(sequential(cg1, identity_cg(d)), rho)
         d_1 = outcomes(cg1, rho)
-        for a in ALPHA_GRID:
-            equality.record(
-                -abs(_oe(d_triv, a) - _oe(d_1, a)), _state_instance(rho, a)
-            )
+        s_1 = _grid(_oe(d_1, ALPHA_GRID))
+        for a, u in zip(ALPHA_GRID, _oe(d_triv, ALPHA_GRID).tolist()):
+            equality.record(-abs(u - s_1[a]), _state_instance(rho, a))
         # converse of the equality condition, observed only
         cg2 = random_coarse_graining(rng, d)
         seq2 = sequential(cg1, cg2)
         d_12 = outcomes(seq2, rho)
-        if abs(_oe(d_12, 2.0) - _oe(d_1, 2.0)) <= 1e-9:
+        if abs(_oe(d_12, 2.0) - s_1[2.0]) <= 1e-9:
             first = [cg1.labels.index(lab1) for lab1, _ in seq2.labels]
             p1, p12 = d_1.probabilities[first], d_12.probabilities
             kept = (p12 > 1e-12) & (p1 > 1e-12)
@@ -371,20 +389,21 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         _, residual = check_refinement(cg, coarser, rmap)
         relation.record(-residual, _state_instance(rho))
         fine, coarse = outcomes(cg, rho), outcomes(coarser, rho)
+        s_fine, s_coarse = _grid(_oe(fine, ALPHA_GRID)), _grid(_oe(coarse, ALPHA_GRID))
         for a in ALPHA_GT1:
-            gap = _oe(coarse, a) - _oe(fine, a)
+            gap = s_coarse[a] - s_fine[a]
             mono_hi.record(gap, _state_instance(rho, a))
             d_bound = _refinement_bound(fine, coarse, rmap, a)
             if not math.isinf(d_bound):
                 bound.record(gap - d_bound, _state_instance(rho, a))
         for a in ALPHA_LT1:
-            gap = _oe(coarse, a) - _oe(fine, a)
+            gap = s_coarse[a] - s_fine[a]
             mono_lo.record(gap, _state_instance(rho, a))
         # trivial coarser {I}: the bound equals the gap exactly
         triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
         triv = outcomes(triv_cg, rho)
-        for a in ALPHA_GT1:
-            gap = _oe(triv, a) - _oe(fine, a)
+        for a, s_triv in zip(ALPHA_GT1, _oe(triv, ALPHA_GT1).tolist()):
+            gap = s_triv - s_fine[a]
             d_bound = _refinement_bound(fine, triv, triv_map, a)
             trivial.record(-abs(gap - d_bound), _state_instance(rho, a))
         # a non-stochastic map must be rejected
@@ -435,30 +454,25 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
         trace_one.record(
             -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
         )
-        for a in alphas:
-            direct = _entropy(r1.post_spectrum, a)
-            post_r1.record(
-                -abs(r1.renyi_mixture(a) - direct), _state_instance(rho, a)
-            )
-            p_term, d_term = r1.decompose(a)
-            split_r1.record(
-                -abs(p_term + d_term - _oe(r1.dist, a)), _state_instance(rho, a)
-            )
-            direct_g = _entropy(gen.post_spectrum, a)
-            post_gen.record(
-                -abs(gen.renyi_mixture(a) - direct_g), _state_instance(rho, a)
-            )
-            pg, dg = gen.decompose(a)
-            oe_g, s_rho = _oe(gen.dist, a), _entropy(spec, a)
-            split_gen.record(-abs(pg + dg - oe_g), _state_instance(rho, a))
-            assembled = (direct_g - s_rho) + dg
-            assembly.record(
-                -abs(oe_g - s_rho - assembled), _state_instance(rho, a)
-            )
+        p_term, d_term = r1.decompose(alphas)
+        pg, dg = gen.decompose(alphas)
+        direct_g, oe_g = _entropy(gen.post_spectrum, alphas), _oe(gen.dist, alphas)
+        s_rho = _entropy(spec, alphas)
+        # one margin array per property, in the order they are recorded
+        margins = (
+            -abs(r1.renyi_mixture(alphas) - _entropy(r1.post_spectrum, alphas)),
+            -abs(p_term + d_term - _oe(r1.dist, alphas)),
+            -abs(gen.renyi_mixture(alphas) - direct_g),
+            -abs(pg + dg - oe_g),
+            -abs(oe_g - s_rho - ((direct_g - s_rho) + dg)),
+        )
+        props = (post_r1, split_r1, post_gen, split_gen, assembly)
+        for a, row in zip(alphas, zip(*(m.tolist() for m in margins))):
+            for prop, margin in zip(props, row):
+                prop.record(margin, _state_instance(rho, a))
         # coarse-grained-state biconditional
         rho_eq = random_coarse_grained_state(rng, cg_gen)
-        for a in alphas:
-            report = is_coarse_grained(cg_gen, rho_eq, a)
+        for a, report in zip(alphas, _coarse_grained_reports(cg_gen, rho_eq, alphas)):
             eq_cases.record(
                 -max(report.matrix_residual, report.entropy_residual),
                 _state_instance(rho_eq, a),
@@ -475,8 +489,7 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
             )
         dist = float(np.max(np.abs(pert - coarse_grained_state(cg_gen, pert))))
         if dist >= 1e-3:
-            for a in alphas:
-                report = is_coarse_grained(cg_gen, pert, a)
+            for a, report in zip(alphas, _coarse_grained_reports(cg_gen, pert, alphas)):
                 pert_cases.record(
                     min(report.matrix_residual, report.entropy_residual) - 1e-8,
                     _state_instance(pert, a),

@@ -13,6 +13,7 @@ from obsent import (
     alpha_oe_gap,
     check_refinement,
     classical_petz_renyi,
+    decompose_alpha_oe,
     identity_cg,
     measurement_channel,
     merge_outcomes,
@@ -21,10 +22,12 @@ from obsent import (
     projective_cg,
     refinement_divergence_bound,
     renyi_entropy,
+    renyi_post_measurement,
     sequential,
     tensor_cg,
 )
 from obsent.errors import (
+    DimensionMismatch,
     InvalidAlpha,
     InvalidPartition,
     NotARefinement,
@@ -36,6 +39,7 @@ from obsent.generators import (
     random_coarse_graining,
     random_density,
     random_merge,
+    random_povm,
     random_projective_cg,
     random_unitary,
 )
@@ -84,6 +88,37 @@ class TestConstruction:
             CoarseGraining(
                 ("a", "b", "c"), (np.diag([0.0, 1.5]), bad, bad)
             )
+
+    def test_not_psd_names_first_bad_label_of_a_stack(self):
+        bad = np.diag([1.0, -0.5])
+        with pytest.raises(NotPSD, match="effect 'b' is not PSD"):
+            CoarseGraining(("a", "b", "c"), np.array([np.diag([0.0, 1.5]), bad, bad]))
+
+    def test_ragged_list_names_the_bad_label(self):
+        with pytest.raises(DimensionMismatch, match=r"effect 'c' has shape \(3, 3\)"):
+            CoarseGraining(
+                ("a", "b", "c"), [np.eye(2) / 2, np.eye(2) / 2, np.eye(3)]
+            )
+
+    def test_array_and_tuple_give_identical_effects(self, rng):
+        # effects with a non-Hermitian part, so the symmetrization matters
+        noise = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        raw = random_povm(rng, 3, 4).effects + 1e-10 * (noise - noise.swapaxes(1, 2))
+        from_array = CoarseGraining(tuple("abcd"), raw)
+        from_tuple = CoarseGraining(tuple("abcd"), tuple(raw))
+        assert from_array.effects.tobytes() == from_tuple.effects.tobytes()
+        # the per-effect reference: (E + E^H) / 2 one matrix at a time
+        for got, e in zip(from_array.effects, raw):
+            assert got.tobytes() == ((e + e.conj().T) * 0.5).tobytes()
+
+    def test_mutating_the_input_leaves_effects(self):
+        given = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        cg = CoarseGraining(("a", "b"), given)
+        given[0][0, 0] = 5.0
+        given[1] = np.eye(2)
+        np.testing.assert_array_equal(
+            cg.effects, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        )
 
     def test_projectivity_probe(self):
         assert Z_BASIS.is_projective()
@@ -512,3 +547,32 @@ class TestRefinement:
         coarse, m = merge_outcomes(cg, [list(cg.labels)])
         with pytest.raises(InvalidAlpha):
             refinement_divergence_bound(cg, coarse, m, np.eye(3) / 3, 0.5)
+
+
+_TWO = merge_outcomes(projective_cg(np.eye(2)), [["0", "1"]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda rho: alpha_oe(Z_BASIS, rho, 2.0),
+        lambda rho: renyi_post_measurement(Z_BASIS, rho, 2.0),
+        lambda rho: decompose_alpha_oe(Z_BASIS, rho, 2.0),
+        lambda rho: refinement_divergence_bound(
+            projective_cg(np.eye(2)), *_TWO, rho, 2.0
+        ),
+        lambda rho: alpha_derivative(Z_BASIS, rho, 2.0),
+    ],
+    ids=[
+        "alpha_oe",
+        "renyi_post_measurement",
+        "decompose_alpha_oe",
+        "refinement_divergence_bound",
+        "alpha_derivative",
+    ],
+)
+def test_state_entry_points_reject_zero_traceless_and_non_finite(entry):
+    # a zero state has no outcome distribution to take an entropy of
+    for rho in (np.zeros((2, 2)), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValidationError, match="positive trace"):
+            entry(rho)

@@ -1,17 +1,22 @@
-"""Property test: the order-alpha entropies and the classical and quantum
+"""Property tests: the order-alpha entropies and the classical and quantum
 divergences return a finite number, INFINITE, or raise an ObsentError over
 the valid range (alpha from 1e-3 to 1e4, weights scaled from 1e-6 to 1e6,
-rank-deficient states with spectra spanning many orders of magnitude)."""
+rank-deficient states with spectra spanning many orders of magnitude); a
+grid of orders gives the kernel's per-order values bit for bit; and
+effective_beta recovers beta at every spectral scale from 1e-6 to 1e6."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsent import (
     INFINITE,
     alpha_derivative,
+    effective_beta,
+    gibbs_state,
     alpha_oe,
     alpha_oe_divergence_form,
     alpha_oe_gap,
@@ -25,6 +30,7 @@ from obsent import (
     umegaki,
     von_neumann,
 )
+from obsent.divergences import _renyi_divergence
 from obsent.errors import ObsentError
 from obsent.generators import (
     random_coarse_graining,
@@ -95,3 +101,59 @@ def test_finite_infinite_or_obsent_error(
     _finite_infinite_or_error(
         refinement_divergence_bound, fine, coarser, rmap, rho, alpha
     )
+
+
+_ORDER = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 16),
+    centers=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    spread=st.floats(0.0, 20.0),
+    scalar_q=st.booleans(),
+    orders=st.lists(_ORDER, min_size=0, max_size=16),
+)
+def test_grid_call_equals_scalar_calls_bit_for_bit(
+    seed, size, centers, spread, scalar_q, orders
+):
+    # weights from 1e-300 to 1e300 around two centres, with exact zeros
+    rng = np.random.default_rng(seed)
+    x, q = (
+        10.0 ** np.clip(c + spread * rng.uniform(-1, 1, size), -300, 300)
+        for c in centers
+    )
+    x[rng.uniform(size=size) < 0.2] = 0.0
+    q[rng.uniform(size=size) < 0.2] = 0.0
+    if scalar_q:
+        q = 10.0 ** centers[1]
+    # the orders with special cases in the kernel or in numpy's power
+    orders = [1.0, 1 + 1e-7, 1 - 1e-7, 0.5, 2.0, 3.0, *orders]
+    grid = _renyi_divergence(x, q, np.array(orders))
+    assert isinstance(grid, np.ndarray) and grid.shape == (len(orders),)
+    for alpha, value in zip(orders, grid.tolist()):
+        scalar = _renyi_divergence(x, q, alpha)
+        assert type(scalar) is float
+        assert not math.isnan(scalar)
+        # hex compares every bit: the sign of zero and INFINITE included
+        assert scalar.hex() == value.hex(), (alpha, scalar, value)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 6),
+    log_scale=st.floats(-6.0, 6.0),
+    x=st.floats(-5.0, 5.0),
+)
+def test_effective_beta_is_scale_free(seed, dim, log_scale, x):
+    # levels spanning [0, scale]; x = beta * span is the scale-free beta
+    rng = np.random.default_rng(seed)
+    levels = np.sort(rng.uniform(size=dim))
+    levels = (levels - levels[0]) / (levels[-1] - levels[0])
+    scale = 10.0**log_scale
+    u = random_unitary(rng, dim)
+    h = (u * (levels * scale)) @ u.conj().T
+    beta = effective_beta(h, gibbs_state(h, x / scale))
+    assert beta * scale == pytest.approx(x, abs=1e-8)

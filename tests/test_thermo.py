@@ -134,6 +134,12 @@ class TestGibbsAndBeta:
         with pytest.raises(EnergyOutOfRange):
             effective_beta(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_effective_beta_at_small_and_large_spectral_scales(self, scale):
+        # the energy 0.1 * scale of diag(0, scale) pins beta = log 9 / scale
+        beta = effective_beta(np.diag([0.0, scale]), np.diag([0.9, 0.1]))
+        assert beta * scale == pytest.approx(math.log(9), rel=1e-12)
+
 
 class TestFreeEnergy:
     def test_single_level(self):

@@ -1,27 +1,33 @@
 """verify evaluates each alpha grid from data computed once per instance:
 outcome distributions, spectra, Nussbaum-Szkola pairs and the per-(cg, rho)
-measurement object of state_analysis. Every value it gets that way is
-bit-identical (==, not approx) to the public function it stands for."""
+measurement object of state_analysis, each swept over the whole grid in one
+kernel call. Every grid entry it gets that way is bit-identical (==, not
+approx) to the public scalar function it stands for."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from obsent import (
+    alpha_derivative,
     alpha_oe,
     alpha_oe_divergence_form,
     alpha_oe_gap,
     classical_petz_renyi,
     decompose_alpha_oe,
+    is_coarse_grained,
     outcomes,
     petz_renyi,
     post_measurement_state,
     refinement_divergence_bound,
     renyi_entropy,
+    renyi_mutual_info,
     renyi_post_measurement,
 )
-from obsent.coarse_graining import _refinement_bound
+from obsent import divergences
+from obsent.coarse_graining import _alpha_derivative, _refinement_bound
 from obsent.divergences import _renyi_divergence, _spectral_pair
 from obsent.generators import (
     random_coarse_graining,
@@ -29,40 +35,95 @@ from obsent.generators import (
     random_merge,
     random_projective_cg,
 )
-from obsent.state_analysis import _Measurement
-from obsent.verify import ALPHA_GRID, _entropy, _oe
+from obsent.state_analysis import _coarse_grained_reports, _Measurement
+from obsent.verify import (
+    ALPHA_GRID,
+    _canonical_closed_runs,
+    _canonical_open_runs,
+    _entropy,
+    _mutual_info,
+    _oe,
+    run_suite,
+)
 
-ALPHAS = ALPHA_GRID + (0.5, 1.0, 1 + 1e-7, 1 - 1e-7)
+# the grid, the alpha -> 1 neighbours and finite-difference points verify uses
+ALPHAS = ALPHA_GRID + (0.5, 1.0, 1 + 1e-7, 1 - 1e-7, 2.0 + 1e-5, 0.3 - 1e-5)
+
+# kernel calls of run_suite("all", 5, 12, 6) with one call per distribution,
+# spectrum or pair and grid; the count is deterministic, so a per-order loop
+# that creeps back fails here without any timing
+KERNEL_CALL_CEILING = 1578
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_hoisted_values_equal_public_functions(seed):
     rng = np.random.default_rng(seed)
+    grid = np.array(ALPHAS)
     for _ in range(8):
         d = int(rng.integers(2, 7))
         rho, sigma = random_density(rng, d), random_density(rng, d, rank=1)
+        rho_ab = random_density(rng, 6)
         cg = random_coarse_graining(rng, d)
         proj = random_projective_cg(rng, d)
         coarser, rmap = random_merge(rng, proj)
 
         dist, spectrum = outcomes(cg, rho), np.linalg.eigvalsh(rho)
-        pair = _spectral_pair(rho, sigma)
-        flat_pair = _spectral_pair(rho, np.eye(d) / d)
         meas = _Measurement(proj, rho)
         fine, coarse = outcomes(proj, rho), outcomes(coarser, rho)
-        for a in ALPHAS:
-            assert _oe(dist, a) == alpha_oe(cg, rho, a)
-            assert _entropy(spectrum, a) == renyi_entropy(rho, a)
-            assert _renyi_divergence(*pair, a) == petz_renyi(rho, sigma, a)
-            classical = classical_petz_renyi(dist.probabilities, dist.volumes / d, a)
-            assert math.log(d) - classical == alpha_oe_divergence_form(cg, rho, a)
-            gap = _renyi_divergence(*flat_pair, a) - classical
-            assert gap == alpha_oe_gap(cg, rho, a)
+        oe, ent = _oe(dist, grid).tolist(), _entropy(spectrum, grid).tolist()
+        petz = _renyi_divergence(*_spectral_pair(rho, sigma), grid).tolist()
+        classical = _renyi_divergence(dist.probabilities, dist.volumes / d, grid)
+        flat = _renyi_divergence(*_spectral_pair(rho, np.eye(d) / d), grid)
+        forms = (math.log(d) - classical).tolist()
+        gaps = (flat - classical).tolist()
+        mixture = meas.renyi_mixture(grid).tolist()
+        post_terms, div_terms = (t.tolist() for t in meas.decompose(grid))
+        post_ent = _entropy(meas.post_spectrum, grid).tolist()
+        post = post_measurement_state(proj, rho)
+        mi = _mutual_info(rho_ab, (2, 3), grid).tolist()
+        reports = _coarse_grained_reports(proj, rho, grid)
+        for k, a in enumerate(ALPHAS):
+            assert oe[k] == alpha_oe(cg, rho, a)
+            assert ent[k] == renyi_entropy(rho, a)
+            assert petz[k] == petz_renyi(rho, sigma, a)
+            p, q = dist.probabilities, dist.volumes / d
+            assert classical[k] == classical_petz_renyi(p, q, a)
+            assert forms[k] == alpha_oe_divergence_form(cg, rho, a)
+            assert gaps[k] == alpha_oe_gap(cg, rho, a)
             # one measurement object serves the whole grid
-            assert meas.renyi_mixture(a) == renyi_post_measurement(proj, rho, a)
-            assert meas.decompose(a) == decompose_alpha_oe(proj, rho, a)
-            post = post_measurement_state(proj, rho)
-            assert _entropy(meas.post_spectrum, a) == renyi_entropy(post, a)
+            assert mixture[k] == renyi_post_measurement(proj, rho, a)
+            assert (post_terms[k], div_terms[k]) == decompose_alpha_oe(proj, rho, a)
+            assert post_ent[k] == renyi_entropy(post, a)
+            assert mi[k] == renyi_mutual_info(rho_ab, (2, 3), a)
+            assert reports[k] == is_coarse_grained(proj, rho, a)
             if a > 1.5 - 1e-9:
                 bound = refinement_divergence_bound(proj, coarser, rmap, rho, a)
                 assert _refinement_bound(fine, coarse, rmap, a) == bound
+        derivs = _alpha_derivative(dist, ALPHA_GRID).tolist()
+        for a, deriv in zip(ALPHA_GRID, derivs):
+            assert deriv == alpha_derivative(cg, rho, a)
+
+
+def test_run_rows_equal_single_alpha_runs():
+    alphas = (1.0 + 1e-7, 0.5, 2.0, 3.0)
+    for make_runs in (_canonical_closed_runs, _canonical_open_runs):
+        grid_runs = make_runs(alphas, n_samples=6)
+        for k, a in enumerate(alphas):
+            for grid_run, run in zip(grid_runs, make_runs((a,), n_samples=6)):
+                assert grid_run.samples[k :: len(alphas)] == run.samples
+
+
+def test_kernel_calls_stay_under_ceiling(monkeypatch):
+    kernel, calls = divergences._renyi_divergence, []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # every obsent module that imported the kernel calls it by that name
+    for name, module in list(sys.modules.items()):
+        uses_kernel = getattr(module, "_renyi_divergence", None) is kernel
+        if name.startswith("obsent") and uses_kernel:
+            monkeypatch.setattr(module, "_renyi_divergence", counting)
+    run_suite("all", 5, 12, 6)
+    assert 0 < len(calls) <= KERNEL_CALL_CEILING
