@@ -237,7 +237,12 @@ def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     entropies of rho.
     """
     _check_alpha(alpha)
-    dist = outcomes(cg, _checked_matrix(rho))
+    return _alpha_oe(outcomes(cg, _checked_matrix(rho)), alpha)
+
+
+def _alpha_oe(dist: OutcomeDistribution, alpha):
+    """alpha_oe from an outcome distribution, for one order or a 1-d array
+    of orders (one value per order)."""
     return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
 
 

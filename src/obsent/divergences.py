@@ -24,11 +24,14 @@ INFINITE = math.inf
 
 
 def _check_alpha(alpha) -> None:
-    """Reject an order, or any order of a 1-d array, that is not a positive
-    finite real."""
-    bad = [a for a in np.ravel(alpha).tolist() if not 0 < a < math.inf]
-    if bad:
-        raise InvalidAlpha(f"alpha must be a positive real, got {bad[0]}")
+    """Reject an order that is not one positive finite real number.
+
+    The public functions take one order; only the private grid helpers
+    take a 1-d array of orders.
+    """
+    a = np.asarray(alpha)
+    if a.ndim or a.dtype.kind not in "iuf" or not 0 < a < math.inf:
+        raise InvalidAlpha(f"alpha must be one positive real, got {alpha!r}")
 
 
 def _nonneg_vector(x) -> np.ndarray:
@@ -60,52 +63,50 @@ def _renyi_divergence(x, q, alpha):
     evaluates the limit sum_i x_i log(x_i / q_i). INFINITE when a kept x_i
     has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
     (alpha < 1). A sum whose powers or terms leave the normal float range
-    is evaluated again in log space, for the orders that need it only.
-    The support and q > 0 cuts are made once for all orders.
+    is evaluated again in log space. The support and q > 0 cuts are made
+    once for all orders.
     """
     orders = np.asarray(alpha, dtype=float)
     alphas = orders.ravel().tolist()
-    out = [INFINITE] * len(alphas)
     mask, q = _support(x), np.asarray(q, dtype=float)
     x, q = x[mask], (q[mask] if q.ndim else q)
     q_gap = x.size and not q.min() > 0
     if q_gap:
         x, q = x[q > 0], q[q > 0]
-    # a q gap leaves the limit and the orders above 1 INFINITE
-    limit, powers = [], []
-    for k, a in enumerate(alphas):
-        if abs(a - 1.0) < tol.ALPHA_NEAR_ONE:
-            if not q_gap:
-                limit.append(k)
-        elif x.size and not (q_gap and a > 1):
-            powers.append(k)
-    if limit:
-        total = float((x * np.log(x / q)).sum()) if x.size else 0.0
-        if not math.isfinite(total):
-            total = float((x * (np.log(x) - np.log(q))).sum())
-        for k in limit:
-            out[k] = total
-    if powers:
-        # one row per order of x^alpha, q^(1-alpha) and their product; a
-        # row is computed alike in every grid, since numpy's power may
-        # round differently for a broadcast exponent
+    # power sum and smallest power or term of each order off the limit, from
+    # one stack of rows x^alpha, q^(1-alpha) and their product; each row
+    # takes a scalar exponent, as a one-order call does, since numpy's power
+    # may round differently for a broadcast exponent
+    powers = [a for a in alphas if abs(a - 1.0) >= tol.ALPHA_NEAR_ONE]
+    sums = {}
+    if powers and x.size:
         xa, qa, terms = stack = np.empty((3, len(powers), x.size))
-        for row, k in enumerate(powers):
-            np.power(x, alphas[k], out=xa[row])
-            np.power(q, 1.0 - alphas[k], out=qa[row])
+        for row, a in enumerate(powers):
+            np.power(x, a, out=xa[row])
+            np.power(q, 1.0 - a, out=qa[row])
         np.multiply(xa, qa, out=terms)
-        # an order whose sum overflows, or one of whose powers or terms is
-        # below the normal range, is redone in log space
-        normal = stack.min() >= sys.float_info.min
-        lowest = None if normal else stack.min(axis=(0, 2)).tolist()
-        for row, (k, total) in enumerate(zip(powers, terms.sum(axis=1).tolist())):
-            a = alphas[k]
-            if total < INFINITE and (normal or lowest[row] >= sys.float_info.min):
-                out[k] = math.log(total) / (a - 1.0)
-                continue
-            logs = a * np.log(x) + (1.0 - a) * np.log(q)
-            top = float(logs.max())
-            out[k] = (top + math.log(float(np.exp(logs - top).sum()))) / (a - 1.0)
+        smallest = stack.min(axis=(0, 2)).tolist()
+        sums = dict(zip(powers, zip(terms.sum(axis=1).tolist(), smallest)))
+
+    def one_order(a: float) -> float:
+        near_one = abs(a - 1.0) < tol.ALPHA_NEAR_ONE
+        if q_gap and (a > 1 or near_one):
+            return INFINITE
+        if not x.size:
+            return 0.0 if near_one else INFINITE
+        if near_one:
+            total = float((x * np.log(x / q)).sum())
+            if math.isfinite(total):
+                return total
+            return float((x * (np.log(x) - np.log(q))).sum())
+        total, lowest = sums[a]
+        if total < INFINITE and lowest >= sys.float_info.min:
+            return math.log(total) / (a - 1.0)
+        logs = a * np.log(x) + (1.0 - a) * np.log(q)
+        top = float(logs.max())
+        return (top + math.log(float(np.exp(logs - top).sum()))) / (a - 1.0)
+
+    out = [one_order(a) for a in alphas]
     return out[0] if orders.ndim == 0 else np.array(out)
 
 
@@ -173,7 +174,13 @@ def renyi_entropy(rho, alpha: float) -> float:
     non-finite entry or a trace that is not positive raises ValidationError.
     """
     _check_alpha(alpha)
-    return -_renyi_divergence(np.linalg.eigvalsh(_checked_matrix(rho)), 1.0, alpha)
+    return _renyi_entropy(np.linalg.eigvalsh(_checked_matrix(rho)), alpha)
+
+
+def _renyi_entropy(spectrum, alpha):
+    """renyi_entropy of a spectrum, for one order or a 1-d array of orders
+    (one value per order)."""
+    return -_renyi_divergence(spectrum, 1.0, alpha)
 
 
 def umegaki(rho, sigma) -> float:
@@ -209,14 +216,18 @@ def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
     S_a(rho_A) + S_a(rho_B) - S_a(rho_AB). May be negative for some states
     and orders; the value is reported, never clamped.
     """
-    m = as_matrix(rho_ab)
-    rho_a = partial_trace(m, dims, "A")
-    rho_b = partial_trace(m, dims, "B")
-    return (
-        renyi_entropy(rho_a, alpha)
-        + renyi_entropy(rho_b, alpha)
-        - renyi_entropy(m, alpha)
+    _check_alpha(alpha)
+    return _mutual_info(_checked_matrix(rho_ab), dims, alpha)
+
+
+def _mutual_info(m: np.ndarray, dims: tuple, alpha):
+    """renyi_mutual_info of a checked matrix, for one order or a 1-d array
+    of orders (one value per order)."""
+    s_a, s_b, s_ab = (
+        _renyi_entropy(np.linalg.eigvalsh(part), alpha)
+        for part in (partial_trace(m, dims, "A"), partial_trace(m, dims, "B"), m)
     )
+    return s_a + s_b - s_ab
 
 
 def renyi_mutual_info_divergence_form(rho_ab, dims: tuple, alpha: float) -> float:

@@ -23,11 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, outcomes
+from .coarse_graining import CoarseGraining, _alpha_oe, outcomes
 from .divergences import (
     _check_alpha,
     _checked_matrix,
     _renyi_divergence,
+    _renyi_entropy,
     _spectral_pair,
 )
 from .errors import NonProjectiveCoarseGraining
@@ -119,21 +120,16 @@ class _Measurement:
         return np.linalg.eigvalsh(self.post_state)
 
     def renyi_mixture(self, alpha):
-        _check_alpha(alpha)
         probs = self.ensemble.probabilities
-        ents = (
-            p * -_renyi_divergence(lam, 1.0, alpha)
-            for p, lam in zip(probs, self.spectra)
-        )
-        return -_renyi_divergence(np.array(probs), 1.0, alpha) + sum(ents, 0.0)
+        ents = (p * _renyi_entropy(lam, alpha) for p, lam in zip(probs, self.spectra))
+        return _renyi_entropy(np.array(probs), alpha) + sum(ents, 0.0)
 
     def decompose(self, alpha) -> tuple:
-        _check_alpha(alpha)
         if not self.projective:
             raise NonProjectiveCoarseGraining(
                 "decomposition requires a projective coarse-graining"
             )
-        post_term = -_renyi_divergence(self.post_spectrum, 1.0, alpha)
+        post_term = _renyi_entropy(self.post_spectrum, alpha)
         probs = self.ensemble.probabilities
         terms = (p * _renyi_divergence(*pair, alpha) for p, pair in zip(probs, self.pairs))
         return post_term, sum(terms, 0.0)
@@ -154,6 +150,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     (1/(1-alpha)) log sum_i p_i^alpha exp((1-alpha) S_alpha(rho_i)), which
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
+    _check_alpha(alpha)
     return _Measurement(cg, _checked_matrix(rho)).renyi_mixture(alpha)
 
 
@@ -169,6 +166,7 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     D_i = D_alpha(rho_i || omega_i) and pi_i proportional to
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
+    _check_alpha(alpha)
     return _Measurement(cg, _checked_matrix(rho)).decompose(alpha)
 
 
@@ -200,8 +198,8 @@ def _coarse_grained_reports(
     m = _checked_matrix(rho)
     matrix_residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
     dist = outcomes(cg, m)
-    oe = -_renyi_divergence(dist.probabilities, dist.volumes, alphas)
-    renyi = -_renyi_divergence(np.linalg.eigvalsh(m), 1.0, alphas)
+    oe = _alpha_oe(dist, alphas)
+    renyi = _renyi_entropy(np.linalg.eigvalsh(m), alphas)
     return [
         CoarseGrainedReport(
             matrix_close=matrix_residual <= atol,

@@ -26,8 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, OutcomeDistribution, projective_cg
-from .divergences import _check_alpha, _checked_matrix, _renyi_divergence
+from .coarse_graining import (
+    CoarseGraining,
+    OutcomeDistribution,
+    _alpha_oe,
+    projective_cg,
+)
+from .divergences import (
+    _check_alpha,
+    _checked_matrix,
+    _renyi_divergence,
+    _renyi_entropy,
+)
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -225,8 +235,10 @@ def _beta_for_energy(lam: np.ndarray, target: float) -> float:
         lo, hi = hi, 2.0 * hi
     while _gibbs_moments(lam, lo)[0] < target and lo > -math.inf:
         lo, hi = 2.0 * lo, lo
-    beta = 0.5 * (lo + hi)
+    nxt = 0.5 * (lo + hi)
     for _ in range(200):
+        # the energy checked below is always that of the returned beta
+        beta = nxt
         energy, var = _gibbs_moments(lam, beta)
         if energy > target:
             lo = beta
@@ -236,7 +248,6 @@ def _beta_for_energy(lam: np.ndarray, target: float) -> float:
         nxt = step if lo < step < hi else 0.5 * (lo + hi)
         if abs(nxt - beta) <= 4 * sys.float_info.epsilon * max(abs(beta), 1 / span):
             break
-        beta = nxt
     miss = abs(energy - target)
     if not miss <= tol.BETA_ENERGY_RTOL * span:
         raise NoConvergence(f"mean energy missed by {miss} at beta {beta}")
@@ -348,7 +359,8 @@ def _check_alphas(alphas) -> list:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValidationError("at least one alpha is required")
-    _check_alpha(alphas)
+    for a in alphas:
+        _check_alpha(a)
     return alphas
 
 
@@ -399,8 +411,7 @@ def closed_run(
         labels, bins = _window_bins(lam, windowing)
         dist = OutcomeDistribution(labels, np.bincount(bins, pop), np.bincount(bins))
         # one (window alpha-OE, Gibbs Renyi entropy) pair per alpha
-        oe = -_renyi_divergence(dist.probabilities, dist.volumes, alphas)
-        gibbs = -_renyi_divergence(w, 1.0, alphas)
+        oe, gibbs = _alpha_oe(dist, alphas), _renyi_entropy(w, alphas)
         pairs = list(zip(oe.tolist(), gibbs.tolist()))
         return (vec, bins, dist), energy, beta, pairs
 

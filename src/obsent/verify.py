@@ -27,6 +27,7 @@ import numpy as np
 from .coarse_graining import (
     RefinementMap,
     _alpha_derivative,
+    _alpha_oe,
     _refinement_bound,
     alpha_oe,
     check_refinement,
@@ -38,7 +39,12 @@ from .coarse_graining import (
     sequential,
     tensor_cg,
 )
-from .divergences import _renyi_divergence, _spectral_pair
+from .divergences import (
+    _mutual_info,
+    _renyi_divergence,
+    _renyi_entropy,
+    _spectral_pair,
+)
 from .errors import NotARefinement
 from .generators import (
     random_coarse_grained_state,
@@ -48,7 +54,7 @@ from .generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from .operators import partial_trace, tensor
+from .operators import tensor
 from .serialize import operator_to_json
 from .state_analysis import _coarse_grained_reports, _Measurement, coarse_grained_state
 from .thermo import (
@@ -150,28 +156,6 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _oe(dist, alpha):
-    """alpha_oe from an outcome distribution computed once per (cg, rho),
-    for one order or a grid (one value per order)."""
-    return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
-
-
-def _entropy(spectrum, alpha):
-    """renyi_entropy from a spectrum computed once per state, for one order
-    or a grid."""
-    return -_renyi_divergence(spectrum, 1.0, alpha)
-
-
-def _mutual_info(rho_ab, dims, alpha):
-    """renyi_mutual_info from one spectrum per state, for one order or a
-    grid."""
-    rho_a, rho_b = partial_trace(rho_ab, dims, "A"), partial_trace(rho_ab, dims, "B")
-    s_a, s_b, s_ab = (
-        _entropy(np.linalg.eigvalsh(m), alpha) for m in (rho_a, rho_b, rho_ab)
-    )
-    return s_a + s_b - s_ab
-
-
 def _grid(values) -> dict:
     """ALPHA_GRID entry -> value, from one grid evaluation."""
     return dict(zip(ALPHA_GRID, values.tolist()))
@@ -203,7 +187,7 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
         cg = random_coarse_graining(rng, d)
         p = outcomes(cg, rho).probabilities
         q = outcomes(cg, sigma).probabilities
-        # classical_petz_renyi(p, q, a) over the grid
+        # the kernel call classical_petz_renyi(p, q, a) makes, over the grid
         classical = _renyi_divergence(p, q, ALPHA_GRID).tolist()
         for a, quantum, c in zip(ALPHA_GRID, vals, classical):
             if math.isinf(quantum):
@@ -244,10 +228,12 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         dist, spec = outcomes(cg, rho), np.linalg.eigvalsh(rho)
         flat_p, flat_pair = dist.volumes / d, _spectral_pair(rho, np.eye(d) / d)
         s1 = alpha_oe(cg, rho, 1.0)  # the public path, against the hoisted grid
-        oe = _oe(dist, ALPHA_GRID + near + steps).tolist()
-        svals, (above, below), fd_points = oe[:5], oe[5:7], oe[7:]
+        oe = _alpha_oe(dist, ALPHA_GRID + near + steps).tolist()
+        g = len(ALPHA_GRID)
+        svals, (above, below), fd_points = oe[:g], oe[g : g + 2], oe[g + 2 :]
         limit.record(-max(abs(above - s1), abs(below - s1)), _state_instance(rho))
-        # classical_petz_renyi(p, flat_p, a) and petz_renyi(rho, I/d, a)
+        # the kernel calls of classical_petz_renyi(p, flat_p, a) and
+        # petz_renyi(rho, I/d, a), over the grid
         classical = _renyi_divergence(dist.probabilities, flat_p, ALPHA_GRID).tolist()
         quantum = _renyi_divergence(*flat_pair, ALPHA_GRID).tolist()
         columns = zip(
@@ -255,7 +241,7 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
             svals,
             classical,
             quantum,
-            _entropy(spec, ALPHA_GRID).tolist(),
+            _renyi_entropy(spec, ALPHA_GRID).tolist(),
             _alpha_derivative(dist, ALPHA_GRID).tolist(),
             fd_points[0::2],
             fd_points[1::2],
@@ -283,16 +269,16 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         prod_rho = tensor(rho_a, rho_b)
         d_prod = outcomes(tensor_cg([cg_a, cg_b]), prod_rho)
         d_a, d_b = outcomes(cg_a, rho_a), outcomes(cg_b, rho_b)
-        parts = (_oe(d_a, ALPHA_GRID) + _oe(d_b, ALPHA_GRID)).tolist()
-        for a, whole, part in zip(ALPHA_GRID, _oe(d_prod, ALPHA_GRID).tolist(), parts):
+        parts = (_alpha_oe(d_a, ALPHA_GRID) + _alpha_oe(d_b, ALPHA_GRID)).tolist()
+        for a, whole, part in zip(ALPHA_GRID, _alpha_oe(d_prod, ALPHA_GRID).tolist(), parts):
             additivity.record(-abs(whole - part), _state_instance(prod_rho, a))
         # concavity
         rho2 = random_density(rng, d)
         lam = float(rng.uniform(0.05, 0.95))
         mix = lam * rho + (1 - lam) * rho2
         s = dict(zip(ALPHA_GRID, svals))
-        s_mix = _grid(_oe(outcomes(cg, mix), ALPHA_GRID))
-        s_2 = _grid(_oe(outcomes(cg, rho2), ALPHA_GRID))
+        s_mix = _grid(_alpha_oe(outcomes(cg, mix), ALPHA_GRID))
+        s_2 = _grid(_alpha_oe(outcomes(cg, rho2), ALPHA_GRID))
         for a in ALPHA_LT1:
             margin = s_mix[a] - (lam * s[a] + (1 - lam) * s_2[a])
             concave.record(margin, _state_instance(mix, a))
@@ -338,8 +324,8 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         stages = [cgs[0]]
         for nxt in cgs[1:]:
             stages.append(sequential(stages[-1], nxt))
-        grids = [_oe(outcomes(c, rho), ALPHA_GRID).tolist() for c in stages]
-        s_rho = _entropy(np.linalg.eigvalsh(rho), ALPHA_GRID).tolist()
+        grids = [_alpha_oe(outcomes(c, rho), ALPHA_GRID).tolist() for c in stages]
+        s_rho = _renyi_entropy(np.linalg.eigvalsh(rho), ALPHA_GRID).tolist()
         for a, values, s in zip(ALPHA_GRID, zip(*grids), s_rho):
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
@@ -349,21 +335,21 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         # mutually-unbiased qubit case: exact equality
         rho_q = random_density(rng, 2)
         d_seq, d_z = outcomes(seq, rho_q), outcomes(z, rho_q)
-        pairs = zip(_oe(d_seq, ALPHA_GRID).tolist(), _oe(d_z, ALPHA_GRID).tolist())
+        pairs = zip(_alpha_oe(d_seq, ALPHA_GRID).tolist(), _alpha_oe(d_z, ALPHA_GRID).tolist())
         for a, (u, v) in zip(ALPHA_GRID, pairs):
             mub.record(-abs(u - v), _state_instance(rho_q, a))
         # composing with the trivial second stage keeps t-ratios, so equality
         cg1 = random_coarse_graining(rng, d)
         d_triv = outcomes(sequential(cg1, identity_cg(d)), rho)
         d_1 = outcomes(cg1, rho)
-        s_1 = _grid(_oe(d_1, ALPHA_GRID))
-        for a, u in zip(ALPHA_GRID, _oe(d_triv, ALPHA_GRID).tolist()):
+        s_1 = _grid(_alpha_oe(d_1, ALPHA_GRID))
+        for a, u in zip(ALPHA_GRID, _alpha_oe(d_triv, ALPHA_GRID).tolist()):
             equality.record(-abs(u - s_1[a]), _state_instance(rho, a))
         # converse of the equality condition, observed only
         cg2 = random_coarse_graining(rng, d)
         seq2 = sequential(cg1, cg2)
         d_12 = outcomes(seq2, rho)
-        if abs(_oe(d_12, 2.0) - s_1[2.0]) <= 1e-9:
+        if abs(_alpha_oe(d_12, 2.0) - s_1[2.0]) <= 1e-9:
             first = [cg1.labels.index(lab1) for lab1, _ in seq2.labels]
             p1, p12 = d_1.probabilities[first], d_12.probabilities
             kept = (p12 > 1e-12) & (p1 > 1e-12)
@@ -389,7 +375,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         _, residual = check_refinement(cg, coarser, rmap)
         relation.record(-residual, _state_instance(rho))
         fine, coarse = outcomes(cg, rho), outcomes(coarser, rho)
-        s_fine, s_coarse = _grid(_oe(fine, ALPHA_GRID)), _grid(_oe(coarse, ALPHA_GRID))
+        s_fine, s_coarse = _grid(_alpha_oe(fine, ALPHA_GRID)), _grid(_alpha_oe(coarse, ALPHA_GRID))
         for a in ALPHA_GT1:
             gap = s_coarse[a] - s_fine[a]
             mono_hi.record(gap, _state_instance(rho, a))
@@ -402,7 +388,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         # trivial coarser {I}: the bound equals the gap exactly
         triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
         triv = outcomes(triv_cg, rho)
-        for a, s_triv in zip(ALPHA_GT1, _oe(triv, ALPHA_GT1).tolist()):
+        for a, s_triv in zip(ALPHA_GT1, _alpha_oe(triv, ALPHA_GT1).tolist()):
             gap = s_triv - s_fine[a]
             d_bound = _refinement_bound(fine, triv, triv_map, a)
             trivial.record(-abs(gap - d_bound), _state_instance(rho, a))
@@ -456,12 +442,12 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
         )
         p_term, d_term = r1.decompose(alphas)
         pg, dg = gen.decompose(alphas)
-        direct_g, oe_g = _entropy(gen.post_spectrum, alphas), _oe(gen.dist, alphas)
-        s_rho = _entropy(spec, alphas)
+        direct_g, oe_g = _renyi_entropy(gen.post_spectrum, alphas), _alpha_oe(gen.dist, alphas)
+        s_rho = _renyi_entropy(spec, alphas)
         # one margin array per property, in the order they are recorded
         margins = (
-            -abs(r1.renyi_mixture(alphas) - _entropy(r1.post_spectrum, alphas)),
-            -abs(p_term + d_term - _oe(r1.dist, alphas)),
+            -abs(r1.renyi_mixture(alphas) - _renyi_entropy(r1.post_spectrum, alphas)),
+            -abs(p_term + d_term - _alpha_oe(r1.dist, alphas)),
             -abs(gen.renyi_mixture(alphas) - direct_g),
             -abs(pg + dg - oe_g),
             -abs(oe_g - s_rho - ((direct_g - s_rho) + dg)),

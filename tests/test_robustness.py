@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from obsent import (
     INFINITE,
+    LevelSystem,
+    merge_outcomes,
     alpha_derivative,
     effective_beta,
     gibbs_state,
@@ -21,17 +23,23 @@ from obsent import (
     alpha_oe_divergence_form,
     alpha_oe_gap,
     classical_petz_renyi,
+    decompose_alpha_oe,
+    is_coarse_grained,
+    jackson_check,
     kl_divergence,
     observational_entropy,
     petz_renyi,
+    projective_cg,
     refinement_divergence_bound,
     renyi_entropy,
+    renyi_mutual_info,
     renyi_mutual_info_divergence_form,
+    renyi_post_measurement,
     umegaki,
     von_neumann,
 )
 from obsent.divergences import _renyi_divergence
-from obsent.errors import ObsentError
+from obsent.errors import InvalidAlpha, ObsentError
 from obsent.generators import (
     random_coarse_graining,
     random_merge,
@@ -157,3 +165,42 @@ def test_effective_beta_is_scale_free(seed, dim, log_scale, x):
     h = (u * (levels * scale)) @ u.conj().T
     beta = effective_beta(h, gibbs_state(h, x / scale))
     assert beta * scale == pytest.approx(x, abs=1e-8)
+
+
+_RHO = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+_FINE = projective_cg(np.eye(4))
+_COARSE, _MERGE = merge_outcomes(_FINE, [["0", "1"], ["2", "3"]])
+# every public function of one order alpha, as alpha -> call
+_SCALAR_ALPHA_FUNCTIONS = {
+    "alpha_oe": lambda a: alpha_oe(_FINE, _RHO, a),
+    "alpha_oe_divergence_form": lambda a: alpha_oe_divergence_form(_FINE, _RHO, a),
+    "alpha_oe_gap": lambda a: alpha_oe_gap(_FINE, _RHO, a),
+    "alpha_derivative": lambda a: alpha_derivative(_FINE, _RHO, a),
+    "classical_petz_renyi": lambda a: classical_petz_renyi([0.5, 0.5], [0.3, 0.7], a),
+    "renyi_entropy": lambda a: renyi_entropy(_RHO, a),
+    "petz_renyi": lambda a: petz_renyi(_RHO, np.eye(4) / 4, a),
+    "renyi_mutual_info": lambda a: renyi_mutual_info(_RHO, (2, 2), a),
+    "renyi_mutual_info_divergence_form": (
+        lambda a: renyi_mutual_info_divergence_form(_RHO, (2, 2), a)
+    ),
+    "renyi_post_measurement": lambda a: renyi_post_measurement(_FINE, _RHO, a),
+    "decompose_alpha_oe": lambda a: decompose_alpha_oe(_FINE, _RHO, a),
+    "is_coarse_grained": lambda a: is_coarse_grained(_FINE, _RHO, a),
+    "refinement_divergence_bound": (
+        lambda a: refinement_divergence_bound(_FINE, _COARSE, _MERGE, _RHO, a)
+    ),
+    "jackson_check": (
+        lambda a: jackson_check(LevelSystem(np.array([0.0, 1.0]), 1.0), 1.0, a)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_ALPHA_FUNCTIONS))
+@pytest.mark.parametrize("alpha", [[2.0, 3.0], np.array([2.0]), np.array([]), "2"])
+def test_public_functions_take_one_real_order(name, alpha):
+    # the grid form of the kernel is private; a public alpha is one number
+    call = _SCALAR_ALPHA_FUNCTIONS[name]
+    with pytest.raises(InvalidAlpha):
+        call(alpha)
+    for one in (2, np.float64(2.0), np.array(2.0)):
+        assert call(one) == call(2.0)

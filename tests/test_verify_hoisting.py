@@ -27,8 +27,13 @@ from obsent import (
     renyi_post_measurement,
 )
 from obsent import divergences
-from obsent.coarse_graining import _alpha_derivative, _refinement_bound
-from obsent.divergences import _renyi_divergence, _spectral_pair
+from obsent.coarse_graining import _alpha_derivative, _alpha_oe, _refinement_bound
+from obsent.divergences import (
+    _mutual_info,
+    _renyi_divergence,
+    _renyi_entropy,
+    _spectral_pair,
+)
 from obsent.generators import (
     random_coarse_graining,
     random_density,
@@ -40,9 +45,6 @@ from obsent.verify import (
     ALPHA_GRID,
     _canonical_closed_runs,
     _canonical_open_runs,
-    _entropy,
-    _mutual_info,
-    _oe,
     run_suite,
 )
 
@@ -70,7 +72,8 @@ def test_hoisted_values_equal_public_functions(seed):
         dist, spectrum = outcomes(cg, rho), np.linalg.eigvalsh(rho)
         meas = _Measurement(proj, rho)
         fine, coarse = outcomes(proj, rho), outcomes(coarser, rho)
-        oe, ent = _oe(dist, grid).tolist(), _entropy(spectrum, grid).tolist()
+        oe = _alpha_oe(dist, grid).tolist()
+        ent = _renyi_entropy(spectrum, grid).tolist()
         petz = _renyi_divergence(*_spectral_pair(rho, sigma), grid).tolist()
         classical = _renyi_divergence(dist.probabilities, dist.volumes / d, grid)
         flat = _renyi_divergence(*_spectral_pair(rho, np.eye(d) / d), grid)
@@ -78,7 +81,7 @@ def test_hoisted_values_equal_public_functions(seed):
         gaps = (flat - classical).tolist()
         mixture = meas.renyi_mixture(grid).tolist()
         post_terms, div_terms = (t.tolist() for t in meas.decompose(grid))
-        post_ent = _entropy(meas.post_spectrum, grid).tolist()
+        post_ent = _renyi_entropy(meas.post_spectrum, grid).tolist()
         post = post_measurement_state(proj, rho)
         mi = _mutual_info(rho_ab, (2, 3), grid).tolist()
         reports = _coarse_grained_reports(proj, rho, grid)
