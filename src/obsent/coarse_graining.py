@@ -20,12 +20,10 @@ import numpy as np
 from . import tolerances as tol
 from .divergences import (
     _check_alpha,
-    _checked_matrix,
+    _nonneg_vector,
     _renyi_divergence,
+    _spectral_pair,
     _support,
-    classical_petz_renyi,
-    kl_divergence,
-    petz_renyi,
 )
 from .errors import (
     DimensionMismatch,
@@ -36,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .operators import as_matrix, op_power
+from .operators import _matrix, op_power
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,9 @@ class CoarseGraining:
 
     `effects` is a read-only complex (n, d, d) array owned by the instance:
     construction copies the given matrices (a sequence of d x d matrices or
-    an (n, d, d) array) into it and symmetrizes each one. Effects with
-    trace below the zero-effect threshold are dropped at construction, so
-    every retained volume is strictly positive.
+    an (n, d, d) array) into it and symmetrizes each one. Effects must be
+    finite; those with trace below the zero-effect threshold are dropped at
+    construction, so every retained volume is strictly positive.
     """
 
     labels: tuple
@@ -67,16 +65,14 @@ class CoarseGraining:
             raw = [getattr(e, "matrix", e) for e in raw]
         try:
             raw = np.asarray(raw, dtype=complex)
-        except ValueError:  # a ragged list
+        except (TypeError, ValueError):  # ragged or not numeric
             raw = None
-        if raw is None or raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
-            dim = as_matrix(self.effects[0]).shape[0]
+        stacked = raw is not None and raw.ndim == 3 and raw.shape[1] == raw.shape[2]
+        if not (stacked and np.isfinite(raw).all()):
+            # the matrix gate names the first bad effect
+            dim = _matrix(self.effects[0], name=f"effect {labels[0]!r}").shape[0]
             for lab, e in zip(labels, self.effects):
-                shape = as_matrix(e).shape
-                if shape != (dim, dim):
-                    raise DimensionMismatch(
-                        f"effect {lab!r} has shape {shape}, expected {(dim, dim)}"
-                    )
+                _matrix(e, dim=dim, name=f"effect {lab!r}")
         # the Hermitian parts (E + E^H) / 2, written into the owned stack
         stack = np.empty(raw.shape, dtype=complex)
         np.conjugate(raw.swapaxes(1, 2), out=stack)
@@ -152,12 +148,7 @@ class OutcomeDistribution:
     volumes: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.size and float(p.min()) < -1e-12:
-            raise ValidationError(
-                "negative outcome probability", magnitude=-float(p.min())
-            )
-        p = np.clip(p, 0.0, None)
+        p = _nonneg_vector(self.probabilities)
         p.flags.writeable = False
         v = np.asarray(self.volumes, dtype=float)
         v.flags.writeable = False
@@ -183,6 +174,8 @@ class RefinementMap:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeMismatch(f"refinement map must be 2-d, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NotARefinement("refinement map has a non-finite entry")
         if m.size and float(m.min()) < 0:
             raise NotARefinement(
                 "refinement map has a negative entry", magnitude=-float(m.min())
@@ -195,28 +188,24 @@ class RefinementMap:
         object.__setattr__(self, "matrix", m)
 
 
-def _match_dims(cg: CoarseGraining, rho) -> np.ndarray:
-    m = as_matrix(rho)
-    if m.shape[0] != cg.dim:
-        raise DimensionMismatch(
-            f"state dim {m.shape[0]} != coarse-graining dim {cg.dim}"
-        )
-    return m
-
-
-def _traces(cg: CoarseGraining, x) -> np.ndarray:
-    """Tr(Pi_i X) for every effect, as one real vector."""
-    return np.einsum("kij,ji->k", cg.effects, _match_dims(cg, x)).real
-
-
 def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
     """Outcome probabilities and volumes of a state under a coarse-graining."""
-    return OutcomeDistribution(cg.labels, _traces(cg, rho), cg.volumes())
+    return OutcomeDistribution(cg.labels, _traces(cg, _state(cg, rho, "square")), cg.volumes())
 
 
 def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
     """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i."""
-    return ClassicalState(cg.labels, _traces(cg, x))
+    return ClassicalState(cg.labels, _traces(cg, _matrix(x, dim=cg.dim)))
+
+
+def _traces(cg: CoarseGraining, m: np.ndarray) -> np.ndarray:
+    """Tr(Pi_i M) for every effect, as one real vector."""
+    return np.einsum("kij,ji->k", cg.effects, m).real
+
+
+def _state(cg: CoarseGraining, rho, kind: str = "state") -> np.ndarray:
+    """rho through the matrix gate, at the coarse-graining's dimension."""
+    return _matrix(rho, kind, cg.dim, "state")
 
 
 def observational_entropy(cg: CoarseGraining, rho) -> float:
@@ -237,7 +226,7 @@ def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     entropies of rho.
     """
     _check_alpha(alpha)
-    return _alpha_oe(outcomes(cg, _checked_matrix(rho)), alpha)
+    return _alpha_oe(outcomes(cg, _state(cg, rho)), alpha)
 
 
 def _alpha_oe(dist: OutcomeDistribution, alpha):
@@ -253,11 +242,8 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     floating-point error.
     """
     _check_alpha(alpha)
-    m = _match_dims(cg, _checked_matrix(rho))
-    d = cg.dim
-    p = measurement_channel(cg, m).weights
-    q = cg.volumes() / d
-    return math.log(d) - classical_petz_renyi(p, q, alpha)
+    p = outcomes(cg, _state(cg, rho)).probabilities
+    return math.log(cg.dim) - _renyi_divergence(p, cg.volumes() / cg.dim, alpha)
 
 
 def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -268,12 +254,10 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     data-processing inequality for measurement channels.
     """
     _check_alpha(alpha)
-    m = _match_dims(cg, rho)
-    d = cg.dim
-    quantum = petz_renyi(m, np.eye(d) / d, alpha)
-    p = measurement_channel(cg, m).weights
-    classical = classical_petz_renyi(p, cg.volumes() / d, alpha)
-    return quantum - classical
+    m, d = _state(cg, rho), cg.dim
+    quantum = _renyi_divergence(*_spectral_pair(m, np.eye(d) / d), alpha)
+    p = outcomes(cg, m).probabilities
+    return quantum - _renyi_divergence(p, cg.volumes() / d, alpha)
 
 
 def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -286,7 +270,7 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
-    [deriv] = _alpha_derivative(outcomes(cg, _checked_matrix(rho)), [alpha]).tolist()
+    [deriv] = _alpha_derivative(outcomes(cg, _state(cg, rho)), [alpha]).tolist()
     return deriv
 
 
@@ -306,7 +290,7 @@ def _alpha_derivative(dist: OutcomeDistribution, alphas) -> np.ndarray:
         if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
             logw = a * np.log(t) + np.log(v)
             w = np.exp(logw - logw.max())
-        out.append(-kl_divergence(w / w.sum(), p) / (a - 1.0) ** 2)
+        out.append(-_renyi_divergence(w / w.sum(), p, 1.0) / (a - 1.0) ** 2)
     return np.array(out)
 
 
@@ -372,15 +356,18 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
     """
     index = {lab: i for i, lab in enumerate(cg.labels)}
     seen = set()
-    for group in partition:
-        if not group:
-            raise InvalidPartition("partition has an empty group")
-        for lab in group:
-            if lab not in index:
-                raise InvalidPartition(f"unknown label {lab!r}")
-            if lab in seen:
-                raise InvalidPartition(f"label {lab!r} appears twice")
-            seen.add(lab)
+    try:
+        for group in partition:
+            if not group:
+                raise InvalidPartition("partition has an empty group")
+            for lab in group:
+                if lab not in index:
+                    raise InvalidPartition(f"unknown label {lab!r}")
+                if lab in seen:
+                    raise InvalidPartition(f"label {lab!r} appears twice")
+                seen.add(lab)
+    except TypeError as exc:  # a group or a label of the wrong type
+        raise InvalidPartition(f"partition must be lists of labels: {exc}") from None
     if len(seen) != len(cg):
         raise InvalidPartition("partition does not cover all labels")
     m = np.zeros((len(cg), len(partition)))
@@ -418,7 +405,7 @@ def refinement_divergence_bound(
         raise NotARefinement(
             "map does not reproduce the coarser effects", magnitude=residual
         )
-    state = _checked_matrix(rho)
+    state = _state(finer, rho)
     return _refinement_bound(outcomes(finer, state), outcomes(coarser, state), m, alpha)
 
 
@@ -431,4 +418,4 @@ def _refinement_bound(fine, coarse, m: RefinementMap, alpha: float) -> float:
     top = logs.max(axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     q = np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / alpha)
-    return classical_petz_renyi(fine.probabilities, q, alpha)
+    return _renyi_divergence(fine.probabilities, q, alpha)

@@ -17,32 +17,41 @@ import sys
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, InvalidAlpha, LengthMismatch, ValidationError
-from .operators import _check_square, _psd_eigh, as_matrix, partial_trace, tensor
+from .errors import InvalidAlpha, LengthMismatch, ValidationError
+from .operators import _matrix, _psd_eigh, _real, as_matrix, partial_trace, tensor
 
 INFINITE = math.inf
 
 
-def _check_alpha(alpha) -> None:
-    """Reject an order that is not one positive finite real number.
-
-    The public functions take one order; only the private grid helpers
-    take a 1-d array of orders.
+def _check_alpha(alpha) -> float:
+    """alpha as a float when it is one positive finite real number, else
+    InvalidAlpha. The public functions take one order; only the private
+    grid helpers take a 1-d array of orders.
     """
-    a = np.asarray(alpha)
-    if a.ndim or a.dtype.kind not in "iuf" or not 0 < a < math.inf:
-        raise InvalidAlpha(f"alpha must be one positive real, got {alpha!r}")
+    a = _real(alpha, InvalidAlpha, "alpha")
+    if not a > 0:
+        raise InvalidAlpha(f"alpha must be positive, got {alpha!r}")
+    return a
 
 
 def _nonneg_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    """The weight-vector gate: x as a 1-d float array of finite,
+    non-negative real numbers (booleans read as 0 and 1); entries down to
+    -1e-12 are rounding and read as 0."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # ragged nesting
+        v = np.asarray(None)
+    if v.dtype.kind not in "biuf":
+        raise ValidationError(f"weights must be real numbers, got {x!r:.40}")
+    v = v.astype(float, copy=False)
     if v.ndim != 1:
         raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError("weights must be finite")
     if v.size and float(v.min()) < -1e-12:
         raise ValidationError("negative weight", magnitude=-float(v.min()))
-    return np.clip(v, 0.0, None)
+    return np.maximum(v, 0.0)
 
 
 def _support(x: np.ndarray) -> np.ndarray:
@@ -116,10 +125,7 @@ def kl_divergence(x, p) -> float:
     Entries x_i <= SUPPORT_RTOL * max x count as exact zeros and contribute
     0; INFINITE when a kept x_i has p_i = 0.
     """
-    xv, pv = _nonneg_vector(x), _nonneg_vector(p)
-    if xv.shape != pv.shape:
-        raise LengthMismatch(f"length mismatch {xv.shape} vs {pv.shape}")
-    return _renyi_divergence(xv, pv, 1.0)
+    return classical_petz_renyi(x, p, 1.0)
 
 
 def classical_petz_renyi(x, q, alpha: float) -> float:
@@ -143,25 +149,14 @@ def von_neumann(rho) -> float:
     return renyi_entropy(rho, 1.0)
 
 
-def _checked_matrix(x) -> np.ndarray:
-    """x as a square complex matrix, with finite entries and positive trace."""
-    m = as_matrix(x)
-    _check_square(m)
-    if not (np.isfinite(m).all() and np.trace(m).real > 0):
-        raise ValidationError("expected finite entries and a positive trace")
-    return m
-
-
 def _spectral_pair(rho, sigma) -> tuple:
-    """Nussbaum-Szkola pair (P, Q) of two PSD matrices, as flat vectors.
+    """Nussbaum-Szkola pair (P, Q) of two PSD matrices of one dimension
+    (read as complex), as flat vectors.
 
     Tr rho^alpha sigma^(1-alpha) = sum P^alpha Q^(1-alpha) and
     D(rho || sigma) = D(P || Q); see petz_renyi for P, Q and the support rule.
     """
-    rm, sm = _checked_matrix(rho), _checked_matrix(sigma)
-    if rm.shape != sm.shape:
-        raise DimensionMismatch(f"dims {rm.shape[0]} vs {sm.shape[0]}")
-    (lam, u), (mu, v) = _psd_eigh(rm), _psd_eigh(sm)
+    (lam, u), (mu, v) = _psd_eigh(as_matrix(rho)), _psd_eigh(as_matrix(sigma))
     overlap = np.abs(u.conj().T @ v) ** 2
     return (lam[:, None] * overlap).ravel(), (overlap * mu).ravel()
 
@@ -174,7 +169,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     non-finite entry or a trace that is not positive raises ValidationError.
     """
     _check_alpha(alpha)
-    return _renyi_entropy(np.linalg.eigvalsh(_checked_matrix(rho)), alpha)
+    return _renyi_entropy(np.linalg.eigvalsh(_matrix(rho, "state")), alpha)
 
 
 def _renyi_entropy(spectrum, alpha):
@@ -190,7 +185,7 @@ def umegaki(rho, sigma) -> float:
     support rule it shares): INFINITE when supp(rho) is not contained in
     supp(sigma).
     """
-    return _renyi_divergence(*_spectral_pair(rho, sigma), 1.0)
+    return petz_renyi(rho, sigma, 1.0)
 
 
 def petz_renyi(rho, sigma, alpha: float) -> float:
@@ -207,7 +202,8 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
     NotPSD.
     """
     _check_alpha(alpha)
-    return _renyi_divergence(*_spectral_pair(rho, sigma), alpha)
+    rm = _matrix(rho, "state")
+    return _renyi_divergence(*_spectral_pair(rm, _matrix(sigma, "state", len(rm))), alpha)
 
 
 def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
@@ -217,7 +213,7 @@ def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
     and orders; the value is reported, never clamped.
     """
     _check_alpha(alpha)
-    return _mutual_info(_checked_matrix(rho_ab), dims, alpha)
+    return _mutual_info(_matrix(rho_ab, "state"), dims, alpha)
 
 
 def _mutual_info(m: np.ndarray, dims: tuple, alpha):

@@ -5,12 +5,22 @@ degeneracy merging, matrix powers with an explicit support convention,
 tensor products, partial traces, and exact unitary propagation. All
 functions are pure; validated operators are immutable value objects.
 
+Input gates: each public function of the package checks each input once,
+through one gate per kind of value, and its private helpers trust what
+they are given. A matrix goes through _matrix here (one finite square
+matrix; kind 'state' adds a positive trace, kind 'hermitian' the
+Hermiticity check and symmetrization), a real number through _real here
+(one finite real; range tests stay with the caller) and a weight vector
+through divergences._nonneg_vector. Each raises a ValidationError
+subclass (or the error type its caller names).
+
 Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,26 +38,50 @@ from .errors import (
 
 def as_matrix(x) -> np.ndarray:
     """Coerce an operator-like object to a complex ndarray."""
-    m = getattr(x, "matrix", x)
-    return np.asarray(m, dtype=complex)
+    try:
+        return np.asarray(getattr(x, "matrix", x), dtype=complex)
+    except (TypeError, ValueError):  # not numeric, or ragged
+        raise ValidationError(f"expected a numeric matrix, got {x!r:.40}") from None
 
 
-def _check_square(m: np.ndarray) -> int:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
+def _matrix(
+    x, kind: str = "square", dim: int | None = None, name: str = "matrix"
+) -> np.ndarray:
+    """The matrix gate: x as one complex square matrix with finite entries,
+    of dimension dim when given. Kind 'state' also requires a positive
+    trace. Kind 'hermitian' requires Hermiticity within HERMITICITY_RTOL
+    and returns the Hermitian part (m + m^H) / 2, which is m itself, bit
+    for bit, when m is exactly Hermitian. name starts the error messages."""
+    m = as_matrix(x)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise NotSquare(f"{name} has shape {m.shape}, expected a square matrix")
+    if dim is not None and m.shape[0] != dim:
+        raise DimensionMismatch(f"{name} has shape {m.shape}, expected {(dim, dim)}")
+    if kind == "state":
+        if not (np.isfinite(m).all() and np.trace(m).real > 0):
+            raise ValidationError(f"{name} needs finite entries and a positive trace")
+    elif not np.isfinite(m).all():
+        raise ValidationError(f"{name} needs finite entries")
+    if kind == "hermitian":
+        adjoint = m.conj().T
+        defect = float(np.max(np.abs(m - adjoint)))
+        if defect > tol.HERMITICITY_RTOL * max(float(np.max(np.abs(m))), 1.0):
+            raise NotHermitian(f"{name} is not Hermitian", magnitude=defect)
+        m = 0.5 * (m + adjoint)
+    return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def _check_hermitian(m: np.ndarray, rtol: float) -> None:
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    defect = hermiticity_defect(m)
-    if defect > rtol * scale:
-        raise NotHermitian("matrix is not Hermitian", magnitude=defect)
+def _real(x, error=ValidationError, name: str = "value") -> float:
+    """The real-number gate: x as a float when it is exactly one finite
+    real number (a Python or numpy int or float, or a 0-d array), else
+    error. Range tests stay with the caller."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
+        raise error(f"{name} must be one finite real number, got {x!r:.40}")
+    return float(a)
 
 
 @dataclass(frozen=True)
@@ -57,10 +91,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m)
-        _check_hermitian(m, tol.HERMITICITY_RTOL)
-        m = 0.5 * (m + m.conj().T)  # symmetrize residual noise
+        m = _matrix(self.matrix, "hermitian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -76,10 +107,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m)
-        _check_hermitian(m, tol.HERMITICITY_RTOL)
-        m = 0.5 * (m + m.conj().T)
+        m = _matrix(self.matrix, "hermitian")
         lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
             raise NotPSD("state has a negative eigenvalue", magnitude=-lam_min)
@@ -119,19 +147,17 @@ def validate_operator(matrix, kind: str):
     Returns the typed operator, or raises a ValidationError naming the
     violated invariant and its magnitude.
     """
-    m = as_matrix(matrix)
-    _check_square(m)
     if kind == "hermitian":
-        return HermitianOperator(m)
+        return HermitianOperator(matrix)
     if kind == "psd":
-        h = HermitianOperator(m)
+        h = HermitianOperator(matrix)
         lam_min = float(np.linalg.eigvalsh(h.matrix)[0])
         if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
             raise NotPSD("matrix has a negative eigenvalue", magnitude=-lam_min)
         return h
     if kind == "density":
-        return DensityOperator(m)
-    raise ValueError(f"unknown operator kind {kind!r}")
+        return DensityOperator(matrix)
+    raise ValidationError(f"unknown operator kind {kind!r}")
 
 
 def _levels(lam: np.ndarray, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> list:
@@ -167,9 +193,11 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     m = as_matrix(A)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrices need finite entries")
     lam, vec = _psd_eigh(m, support_rtol)
     keep = lam > 0
-    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
+    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), _real(s, name="s")), 0.0)
     return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
@@ -189,10 +217,10 @@ def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of two or more operators."""
     if len(ops) < 2:
-        raise ValueError("tensor needs at least two operators")
-    out = as_matrix(ops[0])
+        raise ValidationError("tensor needs at least two operators")
+    out = _matrix(ops[0])
     for other in ops[1:]:
-        out = np.kron(out, as_matrix(other))
+        out = np.kron(out, _matrix(other))
     return out
 
 
@@ -201,18 +229,16 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
 
     dims = (d_A, d_B) with dim(rho) = d_A * d_B; keep is 'A' or 'B'.
     """
-    m = as_matrix(rho)
-    d_a, d_b = dims
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatch(
-            f"operator dim {m.shape[0]} != {d_a} * {d_b}"
-        )
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return np.einsum("ikjk->ij", t)
-    if keep == "B":
-        return np.einsum("kikj->ij", t)
-    raise ValueError("keep must be 'A' or 'B'")
+    try:
+        d_a, d_b = (operator.index(d) for d in dims)
+    except (TypeError, ValueError):  # not two integers
+        d_a = d_b = 0
+    if min(d_a, d_b) < 1:
+        raise ValidationError(f"dims must be two positive integers, got {dims!r:.40}")
+    if keep not in ("A", "B"):
+        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r:.40}")
+    t = _matrix(rho, dim=d_a * d_b).reshape(d_a, d_b, d_a, d_b)
+    return np.einsum("ikjk->ij" if keep == "A" else "kikj->ij", t)
 
 
 def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
@@ -227,11 +253,7 @@ def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
 
 def propagate(rho, H, t: float) -> np.ndarray:
     """Evolve rho under U = exp(-i H t), computed spectrally (exact)."""
-    rm = as_matrix(rho)
-    hm = as_matrix(H)
-    if rm.shape != hm.shape:
-        raise DimensionMismatch(
-            f"state dim {rm.shape[0]} != Hamiltonian dim {hm.shape[0]}"
-        )
+    hm = _matrix(H, "hermitian", name="Hamiltonian")
+    rm = _matrix(rho, dim=len(hm), name="state")
     lam, vec = np.linalg.eigh(hm)
-    return _evolve(lam, vec, vec.conj().T @ rm @ vec, t)
+    return _evolve(lam, vec, vec.conj().T @ rm @ vec, _real(t, name="t"))

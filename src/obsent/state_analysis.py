@@ -12,7 +12,7 @@ exponential means of the conditional entropies and divergences where these
 formulas take p_i-weighted averages (see renyi_post_measurement and
 decompose_alpha_oe). Those two reject a state with a non-finite entry or
 a trace that is not positive (ValidationError); the post-measurement
-state and the conditional ensemble are defined for any operator.
+state and the conditional ensemble are defined for any finite operator.
 """
 
 from __future__ import annotations
@@ -23,16 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, _alpha_oe, outcomes
-from .divergences import (
-    _check_alpha,
-    _checked_matrix,
-    _renyi_divergence,
-    _renyi_entropy,
-    _spectral_pair,
-)
+from .coarse_graining import CoarseGraining, _alpha_oe, _state, outcomes
+from .divergences import _check_alpha, _renyi_divergence, _renyi_entropy, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import as_matrix, op_power
+from .operators import op_power
 
 
 @dataclass(frozen=True)
@@ -66,18 +60,18 @@ class CoarseGrainedReport:
 
 def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
     """Unselective post-measurement state sum_i sqrt(Pi_i) rho sqrt(Pi_i)."""
-    return _Measurement(cg, rho).post_state
+    return _Measurement(cg, _state(cg, rho, "square")).post_state
 
 
 class _Measurement:
-    """The alpha-independent data of measuring rho with cg, each piece
-    computed once on first use and shared by a whole alpha grid. The
-    alpha-dependent methods take one order or a 1-d array of orders, as
-    the kernel does."""
+    """The alpha-independent data of measuring the complex matrix rho (of
+    cg's dimension) with cg, each piece computed once on first use and
+    shared by a whole alpha grid. The alpha-dependent methods take one
+    order or a 1-d array of orders, as the kernel does."""
 
-    def __init__(self, cg: CoarseGraining, rho):
-        self.cg, self.rho = cg, as_matrix(rho)
-        self.dist = outcomes(cg, self.rho)
+    def __init__(self, cg: CoarseGraining, rho: np.ndarray):
+        self.cg, self.rho = cg, rho
+        self.dist = outcomes(cg, rho)
 
     @cached_property
     def projective(self) -> bool:
@@ -137,7 +131,7 @@ class _Measurement:
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
     """Conditional states and flat references per outcome."""
-    return _Measurement(cg, rho).ensemble
+    return _Measurement(cg, _state(cg, rho, "square")).ensemble
 
 
 def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -151,7 +145,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
     _check_alpha(alpha)
-    return _Measurement(cg, _checked_matrix(rho)).renyi_mixture(alpha)
+    return _Measurement(cg, _state(cg, rho)).renyi_mixture(alpha)
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -167,7 +161,7 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
     _check_alpha(alpha)
-    return _Measurement(cg, _checked_matrix(rho)).decompose(alpha)
+    return _Measurement(cg, _state(cg, rho)).decompose(alpha)
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
@@ -186,16 +180,16 @@ def is_coarse_grained(
     disagreement between the two.
     """
     _check_alpha(alpha)
-    [report] = _coarse_grained_reports(cg, rho, [alpha], atol)
+    [report] = _coarse_grained_reports(cg, _state(cg, rho), [alpha], atol)
     return report
 
 
 def _coarse_grained_reports(
-    cg: CoarseGraining, rho, alphas, atol: float = tol.CG_STATE_ATOL
+    cg: CoarseGraining, m: np.ndarray, alphas, atol: float = tol.CG_STATE_ATOL
 ) -> list:
-    """is_coarse_grained for each order of the 1-d array alphas; the matrix
-    test, the outcomes and the spectrum are computed once."""
-    m = _checked_matrix(rho)
+    """is_coarse_grained of a checked state m for each order of the 1-d
+    array alphas; the matrix test, the outcomes and the spectrum are
+    computed once."""
     matrix_residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
     dist = outcomes(cg, m)
     oe = _alpha_oe(dist, alphas)

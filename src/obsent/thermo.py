@@ -32,12 +32,7 @@ from .coarse_graining import (
     _alpha_oe,
     projective_cg,
 )
-from .divergences import (
-    _check_alpha,
-    _checked_matrix,
-    _renyi_divergence,
-    _renyi_entropy,
-)
+from .divergences import _check_alpha, _renyi_divergence, _renyi_entropy
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -46,7 +41,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .operators import _evolve, _levels, as_matrix, tensor, validate_operator
+from .operators import _evolve, _levels, _matrix, _real, as_matrix, tensor, validate_operator
 
 
 @dataclass(frozen=True)
@@ -61,15 +56,18 @@ class EnergyWindowing:
     origin: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.delta) or self.delta <= 0:
+        if not _real(self.delta, name="window width") > 0:
             raise ValidationError(f"window width must be > 0, got {self.delta}")
-        if self.origin is not None and not np.isfinite(self.origin):
-            raise ValidationError(f"window origin must be finite, got {self.origin}")
+        if self.origin is not None:
+            _real(self.origin, name="window origin")
 
 
 @dataclass(frozen=True)
 class DrivingProtocol:
-    """Ordered piecewise-constant segments (Hamiltonian, duration)."""
+    """Ordered piecewise-constant segments (Hamiltonian, duration).
+
+    Each Hamiltonian is checked and symmetrized once, at construction.
+    """
 
     segments: tuple
 
@@ -77,16 +75,13 @@ class DrivingProtocol:
         segs = []
         dim = None
         for h, duration in self.segments:
-            m = as_matrix(h)
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"segment dim {m.shape[0]} != {dim}"
-                )
-            if not 0 <= duration < math.inf:
+            m = _matrix(h, "hermitian", dim, "segment Hamiltonian")
+            m.flags.writeable = False
+            dim = len(m)
+            duration = _real(duration, name="segment duration")
+            if not duration >= 0:
                 raise ValidationError(f"segment duration {duration} is not in [0, inf)")
-            segs.append((m, float(duration)))
+            segs.append((m, duration))
         if not segs:
             raise ValidationError("protocol needs at least one segment")
         object.__setattr__(self, "segments", tuple(segs))
@@ -126,7 +121,7 @@ class LevelSystem:
             raise ValidationError("energies must be a non-empty 1-d array")
         if not np.all(np.isfinite(e)):
             raise ValidationError("energies must be finite")
-        if not np.isfinite(self.volume) or self.volume <= 0:
+        if not _real(self.volume, name="volume") > 0:
             raise ValidationError(f"volume must be > 0, got {self.volume}")
         e.flags.writeable = False
         object.__setattr__(self, "energies", e)
@@ -174,13 +169,12 @@ def _is_coarse_grained(rho, basis, bins, dist: OutcomeDistribution) -> bool:
 
 def gibbs_state(H, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H) / Z, computed spectrally."""
-    return _gibbs_state(*np.linalg.eigh(as_matrix(H)), beta)
+    lam, vec = np.linalg.eigh(_matrix(H, "hermitian", name="Hamiltonian"))
+    return _gibbs_state(lam, vec, _real(beta, name="beta"))
 
 
 def _gibbs_state(lam: np.ndarray, vec: np.ndarray, beta: float) -> np.ndarray:
     """gibbs_state from H's ascending eigenvalues lam and eigenvectors vec."""
-    if not np.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
     w = _gibbs_weights(lam, beta)
     w /= w.sum()
     return (vec * w) @ vec.conj().T
@@ -209,9 +203,9 @@ def effective_beta(H, rho) -> float:
     at every spectral scale. Negative results (population inversion) are
     returned, not rejected.
     """
-    hm = as_matrix(H)
-    lam = np.linalg.eigvalsh(hm)
-    return _beta_for_energy(lam, float(np.trace(hm @ as_matrix(rho)).real))
+    hm = _matrix(H, "hermitian", name="Hamiltonian")
+    rm = _matrix(rho, "state", len(hm), "state")
+    return _beta_for_energy(np.linalg.eigvalsh(hm), float(np.trace(hm @ rm).real))
 
 
 def _beta_for_energy(lam: np.ndarray, target: float) -> float:
@@ -254,6 +248,13 @@ def _beta_for_energy(lam: np.ndarray, target: float) -> float:
     return beta
 
 
+def _temperature(t) -> float:
+    t = _real(t, InvalidTemperature, "temperature")
+    if not t > 0:
+        raise InvalidTemperature(f"temperature must be > 0, got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class FreeEnergyValues:
     partition: float
@@ -268,8 +269,7 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
     Z = sum_i exp(-E_i / T); the scaled variants multiply Z by the common
     outcome volume V: Z~ = V Z, A = -T log Z, A~ = -T log Z~.
     """
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
+    temperature = _temperature(temperature)
     e = levels.energies
     ref = float(e.min())
     z = float(np.sum(np.exp(-(e - ref) / temperature)))
@@ -285,8 +285,7 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
 
 def gibbs_distribution(levels: LevelSystem, temperature: float) -> np.ndarray:
     """Boltzmann weights exp(-E_i / T) / Z for a level system."""
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
+    temperature = _temperature(temperature)
     e = levels.energies
     w = np.exp(-(e - e.min()) / temperature)
     return w / w.sum()
@@ -301,11 +300,9 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     -(A~(T) - A~(T0)) / (T - T0) with T = T0 / alpha. Returns
     (lhs, rhs, lhs - rhs); the identity is exact in exact arithmetic.
     """
-    _check_alpha(alpha)
-    if abs(alpha - 1.0) < 1e-15:
+    if abs(_check_alpha(alpha) - 1.0) < 1e-15:
         raise InvalidAlpha("the difference quotient needs alpha != 1")
-    if not np.isfinite(t0) or t0 <= 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {t0}")
+    t0 = _temperature(t0)
     p = gibbs_distribution(levels, t0)
     lhs = -_renyi_divergence(p, levels.volume, alpha)
     t_new = t0 / alpha
@@ -341,11 +338,11 @@ class ClosedRunRecord:
 
 
 def _check_sample_times(sample_times, horizon: float | None) -> list:
-    ts = [float(t) for t in sample_times]
+    ts = [_real(t, name="sample time") for t in sample_times]
     if not ts:
         raise ValidationError("at least one sample time is required")
-    if not all(0 <= t < math.inf for t in ts):
-        raise ValidationError("sample times must be finite and non-negative")
+    if not all(t >= 0 for t in ts):
+        raise ValidationError("sample times must be non-negative")
     if any(b - a <= 0 for a, b in zip(ts, ts[1:])):
         raise ValidationError("sample times must be strictly increasing")
     if horizon is not None and ts[-1] > horizon + 1e-12:
@@ -356,11 +353,9 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
 
 
 def _check_alphas(alphas) -> list:
-    alphas = [float(a) for a in alphas]
+    alphas = [_check_alpha(a) for a in alphas]
     if not alphas:
         raise ValidationError("at least one alpha is required")
-    for a in alphas:
-        _check_alpha(a)
     return alphas
 
 
@@ -383,11 +378,7 @@ def closed_run(
     but carries guarantee_void=True and the entropy-production sign is no
     longer guaranteed.
     """
-    rho = _checked_matrix(rho0)
-    if rho.shape[0] != protocol.dim:
-        raise DimensionMismatch(
-            f"state dim {rho.shape[0]} != protocol dim {protocol.dim}"
-        )
+    rho = _matrix(rho0, "state", protocol.dim, "state")
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, protocol.total_duration)
 
@@ -396,7 +387,7 @@ def closed_run(
     segs = []
     rho_k = rho
     for k, (h, duration) in enumerate(protocol.segments):
-        lam, vec = np.linalg.eigh(validate_operator(h, "hermitian").matrix)
+        lam, vec = np.linalg.eigh(h)
         tilde = vec.conj().T @ rho_k @ vec
         segs.append((lam, vec, tilde.diagonal().real))
         if k + 1 < len(protocol.segments):
@@ -508,17 +499,12 @@ def open_run(
     exact when all bath windows share one volume; its residual is recorded.
     The premise check is as in closed_run, for the initial joint state.
     """
-    hs = validate_operator(h_s, "hermitian").matrix
-    hb = validate_operator(h_b, "hermitian").matrix
-    ds, db = hs.shape[0], hb.shape[0]
-    v = validate_operator(v_sb, "hermitian").matrix
-    if v.shape[0] != ds * db:
-        raise DimensionMismatch(
-            f"coupling dim {v.shape[0]} != {ds} * {db}"
-        )
-    rho_s = _checked_matrix(rho_s0)
-    if rho_s.shape[0] != ds:
-        raise DimensionMismatch(f"system state dim {rho_s.shape[0]} != {ds}")
+    hs = _matrix(h_s, "hermitian", name="system Hamiltonian")
+    hb = _matrix(h_b, "hermitian", name="bath Hamiltonian")
+    ds, db = len(hs), len(hb)
+    v = _matrix(v_sb, "hermitian", ds * db, "coupling")
+    rho_s = _matrix(rho_s0, "state", ds, "system state")
+    bath_beta = _real(bath_beta, name="bath beta")
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, None)
 

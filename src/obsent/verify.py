@@ -45,7 +45,7 @@ from .divergences import (
     _renyi_entropy,
     _spectral_pair,
 )
-from .errors import NotARefinement
+from .errors import NotARefinement, ValidationError
 from .generators import (
     random_coarse_grained_state,
     random_coarse_graining,
@@ -632,7 +632,7 @@ def run_suite(
             props.extend(_run_one(name, seed, n, dim_max, inject_invalid))
         return VerificationReport("all", seed, n, dim_max, props)
     if suite not in _SUITES:
-        raise ValueError(
+        raise ValidationError(
             f"unknown suite {suite!r}; choose from "
             f"{sorted(_SUITES) + ['all']}"
         )

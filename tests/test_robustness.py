@@ -2,8 +2,10 @@
 divergences return a finite number, INFINITE, or raise an ObsentError over
 the valid range (alpha from 1e-3 to 1e4, weights scaled from 1e-6 to 1e6,
 rank-deficient states with spectra spanning many orders of magnitude); a
-grid of orders gives the kernel's per-order values bit for bit; and
-effective_beta recovers beta at every spectral scale from 1e-6 to 1e6."""
+grid of orders gives the kernel's per-order values bit for bit;
+effective_beta recovers beta at every spectral scale from 1e-6 to 1e6; and
+malformed matrices, weight vectors and numbers raise an ObsentError at
+every public entry."""
 
 import math
 
@@ -14,8 +16,24 @@ from hypothesis import strategies as st
 
 from obsent import (
     INFINITE,
+    CoarseGraining,
+    DrivingProtocol,
+    EnergyWindowing,
     LevelSystem,
+    OutcomeDistribution,
+    RefinementMap,
+    coarse_grained_state,
+    free_energy,
+    measurement_channel,
     merge_outcomes,
+    op_power,
+    outcomes,
+    partial_trace,
+    post_measurement_state,
+    propagate,
+    spectral,
+    tensor,
+    validate_operator,
     alpha_derivative,
     effective_beta,
     gibbs_state,
@@ -39,7 +57,8 @@ from obsent import (
     von_neumann,
 )
 from obsent.divergences import _renyi_divergence
-from obsent.errors import InvalidAlpha, ObsentError
+from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
+from obsent.verify import run_suite
 from obsent.generators import (
     random_coarse_graining,
     random_merge,
@@ -204,3 +223,66 @@ def test_public_functions_take_one_real_order(name, alpha):
         call(alpha)
     for one in (2, np.float64(2.0), np.array(2.0)):
         assert call(one) == call(2.0)
+
+
+_NAN = np.full((2, 2), np.nan)
+_QUBIT = projective_cg(np.eye(2))
+_STATE = np.diag([0.7, 0.3])
+_NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+# malformed input -> call; each returned a value (nan, a truncated or a
+# one-triangle result) or raised a raw exception before the input gates
+_MALFORMED_CALLS = {
+    "effect that is a number": lambda: CoarseGraining(("a",), [5]),
+    "effect with a nan entry": lambda: CoarseGraining(("a", "b"), [np.eye(2), _NAN]),
+    "rectangular Hamiltonian": lambda: gibbs_state(np.ones((2, 3)), 1.0),
+    "state of another dimension": lambda: effective_beta(np.diag([0, 1, 2]), _STATE),
+    "rectangular state": lambda: outcomes(_QUBIT, np.ones((2, 3))),
+    "complex weight list": lambda: classical_petz_renyi([1 + 1j, 1], [1, 1], 2.0),
+    "complex weight array": (
+        lambda: classical_petz_renyi(np.array([1 + 1j, 1]), [1, 1], 2.0)
+    ),
+    "string window width": lambda: EnergyWindowing("a"),
+    "array window width": lambda: EnergyWindowing(np.array([1.0, 2.0])),
+    "string duration": lambda: DrivingProtocol(((np.eye(2), "a"),)),
+    "string temperature": lambda: free_energy(LevelSystem([0, 1]), "x"),
+    "nan density": lambda: validate_operator(_NAN, "density"),
+    "nan hermitian": lambda: validate_operator(_NAN, "hermitian"),
+    "unknown operator kind": lambda: validate_operator(np.eye(2), "foo"),
+    "nan spectral": lambda: spectral(_NAN),
+    "nan probability": lambda: OutcomeDistribution(("a",), [np.nan], [1.0]),
+    "complex probability": (
+        lambda: OutcomeDistribution(("a",), np.array([0.5 + 0.5j]), [1.0])
+    ),
+    "non-Hermitian gibbs_state": lambda: gibbs_state(_NOT_HERMITIAN, 1.0),
+    "non-Hermitian effective_beta": (
+        lambda: effective_beta(np.array([[0.0, 5.0], [0.0, 1.0]]), _STATE)
+    ),
+    "non-Hermitian propagate": lambda: propagate(_STATE, _NOT_HERMITIAN, 1.0),
+    "nan op_power": lambda: op_power(_NAN, 0.5),
+    "nan gibbs_state": lambda: gibbs_state(_NAN, 1.0),
+    "nan coarse_grained_state": lambda: coarse_grained_state(_QUBIT, _NAN),
+    "nan post_measurement_state": lambda: post_measurement_state(_QUBIT, _NAN),
+    "nan measurement_channel": lambda: measurement_channel(_QUBIT, _NAN),
+    "nan refinement map": lambda: RefinementMap([[np.nan]]),
+    "tensor of one operator": lambda: tensor(np.eye(2) / 2),
+    "unknown partial_trace side": lambda: partial_trace(np.eye(4) / 4, (2, 2), "C"),
+    "one dims entry": lambda: renyi_mutual_info(np.eye(4) / 4, (4,), 2.0),
+    "unknown suite": lambda: run_suite("nope"),
+    "unhashable label": lambda: merge_outcomes(_QUBIT, [[["0"]], ["1"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_CALLS))
+def test_malformed_input_raises_obsent_error(name):
+    with pytest.raises(ObsentError):
+        _MALFORMED_CALLS[name]()
+
+
+def test_non_hermitian_hamiltonian_raises_not_hermitian():
+    # eigh reads one triangle; unchecked, these would read [[0, 0], [0, 0]]
+    with pytest.raises(NotHermitian):
+        gibbs_state(_NOT_HERMITIAN, 1.0)
+    with pytest.raises(NotHermitian):
+        effective_beta(_NOT_HERMITIAN + np.diag([0.0, 1.0]), _STATE)
+    with pytest.raises(NotHermitian):
+        propagate(_STATE, _NOT_HERMITIAN, 1.0)
