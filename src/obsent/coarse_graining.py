@@ -13,6 +13,7 @@ effect.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import tolerances as tol
 from .divergences import (
     _check_alpha,
     _nonneg_vector,
+    _ragged,
     _renyi_divergence,
     _spectral_pair,
     _support,
@@ -34,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .operators import _matrix, op_power
+from .operators import _instance, _items, _matrix, _reals, op_power
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,15 @@ class CoarseGraining:
     _volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(labels) != len(self.effects):
-            raise ShapeMismatch(
-                f"{len(labels)} labels for {len(self.effects)} effects"
-            )
+        labels = tuple(_items(self.labels, "labels"))
+        effects = self.effects
+        if not getattr(effects, "ndim", 0):  # not an array of matrices
+            effects = _items(effects, "effects")
+        if len(labels) != len(effects):
+            raise ShapeMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise ValidationError("a coarse-graining needs at least one effect")
-        raw = self.effects
+        raw = effects
         if not isinstance(raw, np.ndarray):
             raw = [getattr(e, "matrix", e) for e in raw]
         try:
@@ -70,8 +73,8 @@ class CoarseGraining:
         stacked = raw is not None and raw.ndim == 3 and raw.shape[1] == raw.shape[2]
         if not (stacked and np.isfinite(raw).all()):
             # the matrix gate names the first bad effect
-            dim = _matrix(self.effects[0], name=f"effect {labels[0]!r}").shape[0]
-            for lab, e in zip(labels, self.effects):
+            dim = _matrix(effects[0], name=f"effect {labels[0]!r}").shape[0]
+            for lab, e in zip(labels, effects):
                 _matrix(e, dim=dim, name=f"effect {lab!r}")
         # the Hermitian parts (E + E^H) / 2, written into the owned stack
         stack = np.empty(raw.shape, dtype=complex)
@@ -120,7 +123,13 @@ class CoarseGraining:
 
 def identity_cg(dim: int) -> CoarseGraining:
     """The trivial single-outcome coarse-graining {I}."""
-    return CoarseGraining(("I",), np.eye(dim, dtype=complex)[None])
+    try:
+        d = operator.index(dim)
+    except TypeError:  # not an integer
+        d = 0
+    if d < 1:
+        raise ValidationError(f"dimension must be a positive integer, got {dim!r:.40}")
+    return CoarseGraining(("I",), np.eye(d, dtype=complex)[None])
 
 
 def projective_cg(vectors_or_projectors, labels=None) -> CoarseGraining:
@@ -133,7 +142,7 @@ def projective_cg(vectors_or_projectors, labels=None) -> CoarseGraining:
         u = np.asarray(vectors_or_projectors, dtype=complex)
         effs = np.einsum("ik,jk->kij", u, u.conj())
     else:
-        effs = list(vectors_or_projectors)
+        effs = _items(vectors_or_projectors, "projectors")
     if labels is None:
         labels = tuple(str(k) for k in range(len(effs)))
     return CoarseGraining(tuple(labels), effs)
@@ -150,7 +159,7 @@ class OutcomeDistribution:
     def __post_init__(self):
         p = _nonneg_vector(self.probabilities)
         p.flags.writeable = False
-        v = np.asarray(self.volumes, dtype=float)
+        v = _reals(self.volumes, name="volumes")
         v.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "volumes", v)
@@ -171,11 +180,9 @@ class RefinementMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _reals(self.matrix, NotARefinement, "refinement map")
         if m.ndim != 2:
             raise ShapeMismatch(f"refinement map must be 2-d, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NotARefinement("refinement map has a non-finite entry")
         if m.size and float(m.min()) < 0:
             raise NotARefinement(
                 "refinement map has a negative entry", magnitude=-float(m.min())
@@ -190,11 +197,13 @@ class RefinementMap:
 
 def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
     """Outcome probabilities and volumes of a state under a coarse-graining."""
-    return OutcomeDistribution(cg.labels, _traces(cg, _state(cg, rho, "square")), cg.volumes())
+    m = _state(cg, rho, "square")
+    return OutcomeDistribution(cg.labels, _traces(cg, m), cg.volumes())
 
 
 def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
     """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i."""
+    cg = _instance(cg, CoarseGraining, "coarse-graining")
     return ClassicalState(cg.labels, _traces(cg, _matrix(x, dim=cg.dim)))
 
 
@@ -204,8 +213,10 @@ def _traces(cg: CoarseGraining, m: np.ndarray) -> np.ndarray:
 
 
 def _state(cg: CoarseGraining, rho, kind: str = "state") -> np.ndarray:
-    """rho through the matrix gate, at the coarse-graining's dimension."""
-    return _matrix(rho, kind, cg.dim, "state")
+    """rho through the matrix gate, at the dimension of cg, which must be a
+    CoarseGraining."""
+    dim = _instance(cg, CoarseGraining, "coarse-graining").dim
+    return _matrix(rho, kind, dim, "state")
 
 
 def observational_entropy(cg: CoarseGraining, rho) -> float:
@@ -233,6 +244,12 @@ def _alpha_oe(dist: OutcomeDistribution, alpha):
     """alpha_oe from an outcome distribution, for one order or a 1-d array
     of orders (one value per order)."""
     return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
+
+
+def _alpha_oes(pairs: list, alpha) -> np.ndarray:
+    """_alpha_oe of each (probabilities, volumes) pair of an outcome
+    distribution, as rows, from one _ragged call."""
+    return -_ragged([p for p, _ in pairs], [v for _, v in pairs], alpha)
 
 
 def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -276,22 +293,32 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
 
 def _alpha_derivative(dist: OutcomeDistribution, alphas) -> np.ndarray:
     """alpha_derivative from an outcome distribution, one value per order of
-    the 1-d array alphas; the support cut and the ratios t_i are shared."""
-    p, v = dist.probabilities, dist.volumes
-    mask = _support(p)
-    p, v = p[mask], v[mask]
-    t = p / v
-    out = []
-    for a in np.asarray(alphas, dtype=float).tolist():
-        if abs(a - 1.0) <= tol.ALPHA_NEAR_ONE:
-            raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
-        with np.errstate(over="ignore"):
+    the 1-d array alphas."""
+    return _alpha_derivatives([(dist.probabilities, dist.volumes)], alphas)[0]
+
+
+@np.errstate(over="ignore")
+def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
+    """_alpha_derivative of each (probabilities, volumes) pair of an
+    outcome distribution, as rows. The support cut and the ratios t_i are
+    made once per pair, and every D(x || p) is one row of one _ragged call."""
+    orders = np.asarray(alphas, dtype=float).tolist()
+    if any(abs(a - 1.0) <= tol.ALPHA_NEAR_ONE for a in orders):
+        raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
+    xs, ps = [], []
+    for p, v in pairs:
+        mask = _support(p)
+        p, v = p[mask], v[mask]
+        t = p / v
+        for a in orders:
             w = t**a * v
-        if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
-            logw = a * np.log(t) + np.log(v)
-            w = np.exp(logw - logw.max())
-        out.append(-_renyi_divergence(w / w.sum(), p, 1.0) / (a - 1.0) ** 2)
-    return np.array(out)
+            if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
+                logw = a * np.log(t) + np.log(v)
+                w = np.exp(logw - logw.max())
+            xs.append(w / w.sum())
+            ps.append(p)
+    kl = _ragged(xs, ps, 1.0).reshape(len(pairs), len(orders)).tolist()
+    return np.array([[-k / (a - 1.0) ** 2 for k, a in zip(row, orders)] for row in kl])
 
 
 def tensor_cg(parts) -> CoarseGraining:
@@ -299,7 +326,7 @@ def tensor_cg(parts) -> CoarseGraining:
 
     Effects are Kronecker products; labels are tuples of the part labels.
     """
-    parts = list(parts)
+    parts = [_instance(cg, CoarseGraining, "part") for cg in _items(parts, "parts")]
     if len(parts) < 2:
         raise ValidationError("tensor_cg needs at least two parts")
     labels = [(lab,) for lab in parts[0].labels]
@@ -319,6 +346,8 @@ def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
     Effects Pi_ij = sqrt(Pi_i) Pi_j sqrt(Pi_i), labels (i, j). The second
     index sums back to the first coarse-graining: sum_j Pi_ij = Pi_i.
     """
+    for cg in (cg1, cg2):
+        _instance(cg, CoarseGraining, "coarse-graining")
     if cg1.dim != cg2.dim:
         raise DimensionMismatch(f"dims {cg1.dim} vs {cg2.dim}")
     roots = op_power(cg1.effects, 0.5)[:, None]
@@ -335,6 +364,9 @@ def check_refinement(
     Returns (holds, max_residual) with the max-abs residual over coarser
     effects.
     """
+    for cg in (finer, coarser):
+        _instance(cg, CoarseGraining, "coarse-graining")
+    _instance(m, RefinementMap, "refinement map")
     if finer.dim != coarser.dim:
         raise DimensionMismatch(f"dims {finer.dim} vs {coarser.dim}")
     mm = m.matrix
@@ -354,6 +386,7 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
     Returns (coarser_cg, refinement_map); the induced map is 0/1 and
     check_refinement passes by construction.
     """
+    cg = _instance(cg, CoarseGraining, "coarse-graining")
     index = {lab: i for i, lab in enumerate(cg.labels)}
     seen = set()
     try:
@@ -366,7 +399,7 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
                 if lab in seen:
                     raise InvalidPartition(f"label {lab!r} appears twice")
                 seen.add(lab)
-    except TypeError as exc:  # a group or a label of the wrong type
+    except (TypeError, ValueError) as exc:  # a group or a label of the wrong type
         raise InvalidPartition(f"partition must be lists of labels: {exc}") from None
     if len(seen) != len(cg):
         raise InvalidPartition("partition does not cover all labels")
@@ -409,13 +442,21 @@ def refinement_divergence_bound(
     return _refinement_bound(outcomes(finer, state), outcomes(coarser, state), m, alpha)
 
 
-@np.errstate(divide="ignore")
 def _refinement_bound(fine, coarse, m: RefinementMap, alpha: float) -> float:
-    """refinement_divergence_bound from the two outcome distributions; log Q_i
-    is a logsumexp over j, so (V_i p'_j / V'_j)^alpha cannot underflow."""
-    v, pc, vc = fine.volumes, coarse.probabilities, coarse.volumes
-    logs = np.log(m.matrix) + alpha * np.log(v[:, None] * pc / vc)
-    top = logs.max(axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    q = np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / alpha)
-    return _renyi_divergence(fine.probabilities, q, alpha)
+    """refinement_divergence_bound from the two outcome distributions."""
+    return float(_refinement_bounds([(fine, coarse, m)], alpha)[0])
+
+
+@np.errstate(divide="ignore")
+def _refinement_bounds(cases: list, alpha: float) -> np.ndarray:
+    """_refinement_bound of each (fine, coarse, map) case at one order, from
+    one _ragged call; log Q_i is a logsumexp over j, so
+    (V_i p'_j / V'_j)^alpha cannot underflow."""
+    qs = []
+    for fine, coarse, m in cases:
+        v, pc, vc = fine.volumes, coarse.probabilities, coarse.volumes
+        logs = np.log(m.matrix) + alpha * np.log(v[:, None] * pc / vc)
+        top = logs.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        qs.append(np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / alpha))
+    return _ragged([fine.probabilities for fine, _, _ in cases], qs, alpha)

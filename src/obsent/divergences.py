@@ -6,7 +6,11 @@ expected to propagate it. Every entropy and divergence, alpha-OE and the
 quantum ones (by their Nussbaum-Szkola pair) included, is one order-alpha
 kernel over weights: entries at most SUPPORT_RTOL times the largest are
 exact zeros, and a power sum that leaves the normal float range is redone
-in log space.
+in log space. The kernel takes a table whose rows are weight vectors, with
+its own support cut, q = 0 handling and log-space redo per row, and a grid
+of orders: one call gives a value per (row, order). Vectors of unequal
+length become rows by padding with x = 0 and q = 1 (_ragged), never q = 0,
+which would make a padded term 0^alpha 0^(1-alpha) = nan for alpha > 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,16 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidAlpha, LengthMismatch, ValidationError
-from .operators import _matrix, _psd_eigh, _real, as_matrix, partial_trace, tensor
+from .operators import (
+    _each,
+    _matrix,
+    _psd_eigh,
+    _real,
+    _reals,
+    as_matrix,
+    partial_trace,
+    tensor,
+)
 
 INFINITE = math.inf
 
@@ -35,20 +48,12 @@ def _check_alpha(alpha) -> float:
 
 
 def _nonneg_vector(x) -> np.ndarray:
-    """The weight-vector gate: x as a 1-d float array of finite,
-    non-negative real numbers (booleans read as 0 and 1); entries down to
-    -1e-12 are rounding and read as 0."""
-    try:
-        v = np.asarray(x)
-    except ValueError:  # ragged nesting
-        v = np.asarray(None)
-    if v.dtype.kind not in "biuf":
-        raise ValidationError(f"weights must be real numbers, got {x!r:.40}")
-    v = v.astype(float, copy=False)
+    """The weight-vector gate: x through the real-array gate as a 1-d float
+    array of non-negative numbers; entries down to -1e-12 are rounding and
+    read as 0."""
+    v = _reals(x, name="weights")
     if v.ndim != 1:
         raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValidationError("weights must be finite")
     if v.size and float(v.min()) < -1e-12:
         raise ValidationError("negative weight", magnitude=-float(v.min()))
     return np.maximum(v, 0.0)
@@ -64,59 +69,129 @@ def _support(x: np.ndarray) -> np.ndarray:
 def _renyi_divergence(x, q, alpha):
     """(1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha) over the support of x.
 
-    x and q are unnormalized weights; q may be a scalar. alpha is one order
-    (the result is a float) or a 1-d array of orders (the result is an array
-    with one value per order); each entry of an array result is
-    bit-identical to the float result for that order. Entries x_i <=
+    x is a 1-d vector of unnormalized weights or a 2-d table whose rows are
+    such vectors; q is one number or has the shape of x. alpha is one order
+    or a 1-d array of orders. The result has one value per (row, order): a
+    float for a vector and one order, an array with one value per order, or
+    per row, or a (rows, orders) array for a table and a grid. A vector is
+    the one-row table, and each entry of a grid result is bit-identical to
+    the call with that order alone. In each row, entries x_i <=
     SUPPORT_RTOL * max x count as exact zeros. |alpha - 1| < ALPHA_NEAR_ONE
     evaluates the limit sum_i x_i log(x_i / q_i). INFINITE when a kept x_i
     has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
     (alpha < 1). A sum whose powers or terms leave the normal float range
-    is evaluated again in log space. The support and q > 0 cuts are made
-    once for all orders.
+    is evaluated again in log space, for that row and order alone. The
+    support and q > 0 cuts are made once for all orders. Rows of unequal
+    length are padded with x = 0 and q = 1 (see _ragged): a padded entry
+    is cut, so it changes a row's value at most by the rounding of its sum.
     """
     orders = np.asarray(alpha, dtype=float)
     alphas = orders.ravel().tolist()
-    mask, q = _support(x), np.asarray(q, dtype=float)
-    x, q = x[mask], (q[mask] if q.ndim else q)
-    q_gap = x.size and not q.min() > 0
-    if q_gap:
-        x, q = x[q > 0], q[q > 0]
-    # power sum and smallest power or term of each order off the limit, from
-    # one stack of rows x^alpha, q^(1-alpha) and their product; each row
-    # takes a scalar exponent, as a one-order call does, since numpy's power
-    # may round differently for a broadcast exponent
+    table = np.asarray(x, dtype=float)
+    xs = table[None] if table.ndim == 1 else table
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim:
+        qs = qs.reshape(xs.shape)
+    # the row maxima (at least 1e-300) by the ufunc, and the test that no
+    # entry is cut by a count: both skip the ndarray method wrappers, as
+    # this runs once per call of every entropy
+    top = np.maximum.reduce(xs, 1, None, None, True, 1e-300)
+    keep = xs > tol.SUPPORT_RTOL * top
+    use = keep & (qs > 0) if qs.ndim or not float(qs) > 0 else keep
+    full = np.count_nonzero(use) == use.size
+    if full:
+        gap, empty = [False] * len(xs), [not xs.size] * len(xs)
+    else:
+        gap, empty = (keep != use).any(axis=1).tolist(), (~use.any(axis=1)).tolist()
+    # per order off the limit, the power sum and smallest power or term of
+    # each row, from one stack of x^alpha, q^(1-alpha) and their product;
+    # each order takes a scalar exponent, as a one-order call does, since
+    # numpy's power may round differently for a broadcast exponent
     powers = [a for a in alphas if abs(a - 1.0) >= tol.ALPHA_NEAR_ONE]
     sums = {}
-    if powers and x.size:
-        xa, qa, terms = stack = np.empty((3, len(powers), x.size))
-        for row, a in enumerate(powers):
-            np.power(x, a, out=xa[row])
-            np.power(q, 1.0 - a, out=qa[row])
+    if powers and xs.size:
+        xa, qa, terms = stack = np.empty((3, len(powers)) + xs.shape)
+        for k, a in enumerate(powers):
+            np.power(xs, a, out=xa[k])
+            np.power(qs, 1.0 - a, out=qa[k])
         np.multiply(xa, qa, out=terms)
-        smallest = stack.min(axis=(0, 2)).tolist()
-        sums = dict(zip(powers, zip(terms.sum(axis=1).tolist(), smallest)))
+        if full:
+            smallest = np.minimum.reduce(stack, axis=(0, 3))
+        else:
+            terms[:, ~use] = 0.0
+            smallest = np.minimum.reduce(stack, axis=(0, 3), where=use, initial=INFINITE)
+        totals = np.add.reduce(terms, axis=2)
+        sums = dict(zip(powers, zip(totals.tolist(), smallest.tolist())))
+    if len(powers) < len(alphas):
+        terms = xs * np.log(xs / qs)
+        limit = np.add.reduce(terms if full else np.where(use, terms, 0.0), axis=1).tolist()
 
-    def one_order(a: float) -> float:
+    def kept(r: int) -> tuple:
+        return xs[r][use[r]], (qs[r][use[r]] if qs.ndim else qs)
+
+    def entry(r: int, a: float) -> float:
         near_one = abs(a - 1.0) < tol.ALPHA_NEAR_ONE
-        if q_gap and (a > 1 or near_one):
+        if gap[r] and (a > 1 or near_one):
             return INFINITE
-        if not x.size:
+        if empty[r]:
             return 0.0 if near_one else INFINITE
         if near_one:
-            total = float((x * np.log(x / q)).sum())
-            if math.isfinite(total):
-                return total
-            return float((x * (np.log(x) - np.log(q))).sum())
-        total, lowest = sums[a]
-        if total < INFINITE and lowest >= sys.float_info.min:
-            return math.log(total) / (a - 1.0)
-        logs = a * np.log(x) + (1.0 - a) * np.log(q)
-        top = float(logs.max())
-        return (top + math.log(float(np.exp(logs - top).sum()))) / (a - 1.0)
+            if math.isfinite(limit[r]):
+                return limit[r]
+            x_r, q_r = kept(r)
+            return float((x_r * (np.log(x_r) - np.log(q_r))).sum())
+        totals, lowest = sums[a]
+        if totals[r] < INFINITE and lowest[r] >= sys.float_info.min:
+            return math.log(totals[r]) / (a - 1.0)
+        x_r, q_r = kept(r)
+        logs = a * np.log(x_r) + (1.0 - a) * np.log(q_r)
+        peak = float(logs.max())
+        return (peak + math.log(float(np.exp(logs - peak).sum()))) / (a - 1.0)
 
-    out = [one_order(a) for a in alphas]
-    return out[0] if orders.ndim == 0 else np.array(out)
+    out = [[entry(r, a) for a in alphas] for r in range(len(xs))]
+    if orders.ndim == 0:
+        out = [row[0] for row in out]
+    if table.ndim == 1:
+        out = out[0]
+    return out if isinstance(out, float) else np.array(out)
+
+
+def _rows(vectors, fill: float) -> np.ndarray:
+    """The 1-d vectors as the rows of one 2-d table, each padded at its end
+    with fill to the longest."""
+    lengths = np.array([len(v) for v in vectors])
+    table = np.full((len(lengths), lengths.max()), fill)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.concatenate(vectors)
+    return table
+
+
+# entries of x per kernel call of _ragged (a longer row gets a call alone)
+_TABLE_ENTRIES = 1024
+
+
+def _ragged(xs, qs, alpha) -> np.ndarray:
+    """_renyi_divergence of each vector of the sequence xs against the
+    vector of the sequence qs at the same position, or against the one
+    float qs: one value per vector, or one row of values per vector for a
+    1-d alpha.
+
+    The vectors are taken in length order, in tables of about
+    _TABLE_ENTRIES entries, each padded (x with 0, q with 1) to its
+    longest row and evaluated in one kernel call.
+    """
+    order = sorted(range(len(xs)), key=lambda r: len(xs[r]))
+    out = np.empty((len(xs),) + np.shape(alpha))
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        # rows come in length order, so the table is as wide as its last row
+        while stop < len(order) and (stop + 1 - start) * len(xs[order[stop]]) <= _TABLE_ENTRIES:
+            stop += 1
+        rows = order[start:stop]
+        q = qs if isinstance(qs, float) else _rows([qs[r] for r in rows], 1.0)
+        out[rows] = _renyi_divergence(_rows([xs[r] for r in rows], 0.0), q, alpha)
+        start = stop
+    return out
 
 
 def kl_divergence(x, p) -> float:
@@ -151,14 +226,19 @@ def von_neumann(rho) -> float:
 
 def _spectral_pair(rho, sigma) -> tuple:
     """Nussbaum-Szkola pair (P, Q) of two PSD matrices of one dimension
-    (read as complex), as flat vectors.
+    (read as complex), as flat vectors; of two (k, d, d) stacks, as (k, d*d)
+    tables with one pair per row.
 
     Tr rho^alpha sigma^(1-alpha) = sum P^alpha Q^(1-alpha) and
     D(rho || sigma) = D(P || Q); see petz_renyi for P, Q and the support rule.
     """
     (lam, u), (mu, v) = _psd_eigh(as_matrix(rho)), _psd_eigh(as_matrix(sigma))
-    overlap = np.abs(u.conj().T @ v) ** 2
-    return (lam[:, None] * overlap).ravel(), (overlap * mu).ravel()
+    overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    flat = lam.shape[:-1] + (-1,)
+    return (
+        (lam[..., None] * overlap).reshape(flat),
+        (overlap * mu[..., None, :]).reshape(flat),
+    )
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -213,17 +293,26 @@ def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
     and orders; the value is reported, never clamped.
     """
     _check_alpha(alpha)
-    return _mutual_info(_matrix(rho_ab, "state"), dims, alpha)
+    return float(_mutual_info(_matrix(rho_ab, "state"), dims, alpha))
 
 
 def _mutual_info(m: np.ndarray, dims: tuple, alpha):
     """renyi_mutual_info of a checked matrix, for one order or a 1-d array
     of orders (one value per order)."""
-    s_a, s_b, s_ab = (
-        _renyi_entropy(np.linalg.eigvalsh(part), alpha)
+    return _mutual_infos([(m, dims)], alpha)[0]
+
+
+def _mutual_infos(cases: list, alpha) -> np.ndarray:
+    """_mutual_info of each (matrix, dims) case, as rows: the spectra of
+    all reduced and joint states come from one eigvalsh per dimension and
+    their entropies from one _ragged call."""
+    parts = [
+        part
+        for m, dims in cases
         for part in (partial_trace(m, dims, "A"), partial_trace(m, dims, "B"), m)
-    )
-    return s_a + s_b - s_ab
+    ]
+    s = -_ragged(_each(np.linalg.eigvalsh, parts), 1.0, alpha)
+    return s[0::3] + s[1::3] - s[2::3]
 
 
 def renyi_mutual_info_divergence_form(rho_ab, dims: tuple, alpha: float) -> float:

@@ -10,9 +10,12 @@ through one gate per kind of value, and its private helpers trust what
 they are given. A matrix goes through _matrix here (one finite square
 matrix; kind 'state' adds a positive trace, kind 'hermitian' the
 Hermiticity check and symmetrization), a real number through _real here
-(one finite real; range tests stay with the caller) and a weight vector
-through divergences._nonneg_vector. Each raises a ValidationError
-subclass (or the error type its caller names).
+(one finite real; range tests stay with the caller), an array of real
+numbers through _reals here (a weight vector through
+divergences._nonneg_vector, which adds the shape and sign tests), an
+object such as a CoarseGraining through _instance here, a sequence
+through _items here and an option string through _option here. Each
+raises a ValidationError subclass (or the error type its caller names).
 
 Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 """
@@ -84,6 +87,48 @@ def _real(x, error=ValidationError, name: str = "value") -> float:
     return float(a)
 
 
+def _reals(x, error=ValidationError, name: str = "values") -> np.ndarray:
+    """The real-array gate: x as a float array of finite real numbers
+    (booleans read as 0 and 1), else error. Shape tests stay with the
+    caller."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # ragged nesting
+        v = np.asarray(None)
+    if v.dtype.kind not in "biuf":
+        raise error(f"{name} must be real numbers, got {x!r:.40}")
+    v = v.astype(float, copy=False)
+    if not np.isfinite(v).all():
+        raise error(f"{name} must be finite")
+    return v
+
+
+def _instance(x, kind: type, name: str):
+    """The structured-argument gate: x when it is a kind instance (a
+    CoarseGraining, RefinementMap, LevelSystem, EnergyWindowing or
+    DrivingProtocol), else ValidationError."""
+    if not isinstance(x, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {x!r:.40}")
+    return x
+
+
+def _items(x, name: str) -> list:
+    """The sequence gate: the items of x as a list when x is iterable,
+    else ValidationError."""
+    try:
+        return list(x)
+    except TypeError:  # a number or another non-iterable object
+        raise ValidationError(f"{name} must be a sequence, got {x!r:.40}") from None
+
+
+def _option(x, choices: tuple, name: str) -> str:
+    """The option gate: x when it is one of the strings choices, else
+    ValidationError."""
+    if not (isinstance(x, str) and x in choices):
+        raise ValidationError(f"{name} must be one of {choices}, got {x!r:.40}")
+    return x
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated Hermitian matrix (Hamiltonians, observables)."""
@@ -147,6 +192,7 @@ def validate_operator(matrix, kind: str):
     Returns the typed operator, or raises a ValidationError naming the
     violated invariant and its magnitude.
     """
+    _option(kind, ("hermitian", "psd", "density"), "operator kind")
     if kind == "hermitian":
         return HermitianOperator(matrix)
     if kind == "psd":
@@ -155,9 +201,7 @@ def validate_operator(matrix, kind: str):
         if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
             raise NotPSD("matrix has a negative eigenvalue", magnitude=-lam_min)
         return h
-    if kind == "density":
-        return DensityOperator(matrix)
-    raise ValidationError(f"unknown operator kind {kind!r}")
+    return DensityOperator(matrix)
 
 
 def _levels(lam: np.ndarray, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> list:
@@ -214,6 +258,23 @@ def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
     return np.where(lam > support_rtol * lam_max, lam, 0.0), vec
 
 
+def _each(fn, *mats) -> list:
+    """fn(m, ...) for each tuple of same-position matrices of the lists
+    mats, with one call of fn per matrix dimension on the stacks of that
+    dimension; fn must act on each matrix of a stack on its own, as
+    np.linalg.eigvalsh does. The results (arrays, or tuples of arrays) in
+    list order."""
+    groups = {}
+    for i, m in enumerate(mats[0]):
+        groups.setdefault(len(m), []).append(i)
+    out = [None] * len(mats[0])
+    for idx in groups.values():
+        res = fn(*(np.stack([ms[i] for i in idx]) for ms in mats))
+        for k, i in enumerate(idx):
+            out[i] = tuple(r[k] for r in res) if isinstance(res, tuple) else res[k]
+    return out
+
+
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of two or more operators."""
     if len(ops) < 2:
@@ -235,8 +296,7 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
         d_a = d_b = 0
     if min(d_a, d_b) < 1:
         raise ValidationError(f"dims must be two positive integers, got {dims!r:.40}")
-    if keep not in ("A", "B"):
-        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r:.40}")
+    _option(keep, ("A", "B"), "keep")
     t = _matrix(rho, dim=d_a * d_b).reshape(d_a, d_b, d_a, d_b)
     return np.einsum("ikjk->ij" if keep == "A" else "kikj->ij", t)
 

@@ -23,10 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, _alpha_oe, _state, outcomes
-from .divergences import _check_alpha, _renyi_divergence, _renyi_entropy, _spectral_pair
+from .coarse_graining import CoarseGraining, _alpha_oes, _state, outcomes
+from .divergences import _check_alpha, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import op_power
+from .operators import _each, op_power
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ class _Measurement:
     """The alpha-independent data of measuring the complex matrix rho (of
     cg's dimension) with cg, each piece computed once on first use and
     shared by a whole alpha grid. The alpha-dependent methods take one
-    order or a 1-d array of orders, as the kernel does."""
+    order or a 1-d array of orders, as the kernel does; each reads one
+    part (mixture_part, split_part) of plain arrays, which _mixtures and
+    _splits also take for many measurements at once."""
 
     def __init__(self, cg: CoarseGraining, rho: np.ndarray):
         self.cg, self.rho = cg, rho
@@ -84,26 +86,20 @@ class _Measurement:
         return roots @ self.rho @ roots
 
     @cached_property
-    def ensemble(self) -> ConditionalEnsemble:
+    def kept(self) -> tuple:
+        """(mask, p_i, stack of rho_i, stack of omega_i) of the outcomes with
+        probability above PROB_FLOOR."""
         keep = self.dist.probabilities > tol.PROB_FLOOR
         p = self.dist.probabilities[keep]
-        return ConditionalEnsemble(
-            tuple(lab for lab, k in zip(self.cg.labels, keep) if k),
-            tuple(p.tolist()),
-            tuple(self.lueders[keep] / p[:, None, None]),
-            tuple(self.cg.effects[keep] / self.dist.volumes[keep][:, None, None]),
-        )
+        states = self.lueders[keep] / p[:, None, None]
+        flats = self.cg.effects[keep] / self.dist.volumes[keep][:, None, None]
+        return keep, p, states, flats
 
     @cached_property
-    def spectra(self) -> list:
-        """Eigenvalues of each conditional state rho_i."""
-        return [np.linalg.eigvalsh(s) for s in self.ensemble.states]
-
-    @cached_property
-    def pairs(self) -> list:
-        """Nussbaum-Szkola pair of (rho_i, omega_i) per kept outcome."""
-        ens = self.ensemble
-        return [_spectral_pair(s, w) for s, w in zip(ens.states, ens.flat_states)]
+    def ensemble(self) -> ConditionalEnsemble:
+        keep, p, states, flats = self.kept
+        labels = tuple(lab for lab, k in zip(self.cg.labels, keep) if k)
+        return ConditionalEnsemble(labels, tuple(p.tolist()), tuple(states), tuple(flats))
 
     @cached_property
     def post_state(self) -> np.ndarray:
@@ -113,20 +109,75 @@ class _Measurement:
     def post_spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.post_state)
 
-    def renyi_mixture(self, alpha):
-        probs = self.ensemble.probabilities
-        ents = (p * _renyi_entropy(lam, alpha) for p, lam in zip(probs, self.spectra))
-        return _renyi_entropy(np.array(probs), alpha) + sum(ents, 0.0)
+    @property
+    def mixture_part(self) -> tuple:
+        """(p_i, stack of rho_i): what renyi_mixture reads."""
+        _, p, states, _ = self.kept
+        return p, states
 
-    def decompose(self, alpha) -> tuple:
+    @property
+    def split_part(self) -> tuple:
+        """(p_i, post-measurement state, stack of rho_i, stack of omega_i):
+        what decompose reads."""
         if not self.projective:
             raise NonProjectiveCoarseGraining(
                 "decomposition requires a projective coarse-graining"
             )
-        post_term = _renyi_entropy(self.post_spectrum, alpha)
-        probs = self.ensemble.probabilities
-        terms = (p * _renyi_divergence(*pair, alpha) for p, pair in zip(probs, self.pairs))
-        return post_term, sum(terms, 0.0)
+        _, p, states, flats = self.kept
+        return p, self.post_state, states, flats
+
+    def renyi_mixture(self, alpha):
+        return _mixtures([self.mixture_part], alpha)[0]
+
+    def decompose(self, alpha) -> tuple:
+        post_terms, div_terms = _splits([self.split_part], alpha)
+        return post_terms[0], div_terms[0]
+
+
+def _mixtures(parts: list, alpha) -> np.ndarray:
+    """renyi_mixture of each measurement, as rows, from its mixture_part:
+    S_alpha((p_i)) + sum_i p_i S_alpha(rho_i). The spectra of all rho_i
+    come from one eigvalsh per dimension, and every entropy is one row of
+    one _ragged call."""
+    spectra = _each(np.linalg.eigvalsh, [m for _, states in parts for m in states])
+    rows, at = [], 0
+    for p, _ in parts:
+        rows += [p, *spectra[at : at + len(p)]]
+        at += len(p)
+    s = -_ragged(rows, 1.0, alpha)
+    return np.array([head + tail for head, tail in _blocks([p for p, _ in parts], s)])
+
+
+def _splits(parts: list, alpha) -> tuple:
+    """decompose of each measurement, as rows of two arrays (S_alpha(rho'),
+    sum_i p_i D_alpha(rho_i || omega_i)), from its split_part. The post
+    spectra and the Nussbaum-Szkola pairs of all (rho_i, omega_i) come from
+    one batched eigendecomposition per dimension, and each post spectrum
+    (against q = 1) and pair is one row of one _ragged call."""
+    posts = _each(np.linalg.eigvalsh, [post for _, post, _, _ in parts])
+    pairs = _each(
+        _spectral_pair,
+        [m for _, _, states, _ in parts for m in states],
+        [m for _, _, _, flats in parts for m in flats],
+    )
+    xs, qs, at = [], [], 0
+    for (p, *_), post in zip(parts, posts):
+        xs += [post, *(big_p for big_p, _ in pairs[at : at + len(p)])]
+        qs += [np.ones(len(post)), *(big_q for _, big_q in pairs[at : at + len(p)])]
+        at += len(p)
+    blocks = _blocks([p for p, *_ in parts], _ragged(xs, qs, alpha))
+    return np.array([-head for head, _ in blocks]), np.array([tail for _, tail in blocks])
+
+
+def _blocks(ps: list, values: np.ndarray) -> list:
+    """(head, sum_i p_i v_i) per measurement with kept probabilities p,
+    whose block of values is the rows head, v_1, ..., v_len(p)."""
+    out, at = [], 0
+    for p in ps:
+        rows = values[at + 1 : at + 1 + len(p)]
+        out.append((values[at], sum((p_i * v for p_i, v in zip(p.tolist(), rows)), 0.0)))
+        at += 1 + len(p)
+    return out
 
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
@@ -145,7 +196,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
     _check_alpha(alpha)
-    return _Measurement(cg, _state(cg, rho)).renyi_mixture(alpha)
+    return float(_Measurement(cg, _state(cg, rho)).renyi_mixture(alpha))
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -161,7 +212,8 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
     _check_alpha(alpha)
-    return _Measurement(cg, _state(cg, rho)).decompose(alpha)
+    post_term, div_term = _Measurement(cg, _state(cg, rho)).decompose(alpha)
+    return float(post_term), float(div_term)
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
@@ -190,16 +242,33 @@ def _coarse_grained_reports(
     """is_coarse_grained of a checked state m for each order of the 1-d
     array alphas; the matrix test, the outcomes and the spectrum are
     computed once."""
-    matrix_residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
+    return _reports([_report_part(cg, m)], alphas, atol)[0]
+
+
+def _report_part(cg: CoarseGraining, m: np.ndarray) -> tuple:
+    """(matrix residual, (p, V) of the outcomes, m) of m under cg: what the
+    reports of m read."""
+    residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
     dist = outcomes(cg, m)
-    oe = _alpha_oe(dist, alphas)
-    renyi = _renyi_entropy(np.linalg.eigvalsh(m), alphas)
+    return residual, (dist.probabilities, dist.volumes), m
+
+
+def _reports(parts: list, alphas, atol: float = tol.CG_STATE_ATOL) -> list:
+    """The is_coarse_grained reports of each _report_part, one per order of
+    the 1-d array alphas: one _ragged call for all alpha-OEs, and one for
+    all Renyi entropies from one eigvalsh per dimension."""
+    oe = _alpha_oes([pv for _, pv, _ in parts], alphas)
+    spectra = _each(np.linalg.eigvalsh, [m for _, _, m in parts])
+    renyi = -_ragged(spectra, 1.0, alphas)
     return [
-        CoarseGrainedReport(
-            matrix_close=matrix_residual <= atol,
-            entropy_close=entropy_residual <= atol,
-            matrix_residual=matrix_residual,
-            entropy_residual=entropy_residual,
-        )
-        for entropy_residual in np.abs(oe - renyi).tolist()
+        [
+            CoarseGrainedReport(
+                matrix_close=matrix_residual <= atol,
+                entropy_close=entropy_residual <= atol,
+                matrix_residual=matrix_residual,
+                entropy_residual=entropy_residual,
+            )
+            for entropy_residual in row
+        ]
+        for (matrix_residual, _, _), row in zip(parts, np.abs(oe - renyi).tolist())
     ]

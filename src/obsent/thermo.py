@@ -41,7 +41,18 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .operators import _evolve, _levels, _matrix, _real, as_matrix, tensor, validate_operator
+from .operators import (
+    _evolve,
+    _instance,
+    _items,
+    _levels,
+    _matrix,
+    _real,
+    _reals,
+    as_matrix,
+    tensor,
+    validate_operator,
+)
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,13 @@ class DrivingProtocol:
     def __post_init__(self):
         segs = []
         dim = None
-        for h, duration in self.segments:
+        try:
+            pairs = [(h, duration) for h, duration in self.segments]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise ValidationError(
+                f"segments must be (H, duration) pairs, got {self.segments!r:.40}"
+            ) from None
+        for h, duration in pairs:
             m = _matrix(h, "hermitian", dim, "segment Hamiltonian")
             m.flags.writeable = False
             dim = len(m)
@@ -116,11 +133,9 @@ class LevelSystem:
     volume: float = 1.0
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
+        e = _reals(self.energies, name="energies")
         if e.ndim != 1 or e.size == 0:
             raise ValidationError("energies must be a non-empty 1-d array")
-        if not np.all(np.isfinite(e)):
-            raise ValidationError("energies must be finite")
         if not _real(self.volume, name="volume") > 0:
             raise ValidationError(f"volume must be > 0, got {self.volume}")
         e.flags.writeable = False
@@ -133,6 +148,7 @@ def energy_cg(H, windowing: EnergyWindowing) -> CoarseGraining:
     One effect per non-empty bin: the projector V_w V_w^H onto the
     eigenvectors whose (degeneracy-merged) eigenvalue lies in the bin.
     """
+    windowing = _instance(windowing, EnergyWindowing, "windowing")
     lam, vec = np.linalg.eigh(validate_operator(H, "hermitian").matrix)
     labels, bins = _window_bins(lam, windowing)
     cols = [vec[:, bins == w] for w in range(len(labels))]
@@ -270,7 +286,7 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
     outcome volume V: Z~ = V Z, A = -T log Z, A~ = -T log Z~.
     """
     temperature = _temperature(temperature)
-    e = levels.energies
+    e = _instance(levels, LevelSystem, "levels").energies
     ref = float(e.min())
     z = float(np.sum(np.exp(-(e - ref) / temperature)))
     log_z = math.log(z) - ref / temperature
@@ -286,7 +302,7 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
 def gibbs_distribution(levels: LevelSystem, temperature: float) -> np.ndarray:
     """Boltzmann weights exp(-E_i / T) / Z for a level system."""
     temperature = _temperature(temperature)
-    e = levels.energies
+    e = _instance(levels, LevelSystem, "levels").energies
     w = np.exp(-(e - e.min()) / temperature)
     return w / w.sum()
 
@@ -300,16 +316,26 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     -(A~(T) - A~(T0)) / (T - T0) with T = T0 / alpha. Returns
     (lhs, rhs, lhs - rhs); the identity is exact in exact arithmetic.
     """
-    if abs(_check_alpha(alpha) - 1.0) < 1e-15:
+    a = _check_alpha(alpha)
+    if abs(a - 1.0) < 1e-15:
         raise InvalidAlpha("the difference quotient needs alpha != 1")
-    t0 = _temperature(t0)
+    [row] = _jackson(_instance(levels, LevelSystem, "levels"), _temperature(t0), [a])
+    return row
+
+
+def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
+    """jackson_check for each order of alphas, as (lhs, rhs, gap) tuples:
+    the thermal population and A~(T0) are computed once, and every lhs in
+    one kernel call."""
     p = gibbs_distribution(levels, t0)
-    lhs = -_renyi_divergence(p, levels.volume, alpha)
-    t_new = t0 / alpha
-    a_new = free_energy(levels, t_new).helmholtz_scaled
     a_old = free_energy(levels, t0).helmholtz_scaled
-    rhs = -(a_new - a_old) / (t_new - t0)
-    return lhs, rhs, lhs - rhs
+    lhs = -_renyi_divergence(p, levels.volume, np.array(alphas, dtype=float))
+    out = []
+    for a, left in zip(alphas, lhs.tolist()):
+        t_new = t0 / a
+        rhs = -(free_energy(levels, t_new).helmholtz_scaled - a_old) / (t_new - t0)
+        out.append((left, rhs, left - rhs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -338,7 +364,7 @@ class ClosedRunRecord:
 
 
 def _check_sample_times(sample_times, horizon: float | None) -> list:
-    ts = [_real(t, name="sample time") for t in sample_times]
+    ts = [_real(t, name="sample time") for t in _items(sample_times, "sample times")]
     if not ts:
         raise ValidationError("at least one sample time is required")
     if not all(t >= 0 for t in ts):
@@ -353,7 +379,7 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
 
 
 def _check_alphas(alphas) -> list:
-    alphas = [_check_alpha(a) for a in alphas]
+    alphas = [_check_alpha(a) for a in _items(alphas, "alphas")]
     if not alphas:
         raise ValidationError("at least one alpha is required")
     return alphas
@@ -378,6 +404,8 @@ def closed_run(
     but carries guarantee_void=True and the entropy-production sign is no
     longer guaranteed.
     """
+    protocol = _instance(protocol, DrivingProtocol, "protocol")
+    windowing = _instance(windowing, EnergyWindowing, "windowing")
     rho = _matrix(rho0, "state", protocol.dim, "state")
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, protocol.total_duration)
@@ -505,6 +533,7 @@ def open_run(
     v = _matrix(v_sb, "hermitian", ds * db, "coupling")
     rho_s = _matrix(rho_s0, "state", ds, "system state")
     bath_beta = _real(bath_beta, name="bath beta")
+    w_b = _instance(w_b, EnergyWindowing, "bath windowing")
     alphas = _check_alphas(alphas)
     ts = _check_sample_times(sample_times, None)
 

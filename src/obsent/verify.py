@@ -26,9 +26,9 @@ import numpy as np
 
 from .coarse_graining import (
     RefinementMap,
-    _alpha_derivative,
-    _alpha_oe,
-    _refinement_bound,
+    _alpha_derivatives,
+    _alpha_oes,
+    _refinement_bounds,
     alpha_oe,
     check_refinement,
     identity_cg,
@@ -39,13 +39,8 @@ from .coarse_graining import (
     sequential,
     tensor_cg,
 )
-from .divergences import (
-    _mutual_info,
-    _renyi_divergence,
-    _renyi_entropy,
-    _spectral_pair,
-)
-from .errors import NotARefinement, ValidationError
+from .divergences import _mutual_infos, _ragged, _spectral_pair
+from .errors import NotARefinement
 from .generators import (
     random_coarse_grained_state,
     random_coarse_graining,
@@ -54,17 +49,17 @@ from .generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from .operators import tensor
+from .operators import _each, _option, tensor
 from .serialize import operator_to_json
-from .state_analysis import _coarse_grained_reports, _Measurement, coarse_grained_state
+from .state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
 from .thermo import (
     DrivingProtocol,
     EnergyWindowing,
     LevelSystem,
     closed_run,
     effective_beta,
+    _jackson,
     gibbs_state,
-    jackson_check,
     open_run,
 )
 
@@ -156,12 +151,31 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _grid(values) -> dict:
-    """ALPHA_GRID entry -> value, from one grid evaluation."""
-    return dict(zip(ALPHA_GRID, values.tolist()))
+def _pv(dist) -> tuple:
+    """(p, V) of an outcome distribution without its labels, which for a
+    long sequential chain outweigh the two vectors."""
+    return dist.probabilities, dist.volumes
+
+
+def _entropies(states, alphas=ALPHA_GRID) -> np.ndarray:
+    """Renyi entropy of each state (rows) at each order (columns), from one
+    eigvalsh per dimension and one _ragged call."""
+    return -_ragged(_each(np.linalg.eigvalsh, states), 1.0, alphas)
+
+
+def _petz(rhos, sigmas, alphas=ALPHA_GRID) -> np.ndarray:
+    """petz_renyi of each (rho, sigma) (rows) at each order (columns), from
+    one batched Nussbaum-Szkola pair per dimension and one _ragged call."""
+    pairs = _each(_spectral_pair, rhos, sigmas)
+    return _ragged([p for p, _ in pairs], [q for _, q in pairs], alphas)
 
 
 # ----------------------------------------------------------------- suites
+# Each suite draws its instances in the order of its random stream and
+# reduces each one at once to small vectors and matrices: outcome (p, V),
+# states, spectra, Nussbaum-Szkola pairs. After the draw loop every table
+# is evaluated in one _ragged call (and one batched eigendecomposition per
+# dimension); the margins are then recorded in instance order.
 
 
 def suite_divergences(seed: int, n: int, dim_max: int) -> list:
@@ -172,35 +186,32 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
     mi_sign = PropertyResult("renyi_mutual_info_sign", "survey", 1e-9)
 
     rng = _rng(seed, 1)
+    rhos, sigmas, ps, qs, mi_cases = [], [], [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
-        rho = random_density(rng, d)
-        sigma = random_density(rng, d)  # full rank
-        pair = _spectral_pair(rho, sigma)
-        *vals, one, above, below = _renyi_divergence(
-            *pair, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7)
-        ).tolist()
+        rhos.append(random_density(rng, d))
+        sigmas.append(random_density(rng, d))  # full rank
+        cg = random_coarse_graining(rng, d)
+        ps.append(outcomes(cg, rhos[-1]).probabilities)
+        qs.append(outcomes(cg, sigmas[-1]).probabilities)
+        dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        mi_cases.append((random_density(rng, dims[0] * dims[1]), dims))
+    quantum = _petz(rhos, sigmas, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7)).tolist()
+    # the kernel calls classical_petz_renyi(p, q, a) makes, over the grid
+    classical = _ragged(ps, qs, ALPHA_GRID).tolist()
+    mis = _mutual_infos(mi_cases, ALPHA_GRID).tolist()
+    rows = zip(rhos, sigmas, mi_cases, quantum, classical, mis)
+    for rho, sigma, (rho_ab, dims), (*vals, one, above, below), c_row, mi_row in rows:
         margin = min(b - a for a, b in zip(vals, vals[1:]))
         ordering.record(margin, _state_instance(rho, sigma=sigma))
         for a, v in zip(ALPHA_GRID, vals):
             nonneg.record(v, _state_instance(rho, a))
-        cg = random_coarse_graining(rng, d)
-        p = outcomes(cg, rho).probabilities
-        q = outcomes(cg, sigma).probabilities
-        # the kernel call classical_petz_renyi(p, q, a) makes, over the grid
-        classical = _renyi_divergence(p, q, ALPHA_GRID).tolist()
-        for a, quantum, c in zip(ALPHA_GRID, vals, classical):
-            if math.isinf(quantum):
-                continue
-            dpi.record(quantum - c, _state_instance(rho, a))
-        near = max(abs(above - one), abs(below - one))
-        limit.record(-near, _state_instance(rho))
-        d_a = int(rng.integers(2, 4))
-        d_b = int(rng.integers(2, 4))
-        rho_ab = random_density(rng, d_a * d_b)
-        mis = _mutual_info(rho_ab, (d_a, d_b), ALPHA_GRID).tolist()
-        for a, mi in zip(ALPHA_GRID, mis):
-            mi_sign.record(mi, _state_instance(rho_ab, a, dims=[d_a, d_b]))
+        for a, v, c in zip(ALPHA_GRID, vals, c_row):
+            if not math.isinf(v):
+                dpi.record(v - c, _state_instance(rho, a))
+        limit.record(-max(abs(above - one), abs(below - one)), _state_instance(rho))
+        for a, mi in zip(ALPHA_GRID, mi_row):
+            mi_sign.record(mi, _state_instance(rho_ab, a, dims=list(dims)))
     return [ordering, dpi, nonneg, limit, mi_sign]
 
 
@@ -217,41 +228,55 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     concave = PropertyResult("concavity_alpha_lt1", "hard", 1e-10)
     quasi = PropertyResult("quasi_concavity_alpha_gt1", "hard", 1e-10)
 
-    # the grid, the alpha -> 1 neighbours and the finite-difference points
-    near = (1 + 1e-7, 1 - 1e-7)
-    steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
     rng = _rng(seed, 2)
+    cases, dists, others = [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         cg = random_coarse_graining(rng, d)
         rho = random_density(rng, d)
-        dist, spec = outcomes(cg, rho), np.linalg.eigvalsh(rho)
-        flat_p, flat_pair = dist.volumes / d, _spectral_pair(rho, np.eye(d) / d)
-        s1 = alpha_oe(cg, rho, 1.0)  # the public path, against the hoisted grid
-        oe = _alpha_oe(dist, ALPHA_GRID + near + steps).tolist()
-        g = len(ALPHA_GRID)
-        svals, (above, below), fd_points = oe[:g], oe[g : g + 2], oe[g + 2 :]
+        # additivity on a 2 x 3 product
+        cg_a = random_coarse_graining(rng, 2)
+        cg_b = random_coarse_graining(rng, 3)
+        rho_a = random_density(rng, 2)
+        rho_b = random_density(rng, 3)
+        prod_rho = tensor(rho_a, rho_b)
+        # concavity
+        rho2 = random_density(rng, d)
+        lam = float(rng.uniform(0.05, 0.95))
+        mix = lam * rho + (1 - lam) * rho2
+        # the public path, against the hoisted grid
+        cases.append((rho, prod_rho, mix, lam, alpha_oe(cg, rho, 1.0)))
+        dists.append(_pv(outcomes(cg, rho)))
+        measured = ((tensor_cg([cg_a, cg_b]), prod_rho), (cg_a, rho_a), (cg_b, rho_b),
+                    (cg, mix), (cg, rho2))
+        others += [_pv(outcomes(c, m)) for c, m in measured]
+    rhos = [rho for rho, *_ in cases]
+    g = len(ALPHA_GRID)
+    # the grid, the alpha -> 1 neighbours and the finite-difference points
+    steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
+    oe = _alpha_oes(dists, ALPHA_GRID + (1 + 1e-7, 1 - 1e-7) + steps).tolist()
+    # the kernel calls of classical_petz_renyi(p, V / d, a) and
+    # petz_renyi(rho, I / d, a), over the grid
+    flat_p = [v / len(rho) for (_, v), rho in zip(dists, rhos)]
+    classical = _ragged([p for p, _ in dists], flat_p, ALPHA_GRID).tolist()
+    quantum = _petz(rhos, [np.eye(len(rho)) / len(rho) for rho in rhos]).tolist()
+    s_rho = _entropies(rhos).tolist()
+    derivs = _alpha_derivatives(dists, ALPHA_GRID).tolist()
+    others = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).tolist()
+    tables = zip(cases, oe, classical, quantum, s_rho, derivs, others)
+    for (rho, prod_rho, mix, lam, s1), row, c_row, q_row, s_row, d_row, other in tables:
+        d = len(rho)
+        svals, (above, below), fd_points = row[:g], row[g : g + 2], row[g + 2 :]
         limit.record(-max(abs(above - s1), abs(below - s1)), _state_instance(rho))
-        # the kernel calls of classical_petz_renyi(p, flat_p, a) and
-        # petz_renyi(rho, I/d, a), over the grid
-        classical = _renyi_divergence(dist.probabilities, flat_p, ALPHA_GRID).tolist()
-        quantum = _renyi_divergence(*flat_pair, ALPHA_GRID).tolist()
         columns = zip(
-            ALPHA_GRID,
-            svals,
-            classical,
-            quantum,
-            _renyi_entropy(spec, ALPHA_GRID).tolist(),
-            _alpha_derivative(dist, ALPHA_GRID).tolist(),
-            fd_points[0::2],
-            fd_points[1::2],
+            ALPHA_GRID, svals, c_row, q_row, s_row, d_row, fd_points[0::2], fd_points[1::2]
         )
-        for a, s, c, qu, s_rho, deriv, up, down in columns:
+        for a, s, c, qu, s_rho_a, deriv, up, down in columns:
             forms.record(-abs(s - (math.log(d) - c)), _state_instance(rho, a))
             gap = qu - c
-            gap_id.record(-abs(gap - (s - s_rho)), _state_instance(rho, a))
+            gap_id.record(-abs(gap - (s - s_rho_a)), _state_instance(rho, a))
             gap_pos.record(gap, _state_instance(rho, a))
-            bounds.record(min(s - s_rho, math.log(d) - s), _state_instance(rho, a))
+            bounds.record(min(s - s_rho_a, math.log(d) - s), _state_instance(rho, a))
             deriv_sign.record(-deriv, _state_instance(rho, a))
             fd = (up - down) / 2e-5
             # floor keeps the relative test meaningful near zero derivatives
@@ -261,24 +286,10 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
             min(b - a for a, b in zip(svals[1:], svals[:-1])),
             _state_instance(rho),
         )
-        # additivity on a 2 x 3 product
-        cg_a = random_coarse_graining(rng, 2)
-        cg_b = random_coarse_graining(rng, 3)
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 3)
-        prod_rho = tensor(rho_a, rho_b)
-        d_prod = outcomes(tensor_cg([cg_a, cg_b]), prod_rho)
-        d_a, d_b = outcomes(cg_a, rho_a), outcomes(cg_b, rho_b)
-        parts = (_alpha_oe(d_a, ALPHA_GRID) + _alpha_oe(d_b, ALPHA_GRID)).tolist()
-        for a, whole, part in zip(ALPHA_GRID, _alpha_oe(d_prod, ALPHA_GRID).tolist(), parts):
-            additivity.record(-abs(whole - part), _state_instance(prod_rho, a))
-        # concavity
-        rho2 = random_density(rng, d)
-        lam = float(rng.uniform(0.05, 0.95))
-        mix = lam * rho + (1 - lam) * rho2
-        s = dict(zip(ALPHA_GRID, svals))
-        s_mix = _grid(_alpha_oe(outcomes(cg, mix), ALPHA_GRID))
-        s_2 = _grid(_alpha_oe(outcomes(cg, rho2), ALPHA_GRID))
+        whole, s_a, s_b = other[:3]
+        for a, w, u, v in zip(ALPHA_GRID, whole, s_a, s_b):
+            additivity.record(-abs(w - (u + v)), _state_instance(prod_rho, a))
+        s, s_mix, s_2 = (dict(zip(ALPHA_GRID, vals)) for vals in (svals, *other[3:]))
         for a in ALPHA_LT1:
             margin = s_mix[a] - (lam * s[a] + (1 - lam) * s_2[a])
             concave.record(margin, _state_instance(mix, a))
@@ -317,6 +328,7 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
     rng = _rng(seed, 3)
     z, x = _mub_qubit_case()
     seq = sequential(z, x)
+    cases, dists = [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rho = random_density(rng, d)
@@ -324,36 +336,37 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         stages = [cgs[0]]
         for nxt in cgs[1:]:
             stages.append(sequential(stages[-1], nxt))
-        grids = [_alpha_oe(outcomes(c, rho), ALPHA_GRID).tolist() for c in stages]
-        s_rho = _renyi_entropy(np.linalg.eigvalsh(rho), ALPHA_GRID).tolist()
-        for a, values, s in zip(ALPHA_GRID, zip(*grids), s_rho):
+        # mutually-unbiased qubit case: exact equality
+        rho_q = random_density(rng, 2)
+        # composing with the trivial second stage keeps t-ratios, so
+        # equality; the converse of the equality condition is observed only
+        cg1 = random_coarse_graining(rng, d)
+        seq2 = sequential(cg1, random_coarse_graining(rng, d))
+        cases.append((rho, rho_q, [cg1.labels.index(lab1) for lab1, _ in seq2.labels]))
+        measured = [(c, rho) for c in stages] + [(seq, rho_q), (z, rho_q)]
+        measured += [(sequential(cg1, identity_cg(d)), rho), (cg1, rho), (seq2, rho)]
+        dists += [_pv(outcomes(c, m)) for c, m in measured]
+    g = len(ALPHA_GRID)
+    oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 9, g).tolist()
+    s_rho = _entropies([rho for rho, _, _ in cases]).tolist()
+    at_two = ALPHA_GRID.index(2.0)
+    for i, ((rho, rho_q, first), s_row, grids) in enumerate(zip(cases, s_rho, oe)):
+        for a, values, s in zip(ALPHA_GRID, zip(*grids[:4]), s_row):
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
                 _state_instance(rho, a),
             )
             above.record(values[-1] - s, _state_instance(rho, a))
-        # mutually-unbiased qubit case: exact equality
-        rho_q = random_density(rng, 2)
-        d_seq, d_z = outcomes(seq, rho_q), outcomes(z, rho_q)
-        pairs = zip(_alpha_oe(d_seq, ALPHA_GRID).tolist(), _alpha_oe(d_z, ALPHA_GRID).tolist())
-        for a, (u, v) in zip(ALPHA_GRID, pairs):
+        for a, u, v in zip(ALPHA_GRID, grids[4], grids[5]):
             mub.record(-abs(u - v), _state_instance(rho_q, a))
-        # composing with the trivial second stage keeps t-ratios, so equality
-        cg1 = random_coarse_graining(rng, d)
-        d_triv = outcomes(sequential(cg1, identity_cg(d)), rho)
-        d_1 = outcomes(cg1, rho)
-        s_1 = _grid(_alpha_oe(d_1, ALPHA_GRID))
-        for a, u in zip(ALPHA_GRID, _alpha_oe(d_triv, ALPHA_GRID).tolist()):
-            equality.record(-abs(u - s_1[a]), _state_instance(rho, a))
-        # converse of the equality condition, observed only
-        cg2 = random_coarse_graining(rng, d)
-        seq2 = sequential(cg1, cg2)
-        d_12 = outcomes(seq2, rho)
-        if abs(_alpha_oe(d_12, 2.0) - s_1[2.0]) <= 1e-9:
-            first = [cg1.labels.index(lab1) for lab1, _ in seq2.labels]
-            p1, p12 = d_1.probabilities[first], d_12.probabilities
+        s_triv, s_1, s_12 = grids[6:]
+        for a, u, v in zip(ALPHA_GRID, s_triv, s_1):
+            equality.record(-abs(u - v), _state_instance(rho, a))
+        if abs(s_12[at_two] - s_1[at_two]) <= 1e-9:
+            (p1, v1), (p12, v12) = dists[9 * i + 7], dists[9 * i + 8]
+            p1, v1 = p1[first], v1[first]
             kept = (p12 > 1e-12) & (p1 > 1e-12)
-            ratios = np.abs(p12 / d_12.volumes - p1 / d_1.volumes[first])[kept]
+            ratios = np.abs(p12 / v12 - p1 / v1)[kept]
             converse.record(-float(ratios.max(initial=0.0)), _state_instance(rho, 2.0))
     return [chain, above, mub, equality, converse]
 
@@ -367,6 +380,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
     control = PropertyResult("invalid_map_rejected", "hard", 0.0)
 
     rng = _rng(seed, 4)
+    rhos, merges, trivials = [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rho = random_density(rng, d)
@@ -374,24 +388,12 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         coarser, rmap = random_merge(rng, cg)
         _, residual = check_refinement(cg, coarser, rmap)
         relation.record(-residual, _state_instance(rho))
-        fine, coarse = outcomes(cg, rho), outcomes(coarser, rho)
-        s_fine, s_coarse = _grid(_alpha_oe(fine, ALPHA_GRID)), _grid(_alpha_oe(coarse, ALPHA_GRID))
-        for a in ALPHA_GT1:
-            gap = s_coarse[a] - s_fine[a]
-            mono_hi.record(gap, _state_instance(rho, a))
-            d_bound = _refinement_bound(fine, coarse, rmap, a)
-            if not math.isinf(d_bound):
-                bound.record(gap - d_bound, _state_instance(rho, a))
-        for a in ALPHA_LT1:
-            gap = s_coarse[a] - s_fine[a]
-            mono_lo.record(gap, _state_instance(rho, a))
+        fine = outcomes(cg, rho)
         # trivial coarser {I}: the bound equals the gap exactly
         triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
-        triv = outcomes(triv_cg, rho)
-        for a, s_triv in zip(ALPHA_GT1, _alpha_oe(triv, ALPHA_GT1).tolist()):
-            gap = s_triv - s_fine[a]
-            d_bound = _refinement_bound(fine, triv, triv_map, a)
-            trivial.record(-abs(gap - d_bound), _state_instance(rho, a))
+        rhos.append(rho)
+        merges.append((fine, outcomes(coarser, rho), rmap))
+        trivials.append((fine, outcomes(triv_cg, rho), triv_map))
         # a non-stochastic map must be rejected
         bad = np.full((len(cg), len(coarser)), 0.37)
         try:
@@ -399,6 +401,23 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
             control.record(-1.0, {"note": "non-stochastic map accepted"})
         except NotARefinement:
             control.record(0.0)
+    g = len(ALPHA_GRID)
+    dists = [(fine, coarse, triv) for (fine, coarse, _), (_, triv, _) in zip(merges, trivials)]
+    oe = _alpha_oes([_pv(d) for ds in dists for d in ds], ALPHA_GRID).reshape(n, 3, g).tolist()
+    # per order above 1: the bound of each merge, then of each trivial merge
+    d_bounds = [_refinement_bounds(merges + trivials, a).tolist() for a in ALPHA_GT1]
+    for i, (rho, grids) in enumerate(zip(rhos, oe)):
+        s_fine, s_coarse, s_triv = (dict(zip(ALPHA_GRID, grid)) for grid in grids)
+        for a, d_bound in zip(ALPHA_GT1, d_bounds):
+            gap = s_coarse[a] - s_fine[a]
+            mono_hi.record(gap, _state_instance(rho, a))
+            if not math.isinf(d_bound[i]):
+                bound.record(gap - d_bound[i], _state_instance(rho, a))
+        for a in ALPHA_LT1:
+            mono_lo.record(s_coarse[a] - s_fine[a], _state_instance(rho, a))
+        for a, d_bound in zip(ALPHA_GT1, d_bounds):
+            gap = s_triv[a] - s_fine[a]
+            trivial.record(-abs(gap - d_bound[n + i]), _state_instance(rho, a))
     results = [relation, mono_hi, mono_lo, bound, trivial, control]
     if inject_invalid:
         injected = PropertyResult("injected_invalid_map", "hard", 0.0)
@@ -430,40 +449,23 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
 
     rng = _rng(seed, 7)
     alphas = (0.5, 2.0, 3.0)
+    rhos, dists, mixtures, splits, eq_parts, pert_parts = [], [], [], [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rho = random_density(rng, d)
         cg_r1 = random_rank1_projective_cg(rng, d)
         cg_gen = random_projective_cg(rng, d)
         r1, gen = _Measurement(cg_r1, rho), _Measurement(cg_gen, rho)
-        spec = np.linalg.eigvalsh(rho)
         trace_one.record(
             -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
         )
-        p_term, d_term = r1.decompose(alphas)
-        pg, dg = gen.decompose(alphas)
-        direct_g, oe_g = _renyi_entropy(gen.post_spectrum, alphas), _alpha_oe(gen.dist, alphas)
-        s_rho = _renyi_entropy(spec, alphas)
-        # one margin array per property, in the order they are recorded
-        margins = (
-            -abs(r1.renyi_mixture(alphas) - _renyi_entropy(r1.post_spectrum, alphas)),
-            -abs(p_term + d_term - _alpha_oe(r1.dist, alphas)),
-            -abs(gen.renyi_mixture(alphas) - direct_g),
-            -abs(pg + dg - oe_g),
-            -abs(oe_g - s_rho - ((direct_g - s_rho) + dg)),
-        )
-        props = (post_r1, split_r1, post_gen, split_gen, assembly)
-        for a, row in zip(alphas, zip(*(m.tolist() for m in margins))):
-            for prop, margin in zip(props, row):
-                prop.record(margin, _state_instance(rho, a))
+        rhos.append(rho)
+        dists += [_pv(r1.dist), _pv(gen.dist)]
+        mixtures += [r1.mixture_part, gen.mixture_part]
+        splits += [r1.split_part, gen.split_part]
         # coarse-grained-state biconditional
-        rho_eq = random_coarse_grained_state(rng, cg_gen)
-        for a, report in zip(alphas, _coarse_grained_reports(cg_gen, rho_eq, alphas)):
-            eq_cases.record(
-                -max(report.matrix_residual, report.entropy_residual),
-                _state_instance(rho_eq, a),
-            )
-            agreement.record(0.0 if report.consistent else -1.0)
+        eq_parts.append(_report_part(cg_gen, random_coarse_grained_state(rng, cg_gen)))
+        rho_eq = eq_parts[-1][2]
         herm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         herm = herm + herm.conj().T
         herm = herm - np.trace(herm) / d * np.eye(d)
@@ -473,12 +475,41 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
             pert = (pert + abs(lam_min) * 1.5 * np.eye(d)) / (
                 1 + 1.5 * abs(lam_min) * d
             )
-        dist = float(np.max(np.abs(pert - coarse_grained_state(cg_gen, pert))))
-        if dist >= 1e-3:
-            for a, report in zip(alphas, _coarse_grained_reports(cg_gen, pert, alphas)):
+        part = _report_part(cg_gen, pert)
+        pert_parts.append(part if part[0] >= 1e-3 else None)
+    mix = _mixtures(mixtures, alphas).reshape(n, 2, -1)
+    post, div = (t.reshape(n, 2, -1) for t in _splits(splits, alphas))
+    oe = _alpha_oes(dists, alphas).reshape(n, 2, -1)
+    s_rho = _entropies(rhos, alphas)
+    eq_reports = _reports(eq_parts, alphas)
+    pert_reports = iter(_reports([part for part in pert_parts if part], alphas))
+    props = (post_r1, split_r1, post_gen, split_gen, assembly)
+    for i, rho in enumerate(rhos):
+        (mix_1, mix_g), (post_1, post_g), (div_1, div_g), (oe_1, oe_g) = (
+            mix[i], post[i], div[i], oe[i]
+        )
+        # one margin array per property, in the order they are recorded
+        margins = (
+            -abs(mix_1 - post_1),
+            -abs(post_1 + div_1 - oe_1),
+            -abs(mix_g - post_g),
+            -abs(post_g + div_g - oe_g),
+            -abs(oe_g - s_rho[i] - ((post_g - s_rho[i]) + div_g)),
+        )
+        for a, row in zip(alphas, zip(*(m.tolist() for m in margins))):
+            for prop, margin in zip(props, row):
+                prop.record(margin, _state_instance(rho, a))
+        for a, report in zip(alphas, eq_reports[i]):
+            eq_cases.record(
+                -max(report.matrix_residual, report.entropy_residual),
+                _state_instance(eq_parts[i][2], a),
+            )
+            agreement.record(0.0 if report.consistent else -1.0)
+        if pert_parts[i]:
+            for a, report in zip(alphas, next(pert_reports)):
                 pert_cases.record(
                     min(report.matrix_residual, report.entropy_residual) - 1e-8,
-                    _state_instance(pert, a),
+                    _state_instance(pert_parts[i][2], a),
                 )
                 agreement.record(0.0 if report.consistent else -1.0)
     return [
@@ -507,54 +538,29 @@ def _canonical_closed_runs(alphas, n_samples=50):
     qutrit = DrivingProtocol(((qutrit_h1, 0.9), (qutrit_h2, 1.1)))
     rho_t = gibbs_state(qutrit_h1, 0.8)
     runs = []
-    for protocol, rho0, delta in (
-        (qubit, rho_q, 0.4),
-        (qutrit, rho_t, 0.3),
-    ):
+    for protocol, rho0, delta in ((qubit, rho_q, 0.4), (qutrit, rho_t, 0.3)):
         times = np.linspace(0.0, protocol.total_duration, n_samples + 1)[1:]
-        runs.append(
-            closed_run(protocol, rho0, EnergyWindowing(delta), alphas, times)
-        )
+        runs.append(closed_run(protocol, rho0, EnergyWindowing(delta), alphas, times))
     return runs
 
 
 def _canonical_open_runs(alphas, n_samples=50):
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     h_s = np.diag([0.0, 1.0]).astype(complex)
-    runs = []
-    # nondegenerate bath, one level per window (volumes all 1)
-    h_b1 = np.diag([0.0, 0.35, 0.8, 1.3, 1.95, 2.6]).astype(complex)
-    x_b = np.zeros((6, 6), dtype=complex)
-    for k in range(5):
-        x_b[k, k + 1] = x_b[k + 1, k] = 1.0
-    v1 = 0.15 * np.kron(sx, x_b)
-    runs.append(
-        open_run(
-            h_s,
-            h_b1,
-            v1,
-            np.diag([0.7, 0.3]).astype(complex),
-            1.0,
-            EnergyWindowing(0.3),
-            alphas,
-            np.linspace(0.1, 6.0, n_samples),
-        )
+    v = 0.15 * np.kron(sx, np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1))
+    times = np.linspace(0.1, 6.0, n_samples)
+    # (bath levels, system populations, bath beta, window width): a
+    # nondegenerate bath with one level per window (volumes all 1), and
+    # doubly degenerate bath levels with constant window volume 2
+    baths = (
+        ([0.0, 0.35, 0.8, 1.3, 1.95, 2.6], [0.7, 0.3], 1.0, 0.3),
+        ([0.0, 0.0, 1.0, 1.0, 2.0, 2.0], [0.6, 0.4], 0.7, 0.5),
     )
-    # doubly degenerate bath levels, constant window volume 2
-    h_b2 = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]).astype(complex)
-    runs.append(
-        open_run(
-            h_s,
-            h_b2,
-            v1,
-            np.diag([0.6, 0.4]).astype(complex),
-            0.7,
-            EnergyWindowing(0.5),
-            alphas,
-            np.linspace(0.1, 6.0, n_samples),
-        )
-    )
-    return runs
+    return [
+        open_run(h_s, np.diag(levels).astype(complex), v, np.diag(pops).astype(complex),
+                 beta, EnergyWindowing(delta), alphas, times)
+        for levels, pops, beta, delta in baths
+    ]
 
 
 def suite_thermo(seed: int, n: int, dim_max: int) -> list:
@@ -595,8 +601,8 @@ def suite_thermo(seed: int, n: int, dim_max: int) -> list:
             float(rng.uniform(0.5, 4.0)),
         )
         t0 = float(rng.uniform(0.2, 3.0))
-        for a in (0.5, 2.0, 3.0, 5.0):
-            lhs, rhs, gap = jackson_check(levels, t0, a)
+        orders = (0.5, 2.0, 3.0, 5.0)
+        for a, (lhs, rhs, gap) in zip(orders, _jackson(levels, t0, orders)):
             jackson.record(-abs(gap), {"t0": t0, "alpha": a, "lhs": lhs, "rhs": rhs})
     for _ in range(min(n, 50)):
         d = int(rng.integers(2, dim_max + 1))
@@ -626,22 +632,11 @@ def run_suite(
     inject_invalid: bool = False,
 ) -> VerificationReport:
     """Run one named suite (or 'all') and return its report."""
-    if suite == "all":
-        props = []
-        for name in _SUITES:
-            props.extend(_run_one(name, seed, n, dim_max, inject_invalid))
-        return VerificationReport("all", seed, n, dim_max, props)
-    if suite not in _SUITES:
-        raise ValidationError(
-            f"unknown suite {suite!r}; choose from "
-            f"{sorted(_SUITES) + ['all']}"
-        )
-    return VerificationReport(
-        suite, seed, n, dim_max, _run_one(suite, seed, n, dim_max, inject_invalid)
-    )
-
-
-def _run_one(name, seed, n, dim_max, inject_invalid):
-    if name == "refinement":
-        return suite_refinement(seed, n, dim_max, inject_invalid=inject_invalid)
-    return _SUITES[name](seed, n, dim_max)
+    all_suites = _option(suite, (*_SUITES, "all"), "suite") == "all"
+    props = []
+    for name in _SUITES if all_suites else [suite]:
+        if name == "refinement":
+            props += suite_refinement(seed, n, dim_max, inject_invalid=inject_invalid)
+        else:
+            props += _SUITES[name](seed, n, dim_max)
+    return VerificationReport(suite, seed, n, dim_max, props)

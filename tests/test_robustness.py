@@ -2,10 +2,11 @@
 divergences return a finite number, INFINITE, or raise an ObsentError over
 the valid range (alpha from 1e-3 to 1e4, weights scaled from 1e-6 to 1e6,
 rank-deficient states with spectra spanning many orders of magnitude); a
-grid of orders gives the kernel's per-order values bit for bit;
+grid of orders gives the kernel's per-order values bit for bit, and each
+row of a table its own vector call's values;
 effective_beta recovers beta at every spectral scale from 1e-6 to 1e6; and
-malformed matrices, weight vectors and numbers raise an ObsentError at
-every public entry."""
+malformed matrices, arrays, numbers, objects and options raise an
+ObsentError at every public entry."""
 
 import math
 
@@ -22,7 +23,10 @@ from obsent import (
     LevelSystem,
     OutcomeDistribution,
     RefinementMap,
+    check_refinement,
+    closed_run,
     coarse_grained_state,
+    energy_cg,
     free_energy,
     measurement_channel,
     merge_outcomes,
@@ -37,6 +41,7 @@ from obsent import (
     alpha_derivative,
     effective_beta,
     gibbs_state,
+    identity_cg,
     alpha_oe,
     alpha_oe_divergence_form,
     alpha_oe_gap,
@@ -50,13 +55,15 @@ from obsent import (
     projective_cg,
     refinement_divergence_bound,
     renyi_entropy,
+    tensor_cg,
     renyi_mutual_info,
     renyi_mutual_info_divergence_form,
     renyi_post_measurement,
     umegaki,
     von_neumann,
 )
-from obsent.divergences import _renyi_divergence
+from obsent import divergences
+from obsent.divergences import _ragged, _renyi_divergence, _rows
 from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
 from obsent.verify import run_suite
 from obsent.generators import (
@@ -269,6 +276,29 @@ _MALFORMED_CALLS = {
     "one dims entry": lambda: renyi_mutual_info(np.eye(4) / 4, (4,), 2.0),
     "unknown suite": lambda: run_suite("nope"),
     "unhashable label": lambda: merge_outcomes(_QUBIT, [[["0"]], ["1"]]),
+    # an object of the wrong type where a structured argument is expected
+    "coarse-graining that is a number": lambda: alpha_oe(float("nan"), _STATE, 2.0),
+    "windowing that is None": lambda: energy_cg(np.eye(2), None),
+    "dimension that is nan": lambda: identity_cg(float("nan")),
+    "protocol of a number": lambda: DrivingProtocol(5),
+    "alphas that are a number": lambda: closed_run(
+        DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), 2.0, [0.5]
+    ),
+    "refinement map that is a list": (
+        lambda: check_refinement(_QUBIT, identity_cg(2), [[1.0], [1.0]])
+    ),
+    "levels that are a list": lambda: free_energy([0.0, 1.0], 1.0),
+    "part that is a number": lambda: tensor_cg([_QUBIT, 5]),
+    # real arrays go through one gate
+    "complex refinement map": lambda: RefinementMap(np.array([[1.0 + 1j]])),
+    "string energies": lambda: LevelSystem("ab", 1.0),
+    "complex volume": lambda: OutcomeDistribution(("a",), [1.0], np.array([1.0 + 1j])),
+    # an option that is not a string
+    "array partial_trace side": (
+        lambda: partial_trace(np.eye(4) / 4, (2, 2), np.array([1, 2]))
+    ),
+    "array operator kind": lambda: validate_operator(np.eye(2), np.array([1, 2])),
+    "array suite": lambda: run_suite(np.array([1, 2])),
 }
 
 
@@ -286,3 +316,52 @@ def test_non_hermitian_hamiltonian_raises_not_hermitian():
         effective_beta(_NOT_HERMITIAN + np.diag([0.0, 1.0]), _STATE)
     with pytest.raises(NotHermitian):
         propagate(_STATE, _NOT_HERMITIAN, 1.0)
+
+
+def test_table_rows_equal_their_vector_calls():
+    # each row keeps its own support cut, q = 0 handling and log-space redo
+    rows = [
+        ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0]),  # padded
+        ([0.4, 0.6], [0.0, 2.0]),  # a zero-volume entry next to padding
+        ([1.0, 1e-20, 0.5, 0.25, 0.125, 1e-30, 0.1, 0.2, 0.3], [0.5] * 9),  # cut
+        ([0.7, 0.3], [0.0, 0.0]),  # q = 0
+        ([0.9, 0.1], [1e-300, 1.0]),  # x^alpha underflows at alpha = 1e4
+    ]
+    orders = np.array([0.3, 1.0, 1 + 1e-7, 2.0, 1e4])
+    xs, qs = [np.array(x) for x, _ in rows], [np.array(q) for _, q in rows]
+    table = _renyi_divergence(_rows(xs, 0.0), _rows(qs, 1.0), orders)
+    assert table.shape == (len(rows), len(orders))
+    assert not np.isnan(table).any()
+    width = max(len(x) for x in xs)
+    for x, q, row in zip(xs, qs, table.tolist()):
+        for value, alone in zip(row, _renyi_divergence(x, q, orders).tolist()):
+            if len(x) == width:
+                assert value.hex() == alone.hex()
+            else:
+                assert value == pytest.approx(alone, rel=1e-15, abs=0.0)
+    # a kept entry over q = 0: INFINITE from alpha = 1 on, cut below
+    assert table[1, 1:].tolist() == [INFINITE] * 4
+    assert table[1, 0] == pytest.approx(math.log(0.6**0.3 * 2.0**0.7) / (0.3 - 1.0))
+    assert table[3].tolist() == [INFINITE] * 5
+    # the log-space redo gives the finite value at alpha = 1e4
+    assert table[4, 4] == pytest.approx(
+        (1e4 * math.log(0.9) - (1e4 - 1) * math.log(1e-300)) / (1e4 - 1), rel=1e-12
+    )
+    # one order gives that column of the grid, bit for bit
+    column = _renyi_divergence(_rows(xs, 0.0), _rows(qs, 1.0), 2.0)
+    assert column.tolist() == table[:, 3].tolist()
+    # _ragged pads the rows alike when they fit in one table
+    assert np.array_equal(_ragged(xs, qs, orders), table)
+
+
+def test_ragged_splits_into_small_tables(monkeypatch):
+    rng = np.random.default_rng(3)
+    xs = [rng.dirichlet(np.ones(n)) for n in (2, 40, 3, 17, 5, 40)]
+    qs = [rng.uniform(0.5, 2.0, len(x)) for x in xs]
+    orders = np.array([0.5, 2.0])
+    whole = _ragged(xs, qs, orders)
+    monkeypatch.setattr(divergences, "_TABLE_ENTRIES", 40)
+    split = _ragged(xs, qs, orders)
+    for x, q, a, b in zip(xs, qs, whole.tolist(), split.tolist()):
+        alone = _renyi_divergence(x, q, orders).tolist()
+        assert a == pytest.approx(alone, rel=1e-15) and b == pytest.approx(alone, rel=1e-15)

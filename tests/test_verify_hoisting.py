@@ -1,8 +1,10 @@
 """verify evaluates each alpha grid from data computed once per instance:
 outcome distributions, spectra, Nussbaum-Szkola pairs and the per-(cg, rho)
 measurement object of state_analysis, each swept over the whole grid in one
-kernel call. Every grid entry it gets that way is bit-identical (==, not
-approx) to the public scalar function it stands for."""
+kernel call. Every grid entry of these helpers is bit-identical (==, not
+approx) to the public scalar function it stands for; verify takes the
+helpers' tables over many instances at once, whose padded rows agree with
+them to rounding (see the table tests in test_robustness.py)."""
 
 import math
 import sys
@@ -18,6 +20,8 @@ from obsent import (
     classical_petz_renyi,
     decompose_alpha_oe,
     is_coarse_grained,
+    jackson_check,
+    LevelSystem,
     outcomes,
     petz_renyi,
     post_measurement_state,
@@ -41,6 +45,7 @@ from obsent.generators import (
     random_projective_cg,
 )
 from obsent.state_analysis import _coarse_grained_reports, _Measurement
+from obsent.thermo import _jackson
 from obsent.verify import (
     ALPHA_GRID,
     _canonical_closed_runs,
@@ -55,6 +60,11 @@ ALPHAS = ALPHA_GRID + (0.5, 1.0, 1 + 1e-7, 1 - 1e-7, 2.0 + 1e-5, 0.3 - 1e-5)
 # spectrum or pair and grid; the count is deterministic, so a per-order loop
 # that creeps back fails here without any timing
 KERNEL_CALL_CEILING = 1578
+
+# np.linalg.eigh and eigvalsh calls of the same run, with one batched call
+# per stack of conditional or flat states and per dimension of a table's
+# states; per-matrix loops that creep back fail here
+EIG_CALL_CEILING = 525
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -105,6 +115,11 @@ def test_hoisted_values_equal_public_functions(seed):
         derivs = _alpha_derivative(dist, ALPHA_GRID).tolist()
         for a, deriv in zip(ALPHA_GRID, derivs):
             assert deriv == alpha_derivative(cg, rho, a)
+        # the difference quotient needs alpha != 1
+        orders = [a for a in ALPHAS if a != 1.0]
+        levels = LevelSystem(np.linspace(-1.0, 2.0, d), 1.5)
+        for a, row in zip(orders, _jackson(levels, 0.8, orders)):
+            assert row == jackson_check(levels, 0.8, a)
 
 
 def test_run_rows_equal_single_alpha_runs():
@@ -130,3 +145,17 @@ def test_kernel_calls_stay_under_ceiling(monkeypatch):
             monkeypatch.setattr(module, "_renyi_divergence", counting)
     run_suite("all", 5, 12, 6)
     assert 0 < len(calls) <= KERNEL_CALL_CEILING
+
+
+def test_eig_calls_stay_under_ceiling(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counting(*args, _fn=fn, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    run_suite("all", 5, 12, 6)
+    assert 0 < len(calls) <= EIG_CALL_CEILING
