@@ -13,7 +13,6 @@ effect.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .operators import _instance, _items, _matrix, _reals, op_power
+from .operators import _instance, _integer, _items, _matrix, _reals, op_power
 
 
 @dataclass(frozen=True)
@@ -123,12 +122,7 @@ class CoarseGraining:
 
 def identity_cg(dim: int) -> CoarseGraining:
     """The trivial single-outcome coarse-graining {I}."""
-    try:
-        d = operator.index(dim)
-    except TypeError:  # not an integer
-        d = 0
-    if d < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {dim!r:.40}")
+    d = _integer(dim, 1, "dimension")
     return CoarseGraining(("I",), np.eye(d, dtype=complex)[None])
 
 
@@ -287,21 +281,18 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
-    [deriv] = _alpha_derivative(outcomes(cg, _state(cg, rho)), [alpha]).tolist()
+    dist = outcomes(cg, _state(cg, rho))
+    [[deriv]] = _alpha_derivatives([(dist.probabilities, dist.volumes)], [alpha]).tolist()
     return deriv
-
-
-def _alpha_derivative(dist: OutcomeDistribution, alphas) -> np.ndarray:
-    """alpha_derivative from an outcome distribution, one value per order of
-    the 1-d array alphas."""
-    return _alpha_derivatives([(dist.probabilities, dist.volumes)], alphas)[0]
 
 
 @np.errstate(over="ignore")
 def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
-    """_alpha_derivative of each (probabilities, volumes) pair of an
-    outcome distribution, as rows. The support cut and the ratios t_i are
-    made once per pair, and every D(x || p) is one row of one _ragged call."""
+    """alpha_derivative of each (probabilities, volumes) pair of an outcome
+    distribution (rows) at each order of the 1-d array alphas (columns).
+    The support cut and the ratios t_i are made once per pair, and every
+    D(x || p) is one row of one _ragged call; where (alpha - 1)^2 leaves
+    the float range, the derivative is -0.0."""
     orders = np.asarray(alphas, dtype=float).tolist()
     if any(abs(a - 1.0) <= tol.ALPHA_NEAR_ONE for a in orders):
         raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
@@ -317,8 +308,10 @@ def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
                 w = np.exp(logw - logw.max())
             xs.append(w / w.sum())
             ps.append(p)
-    kl = _ragged(xs, ps, 1.0).reshape(len(pairs), len(orders)).tolist()
-    return np.array([[-k / (a - 1.0) ** 2 for k, a in zip(row, orders)] for row in kl])
+    kl = _ragged(xs, ps, 1.0).reshape(len(pairs), len(orders))
+    # float_power rounds the square as Python's ** does; the square of ** on
+    # an array (a * a) differs from it in about 1 value in 1,000
+    return -kl / np.float_power(np.array(orders) - 1.0, 2)
 
 
 def tensor_cg(parts) -> CoarseGraining:
@@ -439,18 +432,15 @@ def refinement_divergence_bound(
             "map does not reproduce the coarser effects", magnitude=residual
         )
     state = _state(finer, rho)
-    return _refinement_bound(outcomes(finer, state), outcomes(coarser, state), m, alpha)
-
-
-def _refinement_bound(fine, coarse, m: RefinementMap, alpha: float) -> float:
-    """refinement_divergence_bound from the two outcome distributions."""
-    return float(_refinement_bounds([(fine, coarse, m)], alpha)[0])
+    case = (outcomes(finer, state), outcomes(coarser, state), m)
+    return float(_refinement_bounds([case], alpha)[0])
 
 
 @np.errstate(divide="ignore")
 def _refinement_bounds(cases: list, alpha: float) -> np.ndarray:
-    """_refinement_bound of each (fine, coarse, map) case at one order, from
-    one _ragged call; log Q_i is a logsumexp over j, so
+    """refinement_divergence_bound of each (fine, coarse, map) case, fine
+    and coarse being the outcome distributions of the two coarse-grainings,
+    at one order, from one _ragged call; log Q_i is a logsumexp over j, so
     (V_i p'_j / V'_j)^alpha cannot underflow."""
     qs = []
     for fine, coarse, m in cases:

@@ -8,9 +8,8 @@ kernel over weights: entries at most SUPPORT_RTOL times the largest are
 exact zeros, and a power sum that leaves the normal float range is redone
 in log space. The kernel takes a table whose rows are weight vectors, with
 its own support cut, q = 0 handling and log-space redo per row, and a grid
-of orders: one call gives a value per (row, order). Vectors of unequal
-length become rows by padding with x = 0 and q = 1 (_ragged), never q = 0,
-which would make a padded term 0^alpha 0^(1-alpha) = nan for alpha > 1.
+of orders: one call gives a value per (row, order). A list of vectors of
+unequal lengths is evaluated as one table per length (_ragged).
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ def _renyi_divergence(x, q, alpha):
     has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
     (alpha < 1). A sum whose powers or terms leave the normal float range
     is evaluated again in log space, for that row and order alone. The
-    support and q > 0 cuts are made once for all orders. Rows of unequal
-    length are padded with x = 0 and q = 1 (see _ragged): a padded entry
-    is cut, so it changes a row's value at most by the rounding of its sum.
+    support and q > 0 cuts are made once for all orders.
     """
     orders = np.asarray(alpha, dtype=float)
     alphas = orders.ravel().tolist()
@@ -156,42 +153,18 @@ def _renyi_divergence(x, q, alpha):
     return out if isinstance(out, float) else np.array(out)
 
 
-def _rows(vectors, fill: float) -> np.ndarray:
-    """The 1-d vectors as the rows of one 2-d table, each padded at its end
-    with fill to the longest."""
-    lengths = np.array([len(v) for v in vectors])
-    table = np.full((len(lengths), lengths.max()), fill)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = np.concatenate(vectors)
-    return table
-
-
-# entries of x per kernel call of _ragged (a longer row gets a call alone)
-_TABLE_ENTRIES = 1024
-
-
 def _ragged(xs, qs, alpha) -> np.ndarray:
     """_renyi_divergence of each vector of the sequence xs against the
     vector of the sequence qs at the same position, or against the one
     float qs: one value per vector, or one row of values per vector for a
-    1-d alpha.
-
-    The vectors are taken in length order, in tables of about
-    _TABLE_ENTRIES entries, each padded (x with 0, q with 1) to its
-    longest row and evaluated in one kernel call.
-    """
-    order = sorted(range(len(xs)), key=lambda r: len(xs[r]))
-    out = np.empty((len(xs),) + np.shape(alpha))
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        # rows come in length order, so the table is as wide as its last row
-        while stop < len(order) and (stop + 1 - start) * len(xs[order[stop]]) <= _TABLE_ENTRIES:
-            stop += 1
-        rows = order[start:stop]
-        q = qs if isinstance(qs, float) else _rows([qs[r] for r in rows], 1.0)
-        out[rows] = _renyi_divergence(_rows([xs[r] for r in rows], 0.0), q, alpha)
-        start = stop
-    return out
+    1-d alpha. The vectors of each length are stacked into one table and
+    evaluated in one kernel call, so each row equals its own vector call
+    bit for bit."""
+    if isinstance(qs, float):
+        rows = _each(lambda x: _renyi_divergence(x, qs, alpha), xs)
+    else:
+        rows = _each(lambda x, q: _renyi_divergence(x, q, alpha), xs, qs)
+    return np.array(rows).reshape((len(xs),) + np.shape(alpha))
 
 
 def kl_divergence(x, p) -> float:
@@ -293,17 +266,12 @@ def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
     and orders; the value is reported, never clamped.
     """
     _check_alpha(alpha)
-    return float(_mutual_info(_matrix(rho_ab, "state"), dims, alpha))
-
-
-def _mutual_info(m: np.ndarray, dims: tuple, alpha):
-    """renyi_mutual_info of a checked matrix, for one order or a 1-d array
-    of orders (one value per order)."""
-    return _mutual_infos([(m, dims)], alpha)[0]
+    return float(_mutual_infos([(_matrix(rho_ab, "state"), dims)], alpha)[0])
 
 
 def _mutual_infos(cases: list, alpha) -> np.ndarray:
-    """_mutual_info of each (matrix, dims) case, as rows: the spectra of
+    """renyi_mutual_info of each (checked matrix, dims) case, for one order
+    or a 1-d array of orders (rows of one value per order): the spectra of
     all reduced and joint states come from one eigvalsh per dimension and
     their entropies from one _ragged call."""
     parts = [

@@ -10,7 +10,8 @@ through one gate per kind of value, and its private helpers trust what
 they are given. A matrix goes through _matrix here (one finite square
 matrix; kind 'state' adds a positive trace, kind 'hermitian' the
 Hermiticity check and symmetrization), a real number through _real here
-(one finite real; range tests stay with the caller), an array of real
+(one finite real; range tests stay with the caller), an integer with a
+lower bound through _integer here, an array of real
 numbers through _reals here (a weight vector through
 divergences._nonneg_vector, which adds the shape and sign tests), an
 object such as a CoarseGraining through _instance here, a sequence
@@ -85,6 +86,18 @@ def _real(x, error=ValidationError, name: str = "value") -> float:
     if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
         raise error(f"{name} must be one finite real number, got {x!r:.40}")
     return float(a)
+
+
+def _integer(x, least: int, name: str) -> int:
+    """The integer gate: x as an int when it is one integer (a Python or
+    numpy int) of at least least, else ValidationError."""
+    try:
+        k = operator.index(x)
+    except TypeError:  # not an integer
+        k = None
+    if k is None or k < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {x!r:.40}")
+    return k
 
 
 def _reals(x, error=ValidationError, name: str = "values") -> np.ndarray:
@@ -259,11 +272,11 @@ def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
 
 
 def _each(fn, *mats) -> list:
-    """fn(m, ...) for each tuple of same-position matrices of the lists
-    mats, with one call of fn per matrix dimension on the stacks of that
-    dimension; fn must act on each matrix of a stack on its own, as
-    np.linalg.eigvalsh does. The results (arrays, or tuples of arrays) in
-    list order."""
+    """fn(m, ...) for each tuple of same-position arrays (matrices or
+    vectors) of the lists mats, with one call of fn per length on the
+    stacks of that length; fn must act on each array of a stack on its
+    own, as np.linalg.eigvalsh does. The results (arrays, or tuples of
+    arrays) in list order."""
     groups = {}
     for i, m in enumerate(mats[0]):
         groups.setdefault(len(m), []).append(i)

@@ -66,10 +66,9 @@ def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
 class _Measurement:
     """The alpha-independent data of measuring the complex matrix rho (of
     cg's dimension) with cg, each piece computed once on first use and
-    shared by a whole alpha grid. The alpha-dependent methods take one
-    order or a 1-d array of orders, as the kernel does; each reads one
-    part (mixture_part, split_part) of plain arrays, which _mixtures and
-    _splits also take for many measurements at once."""
+    shared by a whole alpha grid. Its parts (mixture_part, split_part) are
+    the plain arrays from which _mixtures and _splits evaluate one
+    measurement or many at once, for one order or a 1-d array of orders."""
 
     def __init__(self, cg: CoarseGraining, rho: np.ndarray):
         self.cg, self.rho = cg, rho
@@ -111,14 +110,14 @@ class _Measurement:
 
     @property
     def mixture_part(self) -> tuple:
-        """(p_i, stack of rho_i): what renyi_mixture reads."""
+        """(p_i, stack of rho_i): what _mixtures reads."""
         _, p, states, _ = self.kept
         return p, states
 
     @property
     def split_part(self) -> tuple:
         """(p_i, post-measurement state, stack of rho_i, stack of omega_i):
-        what decompose reads."""
+        what _splits reads."""
         if not self.projective:
             raise NonProjectiveCoarseGraining(
                 "decomposition requires a projective coarse-graining"
@@ -126,19 +125,12 @@ class _Measurement:
         _, p, states, flats = self.kept
         return p, self.post_state, states, flats
 
-    def renyi_mixture(self, alpha):
-        return _mixtures([self.mixture_part], alpha)[0]
-
-    def decompose(self, alpha) -> tuple:
-        post_terms, div_terms = _splits([self.split_part], alpha)
-        return post_terms[0], div_terms[0]
-
 
 def _mixtures(parts: list, alpha) -> np.ndarray:
-    """renyi_mixture of each measurement, as rows, from its mixture_part:
-    S_alpha((p_i)) + sum_i p_i S_alpha(rho_i). The spectra of all rho_i
-    come from one eigvalsh per dimension, and every entropy is one row of
-    one _ragged call."""
+    """renyi_post_measurement of each measurement, as rows, from its
+    mixture_part: S_alpha((p_i)) + sum_i p_i S_alpha(rho_i). The spectra
+    of all rho_i come from one eigvalsh per dimension, and every entropy
+    is one row of one _ragged call."""
     spectra = _each(np.linalg.eigvalsh, [m for _, states in parts for m in states])
     rows, at = [], 0
     for p, _ in parts:
@@ -149,11 +141,12 @@ def _mixtures(parts: list, alpha) -> np.ndarray:
 
 
 def _splits(parts: list, alpha) -> tuple:
-    """decompose of each measurement, as rows of two arrays (S_alpha(rho'),
-    sum_i p_i D_alpha(rho_i || omega_i)), from its split_part. The post
-    spectra and the Nussbaum-Szkola pairs of all (rho_i, omega_i) come from
-    one batched eigendecomposition per dimension, and each post spectrum
-    (against q = 1) and pair is one row of one _ragged call."""
+    """decompose_alpha_oe of each measurement, as rows of two arrays
+    (S_alpha(rho'), sum_i p_i D_alpha(rho_i || omega_i)), from its
+    split_part. The post spectra and the Nussbaum-Szkola pairs of all
+    (rho_i, omega_i) come from one batched eigendecomposition per
+    dimension, and each post spectrum (against q = 1) and pair is one row
+    of one _ragged call."""
     posts = _each(np.linalg.eigvalsh, [post for _, post, _, _ in parts])
     pairs = _each(
         _spectral_pair,
@@ -196,7 +189,7 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
     _check_alpha(alpha)
-    return float(_Measurement(cg, _state(cg, rho)).renyi_mixture(alpha))
+    return float(_mixtures([_Measurement(cg, _state(cg, rho)).mixture_part], alpha)[0])
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -212,8 +205,8 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
     _check_alpha(alpha)
-    post_term, div_term = _Measurement(cg, _state(cg, rho)).decompose(alpha)
-    return float(post_term), float(div_term)
+    post_terms, div_terms = _splits([_Measurement(cg, _state(cg, rho)).split_part], alpha)
+    return float(post_terms[0]), float(div_terms[0])
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
@@ -232,17 +225,8 @@ def is_coarse_grained(
     disagreement between the two.
     """
     _check_alpha(alpha)
-    [report] = _coarse_grained_reports(cg, _state(cg, rho), [alpha], atol)
+    [[report]] = _reports([_report_part(cg, _state(cg, rho))], [alpha], atol)
     return report
-
-
-def _coarse_grained_reports(
-    cg: CoarseGraining, m: np.ndarray, alphas, atol: float = tol.CG_STATE_ATOL
-) -> list:
-    """is_coarse_grained of a checked state m for each order of the 1-d
-    array alphas; the matrix test, the outcomes and the spectrum are
-    computed once."""
-    return _reports([_report_part(cg, m)], alphas, atol)[0]
 
 
 def _report_part(cg: CoarseGraining, m: np.ndarray) -> tuple:

@@ -32,7 +32,7 @@ from .coarse_graining import (
     _alpha_oe,
     projective_cg,
 )
-from .divergences import _check_alpha, _renyi_divergence, _renyi_entropy
+from .divergences import INFINITE, _check_alpha, _ragged, _renyi_divergence, _renyi_entropy
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -283,7 +283,9 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
     """Partition functions and Helmholtz free energies at a temperature.
 
     Z = sum_i exp(-E_i / T); the scaled variants multiply Z by the common
-    outcome volume V: Z~ = V Z, A = -T log Z, A~ = -T log Z~.
+    outcome volume V: Z~ = V Z, A = -T log Z, A~ = -T log Z~. A partition
+    function beyond the float range is INFINITE; A and A~ come from log Z,
+    so they stay finite while log Z does.
     """
     temperature = _temperature(temperature)
     e = _instance(levels, LevelSystem, "levels").energies
@@ -292,11 +294,19 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
     log_z = math.log(z) - ref / temperature
     log_z_scaled = log_z + math.log(levels.volume)
     return FreeEnergyValues(
-        partition=math.exp(log_z),
-        partition_scaled=math.exp(log_z_scaled),
+        partition=_exp(log_z),
+        partition_scaled=_exp(log_z_scaled),
         helmholtz=-temperature * log_z,
         helmholtz_scaled=-temperature * log_z_scaled,
     )
+
+
+def _exp(x: float) -> float:
+    """math.exp(x), or INFINITE where that leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INFINITE
 
 
 def gibbs_distribution(levels: LevelSystem, temperature: float) -> np.ndarray:
@@ -561,27 +571,25 @@ def open_run(
         pop = _evolve(lam, b_vec, tilde0, t).diagonal().real
         return OutcomeDistribution((), np.bincount(joint_bins, pop), vol_joint)
 
-    def h(x, vol):
-        return -_renyi_divergence(x, vol, alphas)
-
-    def per_alpha_terms(joint):
-        """One (joint, system, bath alpha-OE, outcome mutual information)
-        tuple per alpha; the mutual information takes unit volumes."""
-        p = joint.probabilities
-        p_s, p_b = p.reshape(n_s, -1).sum(axis=1), p.reshape(n_s, -1).sum(axis=0)
-        terms = (h(p, vol_joint), h(p_s, vol_s), h(p_b, vol_b),
-                 h(p_s, 1.0) + h(p_b, 1.0) - h(p, 1.0))
-        return list(zip(*(v.tolist() for v in terms)))
-
     joint0 = joint_at(0.0)
-    base = per_alpha_terms(joint0)
     guarantee_void = not _is_coarse_grained(rho0, b, joint_bins, joint0)
+    # the joint, system and bath probabilities of the start and each sample,
+    # each against its volumes and, for the mutual information, against 1
+    rows = []
+    for joint in [joint0, *map(joint_at, ts)]:
+        p = joint.probabilities.reshape(n_s, -1)
+        rows += [joint.probabilities, p.sum(axis=1), p.sum(axis=0)]
+    shape = (1 + len(ts), 3, len(alphas))
+    oe = -_ragged(rows, [vol_joint, vol_s, vol_b] * (1 + len(ts)), alphas).reshape(shape)
+    unit = -_ragged(rows, 1.0, alphas).reshape(shape)
+    mis = unit[:, 1] + unit[:, 2] - unit[:, 0]
+    # per sample and alpha: (joint, system, bath alpha-OE, mutual information)
+    base, *terms = np.concatenate([oe, mis[:, None]], axis=1).swapaxes(1, 2).tolist()
 
     samples, findings = [], []
-    for t in ts:
-        terms = per_alpha_terms(joint_at(t))
+    for t, row in zip(ts, terms):
         for a, (s_joint, s_sys, s_bath, mi), (b_joint, b_sys, b_bath, _) in zip(
-            alphas, terms, base
+            alphas, row, base
         ):
             xi1 = s_joint - b_joint
             xi2 = (s_sys - b_sys) + (s_bath - b_bath)

@@ -49,7 +49,7 @@ from .generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from .operators import _each, _option, tensor
+from .operators import _each, _integer, _option, tensor
 from .serialize import operator_to_json
 from .state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
 from .thermo import (
@@ -477,9 +477,10 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
             )
         part = _report_part(cg_gen, pert)
         pert_parts.append(part if part[0] >= 1e-3 else None)
-    mix = _mixtures(mixtures, alphas).reshape(n, 2, -1)
-    post, div = (t.reshape(n, 2, -1) for t in _splits(splits, alphas))
-    oe = _alpha_oes(dists, alphas).reshape(n, 2, -1)
+    g = len(alphas)
+    mix = _mixtures(mixtures, alphas).reshape(n, 2, g)
+    post, div = (t.reshape(n, 2, g) for t in _splits(splits, alphas))
+    oe = _alpha_oes(dists, alphas).reshape(n, 2, g)
     s_rho = _entropies(rhos, alphas)
     eq_reports = _reports(eq_parts, alphas)
     pert_reports = iter(_reports([part for part in pert_parts if part], alphas))
@@ -631,8 +632,11 @@ def run_suite(
     dim_max: int = 6,
     inject_invalid: bool = False,
 ) -> VerificationReport:
-    """Run one named suite (or 'all') and return its report."""
+    """Run one named suite (or 'all') and return its report. seed and n are
+    integers >= 0 and dim_max is an integer >= 2 (ValidationError)."""
     all_suites = _option(suite, (*_SUITES, "all"), "suite") == "all"
+    seed, n = _integer(seed, 0, "seed"), _integer(n, 0, "n")
+    dim_max = _integer(dim_max, 2, "dim_max")
     props = []
     for name in _SUITES if all_suites else [suite]:
         if name == "refinement":

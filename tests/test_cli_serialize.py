@@ -516,6 +516,26 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+# argv -> exit code; "LEVELS" names a level file whose partition function
+# e^1000 is beyond the float range
+_EXIT_CODES = {
+    "verify-n-0": (["verify", "--suite", "all", "--n", "0"], 0),
+    "verify-n-negative": (["verify", "--n", "-1"], 1),
+    "verify-dim-1": (["verify", "--dim", "1"], 1),
+    "free-energy-overflow": (["free-energy", "LEVELS", "--t0", "1"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_CODES))
+def test_exit_code_without_traceback(tmp_path, capsys, case):
+    argv, code = _EXIT_CODES[case]
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps({"energies": [-1000, 0]}))
+    assert main([str(levels) if a == "LEVELS" else a for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == code
+
+
 @pytest.mark.parametrize(
     "content", [b'{"energies": [0, 1\xff]}', b"[" * 100_000], ids=["non-utf8", "deep"]
 )

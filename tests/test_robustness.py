@@ -63,7 +63,7 @@ from obsent import (
     von_neumann,
 )
 from obsent import divergences
-from obsent.divergences import _ragged, _renyi_divergence, _rows
+from obsent.divergences import _ragged, _renyi_divergence
 from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
 from obsent.verify import run_suite
 from obsent.generators import (
@@ -321,24 +321,25 @@ def test_non_hermitian_hamiltonian_raises_not_hermitian():
 def test_table_rows_equal_their_vector_calls():
     # each row keeps its own support cut, q = 0 handling and log-space redo
     rows = [
-        ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0]),  # padded
-        ([0.4, 0.6], [0.0, 2.0]),  # a zero-volume entry next to padding
+        ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0]),  # shorter than the longest
+        ([0.4, 0.6], [0.0, 2.0]),  # a zero-volume entry
         ([1.0, 1e-20, 0.5, 0.25, 0.125, 1e-30, 0.1, 0.2, 0.3], [0.5] * 9),  # cut
         ([0.7, 0.3], [0.0, 0.0]),  # q = 0
         ([0.9, 0.1], [1e-300, 1.0]),  # x^alpha underflows at alpha = 1e4
+        # padded to the longest row, its sum would take another order
+        ([0.1, 0.2, 0.3, 0.4], [1.0] * 4),
     ]
     orders = np.array([0.3, 1.0, 1 + 1e-7, 2.0, 1e4])
     xs, qs = [np.array(x) for x, _ in rows], [np.array(q) for _, q in rows]
-    table = _renyi_divergence(_rows(xs, 0.0), _rows(qs, 1.0), orders)
+    table = _ragged(xs, qs, orders)
     assert table.shape == (len(rows), len(orders))
     assert not np.isnan(table).any()
-    width = max(len(x) for x in xs)
-    for x, q, row in zip(xs, qs, table.tolist()):
+    unit = _ragged(xs, 1.0, orders)
+    for x, q, row, unit_row in zip(xs, qs, table.tolist(), unit.tolist()):
         for value, alone in zip(row, _renyi_divergence(x, q, orders).tolist()):
-            if len(x) == width:
-                assert value.hex() == alone.hex()
-            else:
-                assert value == pytest.approx(alone, rel=1e-15, abs=0.0)
+            assert value.hex() == alone.hex()
+        for value, alone in zip(unit_row, _renyi_divergence(x, 1.0, orders).tolist()):
+            assert value.hex() == alone.hex()
     # a kept entry over q = 0: INFINITE from alpha = 1 on, cut below
     assert table[1, 1:].tolist() == [INFINITE] * 4
     assert table[1, 0] == pytest.approx(math.log(0.6**0.3 * 2.0**0.7) / (0.3 - 1.0))
@@ -348,20 +349,38 @@ def test_table_rows_equal_their_vector_calls():
         (1e4 * math.log(0.9) - (1e4 - 1) * math.log(1e-300)) / (1e4 - 1), rel=1e-12
     )
     # one order gives that column of the grid, bit for bit
-    column = _renyi_divergence(_rows(xs, 0.0), _rows(qs, 1.0), 2.0)
+    column = _ragged(xs, qs, 2.0)
     assert column.tolist() == table[:, 3].tolist()
-    # _ragged pads the rows alike when they fit in one table
-    assert np.array_equal(_ragged(xs, qs, orders), table)
+    # the rows of one length are one table of the kernel
+    same = [1, 3, 4]
+    stacked = [np.stack([vs[r] for r in same]) for vs in (xs, qs)]
+    assert np.array_equal(_renyi_divergence(*stacked, orders), table[same])
 
 
-def test_ragged_splits_into_small_tables(monkeypatch):
+def test_ragged_makes_one_kernel_call_per_length(monkeypatch):
     rng = np.random.default_rng(3)
-    xs = [rng.dirichlet(np.ones(n)) for n in (2, 40, 3, 17, 5, 40)]
+    xs = [rng.dirichlet(np.ones(n)) for n in (2, 40, 3, 17, 5, 40, 3)]
     qs = [rng.uniform(0.5, 2.0, len(x)) for x in xs]
     orders = np.array([0.5, 2.0])
-    whole = _ragged(xs, qs, orders)
-    monkeypatch.setattr(divergences, "_TABLE_ENTRIES", 40)
-    split = _ragged(xs, qs, orders)
-    for x, q, a, b in zip(xs, qs, whole.tolist(), split.tolist()):
-        alone = _renyi_divergence(x, q, orders).tolist()
-        assert a == pytest.approx(alone, rel=1e-15) and b == pytest.approx(alone, rel=1e-15)
+    kernel, tables = divergences._renyi_divergence, []
+
+    def counting(x, q, alpha):
+        tables.append(np.shape(x))
+        return kernel(x, q, alpha)
+
+    monkeypatch.setattr(divergences, "_renyi_divergence", counting)
+    values = _ragged(xs, qs, orders)
+    assert sorted(tables) == [(1, 2), (1, 5), (1, 17), (2, 3), (2, 40)]
+    for x, q, row in zip(xs, qs, values.tolist()):
+        assert row == kernel(x, q, orders).tolist()
+
+
+def test_overflow_gives_a_value():
+    # Z = e^1000 is beyond the float range; A = -T log Z is not
+    fe = free_energy(LevelSystem([-1000.0]), 1.0)
+    assert fe.partition == fe.partition_scaled == INFINITE
+    assert fe.helmholtz == fe.helmholtz_scaled == -1000.0
+    _, _, gap = jackson_check(LevelSystem([-1000.0, 0.0]), 1.0, 2.0)
+    assert abs(gap) <= 1e-9
+    # (alpha - 1)^2 is beyond the float range at alpha = 1e300
+    assert alpha_derivative(_FINE, _RHO, 1e300) == 0.0

@@ -1,10 +1,11 @@
 """verify evaluates each alpha grid from data computed once per instance:
 outcome distributions, spectra, Nussbaum-Szkola pairs and the per-(cg, rho)
 measurement object of state_analysis, each swept over the whole grid in one
-kernel call. Every grid entry of these helpers is bit-identical (==, not
-approx) to the public scalar function it stands for; verify takes the
-helpers' tables over many instances at once, whose padded rows agree with
-them to rounding (see the table tests in test_robustness.py)."""
+kernel call. Every grid entry of these table helpers, called with one
+case, is bit-identical (==, not approx) to the public scalar function it
+stands for; verify takes the helpers' tables over many instances at once,
+whose rows equal their one-case calls bit for bit (see the table tests in
+test_robustness.py)."""
 
 import math
 import sys
@@ -31,9 +32,9 @@ from obsent import (
     renyi_post_measurement,
 )
 from obsent import divergences
-from obsent.coarse_graining import _alpha_derivative, _alpha_oe, _refinement_bound
+from obsent.coarse_graining import _alpha_derivatives, _alpha_oe, _refinement_bounds
 from obsent.divergences import (
-    _mutual_info,
+    _mutual_infos,
     _renyi_divergence,
     _renyi_entropy,
     _spectral_pair,
@@ -44,7 +45,7 @@ from obsent.generators import (
     random_merge,
     random_projective_cg,
 )
-from obsent.state_analysis import _coarse_grained_reports, _Measurement
+from obsent.state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
 from obsent.thermo import _jackson
 from obsent.verify import (
     ALPHA_GRID,
@@ -89,12 +90,12 @@ def test_hoisted_values_equal_public_functions(seed):
         flat = _renyi_divergence(*_spectral_pair(rho, np.eye(d) / d), grid)
         forms = (math.log(d) - classical).tolist()
         gaps = (flat - classical).tolist()
-        mixture = meas.renyi_mixture(grid).tolist()
-        post_terms, div_terms = (t.tolist() for t in meas.decompose(grid))
+        [mixture] = _mixtures([meas.mixture_part], grid).tolist()
+        post_terms, div_terms = (t[0].tolist() for t in _splits([meas.split_part], grid))
         post_ent = _renyi_entropy(meas.post_spectrum, grid).tolist()
         post = post_measurement_state(proj, rho)
-        mi = _mutual_info(rho_ab, (2, 3), grid).tolist()
-        reports = _coarse_grained_reports(proj, rho, grid)
+        [mi] = _mutual_infos([(rho_ab, (2, 3))], grid).tolist()
+        [reports] = _reports([_report_part(proj, rho)], grid)
         for k, a in enumerate(ALPHAS):
             assert oe[k] == alpha_oe(cg, rho, a)
             assert ent[k] == renyi_entropy(rho, a)
@@ -111,8 +112,9 @@ def test_hoisted_values_equal_public_functions(seed):
             assert reports[k] == is_coarse_grained(proj, rho, a)
             if a > 1.5 - 1e-9:
                 bound = refinement_divergence_bound(proj, coarser, rmap, rho, a)
-                assert _refinement_bound(fine, coarse, rmap, a) == bound
-        derivs = _alpha_derivative(dist, ALPHA_GRID).tolist()
+                assert _refinement_bounds([(fine, coarse, rmap)], a).tolist() == [bound]
+        pair = (dist.probabilities, dist.volumes)
+        [derivs] = _alpha_derivatives([pair], ALPHA_GRID).tolist()
         for a, deriv in zip(ALPHA_GRID, derivs):
             assert deriv == alpha_derivative(cg, rho, a)
         # the difference quotient needs alpha != 1
