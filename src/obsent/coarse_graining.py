@@ -291,8 +291,10 @@ def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
     """alpha_derivative of each (probabilities, volumes) pair of an outcome
     distribution (rows) at each order of the 1-d array alphas (columns).
     The support cut and the ratios t_i are made once per pair, and every
-    D(x || p) is one row of one _ragged call; where (alpha - 1)^2 leaves
-    the float range, the derivative is -0.0."""
+    D(x || p) is one row of one _ragged call. Where alpha log t_i leaves
+    the float range, the escort weights are their alpha -> inf limit (the
+    outcomes of largest t_i, weighted by V_i), and where (alpha - 1)^2
+    does, the derivative is -0.0."""
     orders = np.asarray(alphas, dtype=float).tolist()
     if any(abs(a - 1.0) <= tol.ALPHA_NEAR_ONE for a in orders):
         raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
@@ -305,7 +307,11 @@ def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
             w = t**a * v
             if w.size and not (w.sum() < math.inf and w.max() >= np.finfo(float).tiny):
                 logw = a * np.log(t) + np.log(v)
-                w = np.exp(logw - logw.max())
+                top = logw.max()
+                if math.isfinite(top):
+                    w = np.exp(logw - top)
+                else:  # a log t beyond the float range: the a -> inf limit
+                    w = np.where(t == t.max(), v, 0.0)
             xs.append(w / w.sum())
             ps.append(p)
     kl = _ragged(xs, ps, 1.0).reshape(len(pairs), len(orders))

@@ -314,14 +314,33 @@ def partial_trace(rho, dims: tuple, keep: str) -> np.ndarray:
     return np.einsum("ikjk->ij" if keep == "A" else "kikj->ij", t)
 
 
-def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
-    """V (tilde * e^(-i lam t) e^(+i lam t)^T) V^H: the state with matrix
-    tilde in the eigenbasis of H = V diag(lam) V^H, evolved under H for t.
-    A phase lam * t that is not a finite float raises ValidationError."""
+def _phases(lam: np.ndarray, t: float) -> np.ndarray:
+    """e^(-i lam t); a phase lam * t that is not a finite float raises
+    ValidationError."""
     if not math.isfinite(float(t) * float(np.max(np.abs(lam)))):
         raise ValidationError(f"phase lambda * t is not finite at t = {t}")
-    w = vec * np.exp(-1j * lam * t)
+    return np.exp(-1j * lam * t)
+
+
+def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
+    """V (tilde * e^(-i lam t) e^(+i lam t)^T) V^H: the state with matrix
+    tilde in the eigenbasis of H = V diag(lam) V^H, evolved under H for t."""
+    w = vec * _phases(lam, t)
     return w @ tilde @ w.conj().T
+
+
+def _populations(lam: np.ndarray, m: np.ndarray, tilde: np.ndarray, times) -> np.ndarray:
+    """Re diag(A tilde A^H) with A = m diag(e^(-i lam t)) for each t of
+    times, as a (len(times), rows of m) float array: with m = B^H V, row k
+    holds the populations along the columns of B of the state evolved as
+    in _evolve for times[k]. Each time takes one product x = A tilde; the
+    real row sums of x * conj(A) are dot products of the float views (m
+    must be C-contiguous), so the evolved state is never formed."""
+    out = np.empty((len(times), len(m)))
+    for k, t in enumerate(times):
+        a = m * _phases(lam, t)
+        out[k] = np.einsum("ij,ij->i", (a @ tilde).view(float), a.view(float))
+    return out
 
 
 def propagate(rho, H, t: float) -> np.ndarray:

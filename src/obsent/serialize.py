@@ -12,6 +12,7 @@ left empty; floats carry 17 significant digits, locale-independent.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,26 @@ def load_json(path):
 
 
 def dump_json(obj, path) -> None:
+    """Write obj as strict JSON. An infinite float is written as the string
+    "INFINITE" ("-INFINITE" below zero), as in verify reports; a nan
+    raises SchemaError."""
+    try:
+        text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a nan
+        raise SchemaError(f"cannot write strict JSON: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _finite(obj):
+    """obj with each infinite float replaced by "INFINITE" or "-INFINITE"."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "INFINITE" if obj > 0 else "-INFINITE"
+    return obj
 
 
 def resolve_operator(node, base_dir: Path) -> np.ndarray:

@@ -80,8 +80,9 @@ class _Measurement:
 
     @cached_property
     def lueders(self) -> np.ndarray:
-        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
-        roots = op_power(self.cg.effects, 0.5)
+        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect; a projector is its
+        own square root."""
+        roots = self.cg.effects if self.projective else op_power(self.cg.effects, 0.5)
         return roots @ self.rho @ roots
 
     @cached_property

@@ -6,8 +6,11 @@ runs drive a state exactly through piecewise-constant Hamiltonian segments,
 each eigendecomposed once; its samples share the segment's window
 probabilities and effective temperature. Open runs evolve a system-bath
 product state under a static joint Hamiltonian; every joint window is
-diagonal in system_basis x (bath eigenbasis), and the system and bath
-outcome probabilities are the row and column sums of the joint table. A
+diagonal in system_basis x (bath eigenbasis), so a sample needs only the
+populations along those columns, which operators._populations computes
+with one matrix product per sample, never forming the evolved state. All
+samples are binned into one (time, joint window) table, whose row and
+column sums per time are the system and bath outcome probabilities. A
 run's premise, that its start state equals its coarse-grained state, is a
 max-abs matrix distance.
 
@@ -32,7 +35,14 @@ from .coarse_graining import (
     _alpha_oe,
     projective_cg,
 )
-from .divergences import INFINITE, _check_alpha, _ragged, _renyi_divergence, _renyi_entropy
+from .divergences import (
+    INFINITE,
+    _check_alpha,
+    _nonneg_vector,
+    _ragged,
+    _renyi_divergence,
+    _renyi_entropy,
+)
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -47,6 +57,7 @@ from .operators import (
     _items,
     _levels,
     _matrix,
+    _populations,
     _real,
     _reals,
     as_matrix,
@@ -175,11 +186,11 @@ def _window_bins(lam: np.ndarray, windowing: EnergyWindowing) -> tuple:
     return labels, bins
 
 
-def _is_coarse_grained(rho, basis, bins, dist: OutcomeDistribution) -> bool:
+def _is_coarse_grained(rho, basis, bins, p: np.ndarray, v: np.ndarray) -> bool:
     """Whether rho is within CG_STATE_ATOL (max-abs) of its coarse-grained
     state basis diag((p / V)[bins]) basis^H = sum_w (p_w / V_w) E_w, where
     E_w sums the rank-1 effects b b^H of the columns b in window w."""
-    cg_state = (basis * (dist.probabilities / dist.volumes)[bins]) @ basis.conj().T
+    cg_state = (basis * (p / v)[bins]) @ basis.conj().T
     return float(np.max(np.abs(rho - cg_state))) <= tol.CG_STATE_ATOL
 
 
@@ -284,21 +295,30 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
 
     Z = sum_i exp(-E_i / T); the scaled variants multiply Z by the common
     outcome volume V: Z~ = V Z, A = -T log Z, A~ = -T log Z~. A partition
-    function beyond the float range is INFINITE; A and A~ come from log Z,
-    so they stay finite while log Z does.
+    function beyond the float range is INFINITE. A is evaluated as
+    E_min - T log sum_i exp(-(E_i - E_min) / T), whose log sum lies in
+    [0, log n], and A~ as A - T log V, so both stay finite while their
+    values are in the float range, also where E_min / T is not.
     """
     temperature = _temperature(temperature)
     e = _instance(levels, LevelSystem, "levels").energies
     ref = float(e.min())
-    z = float(np.sum(np.exp(-(e - ref) / temperature)))
-    log_z = math.log(z) - ref / temperature
-    log_z_scaled = log_z + math.log(levels.volume)
+    log_sum = math.log(float(np.sum(_boltzmann(e, temperature))))
+    log_z = log_sum - ref / temperature
+    helmholtz = ref - temperature * log_sum
     return FreeEnergyValues(
         partition=_exp(log_z),
-        partition_scaled=_exp(log_z_scaled),
-        helmholtz=-temperature * log_z,
-        helmholtz_scaled=-temperature * log_z_scaled,
+        partition_scaled=_exp(log_z + math.log(levels.volume)),
+        helmholtz=helmholtz,
+        helmholtz_scaled=helmholtz - temperature * math.log(levels.volume),
     )
+
+
+@np.errstate(over="ignore")
+def _boltzmann(e: np.ndarray, temperature: float) -> np.ndarray:
+    """exp(-(E_i - E_min) / T), largest weight 1; a level whose spread over
+    T is beyond the float range weighs 0."""
+    return np.exp(-(e - e.min()) / temperature)
 
 
 def _exp(x: float) -> float:
@@ -312,8 +332,7 @@ def _exp(x: float) -> float:
 def gibbs_distribution(levels: LevelSystem, temperature: float) -> np.ndarray:
     """Boltzmann weights exp(-E_i / T) / Z for a level system."""
     temperature = _temperature(temperature)
-    e = _instance(levels, LevelSystem, "levels").energies
-    w = np.exp(-(e - e.min()) / temperature)
+    w = _boltzmann(_instance(levels, LevelSystem, "levels").energies, temperature)
     return w / w.sum()
 
 
@@ -442,7 +461,7 @@ def closed_run(
         # one (window alpha-OE, Gibbs Renyi entropy) pair per alpha
         oe, gibbs = _alpha_oe(dist, alphas), _renyi_entropy(w, alphas)
         pairs = list(zip(oe.tolist(), gibbs.tolist()))
-        return (vec, bins, dist), energy, beta, pairs
+        return (vec, bins, dist.probabilities, dist.volumes), energy, beta, pairs
 
     k_cur = protocol.segment_index(0.0)
     terms = segment_terms(k_cur)
@@ -530,7 +549,10 @@ def open_run(
     The bath is measured in energy windows of h_b. Every joint outcome is a
     set of columns of B = system_basis x (h_b eigenvectors), so the joint
     table bins the evolved populations diag(B^H rho(t) B), and its row and
-    column sums are the system and bath outcome probabilities. Per sample
+    column sums are the system and bath outcome probabilities. Each
+    sample's populations take one matrix product (operators._populations);
+    the evolved state rho(t) is never formed, and the start and all samples
+    are binned in one bincount over (time, joint window). Per sample
     the record carries the joint alpha-OE, both marginal alpha-OEs, the
     outcome mutual information, xi1 (joint production), and xi2 (sum of
     marginal productions). The factorization joint = sys + bath - MI is
@@ -565,22 +587,22 @@ def open_run(
     lam, vec = np.linalg.eigh(tensor(hs, np.eye(db)) + tensor(np.eye(ds), hb) + v)
     rho0 = tensor(rho_s, _gibbs_state(lam_b, vec_b, bath_beta))
     tilde0 = vec.conj().T @ rho0 @ vec
-    b_vec = b.conj().T @ vec
-
-    def joint_at(t):
-        pop = _evolve(lam, b_vec, tilde0, t).diagonal().real
-        return OutcomeDistribution((), np.bincount(joint_bins, pop), vol_joint)
-
-    joint0 = joint_at(0.0)
-    guarantee_void = not _is_coarse_grained(rho0, b, joint_bins, joint0)
+    # populations along b of the start (row 0) and each sample, binned in
+    # one bincount over (time, joint window): joints[k] holds the joint
+    # probabilities at time k, row-major in (system outcome, bath window)
+    pops = _populations(lam, b.conj().T @ vec, tilde0, [0.0, *ts])
+    n_t, n_j = len(pops), len(vol_joint)
+    index = (np.arange(n_t)[:, None] * n_j + joint_bins).ravel()
+    joints = _nonneg_vector(np.bincount(index, pops.ravel(), n_t * n_j)).reshape(n_t, n_j)
+    guarantee_void = not _is_coarse_grained(rho0, b, joint_bins, joints[0], vol_joint)
     # the joint, system and bath probabilities of the start and each sample,
     # each against its volumes and, for the mutual information, against 1
     rows = []
-    for joint in [joint0, *map(joint_at, ts)]:
-        p = joint.probabilities.reshape(n_s, -1)
-        rows += [joint.probabilities, p.sum(axis=1), p.sum(axis=0)]
-    shape = (1 + len(ts), 3, len(alphas))
-    oe = -_ragged(rows, [vol_joint, vol_s, vol_b] * (1 + len(ts)), alphas).reshape(shape)
+    for joint in joints:
+        p = joint.reshape(n_s, -1)
+        rows += [joint, p.sum(axis=1), p.sum(axis=0)]
+    shape = (n_t, 3, len(alphas))
+    oe = -_ragged(rows, [vol_joint, vol_s, vol_b] * n_t, alphas).reshape(shape)
     unit = -_ragged(rows, 1.0, alphas).reshape(shape)
     mis = unit[:, 1] + unit[:, 2] - unit[:, 0]
     # per sample and alpha: (joint, system, bath alpha-OE, mutual information)

@@ -431,6 +431,27 @@ class TestSimCommands:
         assert row["lhs"] == pytest.approx(0.49959536399347315, abs=1e-12)
         assert abs(row["gap"]) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "energies, t0, key, value",
+        [
+            # Z = e^1000 is beyond the float range
+            ([-1000, 0], "1", "partition", "INFINITE"),
+            # A = -T log 3 at T = 1.7e308 is below it
+            ([0, 1, 2], "1.7e308", "helmholtz", "-INFINITE"),
+        ],
+    )
+    def test_free_energy_out_is_strict_json(self, tmp_path, energies, t0, key, value):
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"energies": energies}))
+        out = tmp_path / "fe.json"
+        assert main(["free-energy", str(path), "--t0", t0, "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        table = json.loads(out.read_text(), parse_constant=refuse)
+        assert table[key] == table[key + "_scaled"] == value
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["entropy"])  # missing positional arguments

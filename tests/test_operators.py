@@ -17,7 +17,8 @@ from obsent.errors import (
     TraceNotOne,
     ValidationError,
 )
-from obsent.generators import random_density
+from obsent.generators import random_density, random_unitary
+from obsent.operators import _evolve, _populations
 
 from conftest import PAULI_X, bell_state, proj, KET0
 
@@ -188,3 +189,29 @@ class TestPropagate:
         # 2 * 1e308 is beyond the float range: numpy would warn and return nan
         with pytest.raises(ValidationError, match="not finite"):
             propagate(np.diag([0.6, 0.4]), 2 * PAULI_X, 1e308)
+
+
+class TestPopulations:
+    def test_equal_the_evolved_diagonal(self, rng):
+        # m = B^H V for a tight frame B (d rows of an n x n unitary, n >= d)
+        # and the eigenvectors V of a random Hermitian H; the times include 0
+        times = [0.0, 0.3, 1.7, 12.5]
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(d, 2 * d + 1))
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            lam, vec = np.linalg.eigh(h + h.conj().T)
+            frame = random_unitary(rng, n)[:d]
+            m = frame.conj().T @ vec
+            tilde = vec.conj().T @ random_density(rng, d) @ vec
+            pops = _populations(lam, m, tilde, times)
+            assert pops.shape == (len(times), n)
+            for row, t in zip(pops, times):
+                expected = _evolve(lam, m, tilde, t).diagonal().real
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
+            assert pops.sum(axis=1) == pytest.approx(np.ones(len(times)), abs=1e-12)
+
+    def test_overflowing_phase_raises(self):
+        lam, m = np.array([-2.0, 2.0]), np.eye(2, dtype=complex)
+        with pytest.raises(ValidationError, match="not finite"):
+            _populations(lam, m, np.eye(2) / 2, [0.0, 1e308])

@@ -9,6 +9,7 @@ malformed matrices, arrays, numbers, objects and options raise an
 ObsentError at every public entry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,11 +377,21 @@ def test_ragged_makes_one_kernel_call_per_length(monkeypatch):
 
 
 def test_overflow_gives_a_value():
-    # Z = e^1000 is beyond the float range; A = -T log Z is not
-    fe = free_energy(LevelSystem([-1000.0]), 1.0)
-    assert fe.partition == fe.partition_scaled == INFINITE
-    assert fe.helmholtz == fe.helmholtz_scaled == -1000.0
-    _, _, gap = jackson_check(LevelSystem([-1000.0, 0.0]), 1.0, 2.0)
-    assert abs(gap) <= 1e-9
-    # (alpha - 1)^2 is beyond the float range at alpha = 1e300
-    assert alpha_derivative(_FINE, _RHO, 1e300) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under -W error
+        # Z = e^1000 is beyond the float range; A = -T log Z is not
+        fe = free_energy(LevelSystem([-1000.0]), 1.0)
+        assert fe.partition == fe.partition_scaled == INFINITE
+        assert fe.helmholtz == fe.helmholtz_scaled == -1000.0
+        _, _, gap = jackson_check(LevelSystem([-1000.0, 0.0]), 1.0, 2.0)
+        assert abs(gap) <= 1e-9
+        # E / T is beyond the float range; A is not
+        fe = free_energy(LevelSystem([-1e300, 0.0]), 1e-300)
+        assert fe.helmholtz == fe.helmholtz_scaled == -1e300
+        assert free_energy(LevelSystem([1e300]), 1e-300).helmholtz == 1e300
+        # (alpha - 1)^2 is beyond the float range at alpha = 1e300
+        assert alpha_derivative(_FINE, _RHO, 1e300) == 0.0
+        # and alpha log t_i too at 1.7e308, for t = (0.3, 0.2)
+        rho = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
+        assert alpha_derivative(_COARSE, rho, 1.7e308) == 0.0
+        assert alpha_derivative(_FINE, _RHO, 1.7e308) == 0.0

@@ -11,6 +11,7 @@ from obsent import (
     decompose_alpha_oe,
     identity_cg,
     is_coarse_grained,
+    op_power,
     post_measurement_state,
     projective_cg,
     renyi_entropy,
@@ -24,6 +25,7 @@ from obsent.generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
+from obsent.state_analysis import _Measurement
 
 from conftest import KET_PLUS, proj
 
@@ -54,6 +56,25 @@ class TestPostMeasurementState:
         rho = random_density(rng, 4)
         out = post_measurement_state(cg, rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_projective_lueders_takes_no_eigh(self, rng, monkeypatch):
+        # a projector is its own square root, so no effect is eigendecomposed
+        cases = [
+            (cg, random_density(rng, d))
+            for d in (2, 3, 5)
+            for cg in (random_projective_cg(rng, d), random_rank1_projective_cg(rng, d))
+        ]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k)
+        )
+        lueders = [_Measurement(cg, rho).lueders for cg, rho in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for (cg, rho), out in zip(cases, lueders):
+            roots = op_power(cg.effects, 0.5)
+            np.testing.assert_allclose(out, roots @ rho @ roots, rtol=0, atol=1e-12)
 
 
 def test_zero_operator_gives_no_raw_error():

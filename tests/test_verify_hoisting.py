@@ -65,7 +65,7 @@ KERNEL_CALL_CEILING = 1578
 # np.linalg.eigh and eigvalsh calls of the same run, with one batched call
 # per stack of conditional or flat states and per dimension of a table's
 # states; per-matrix loops that creep back fail here
-EIG_CALL_CEILING = 525
+EIG_CALL_CEILING = 501
 
 
 @pytest.mark.parametrize("seed", range(4))
