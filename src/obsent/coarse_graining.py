@@ -343,13 +343,15 @@ def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
     """Compose two coarse-grainings with the Luders update.
 
     Effects Pi_ij = sqrt(Pi_i) Pi_j sqrt(Pi_i), labels (i, j). The second
-    index sums back to the first coarse-graining: sum_j Pi_ij = Pi_i.
+    index sums back to the first coarse-graining: sum_j Pi_ij = Pi_i. A
+    projector is its own square root.
     """
     for cg in (cg1, cg2):
         _instance(cg, CoarseGraining, "coarse-graining")
     if cg1.dim != cg2.dim:
         raise DimensionMismatch(f"dims {cg1.dim} vs {cg2.dim}")
-    roots = op_power(cg1.effects, 0.5)[:, None]
+    roots = cg1.effects if cg1.is_projective() else op_power(cg1.effects, 0.5)
+    roots = roots[:, None]
     effects = (roots @ cg2.effects @ roots).reshape(-1, cg1.dim, cg1.dim)
     labels = tuple((l1, l2) for l1 in cg1.labels for l2 in cg2.labels)
     return CoarseGraining(labels, effects)

@@ -303,7 +303,7 @@ def free_energy(levels: LevelSystem, temperature: float) -> FreeEnergyValues:
     temperature = _temperature(temperature)
     e = _instance(levels, LevelSystem, "levels").energies
     ref = float(e.min())
-    log_sum = math.log(float(np.sum(_boltzmann(e, temperature))))
+    log_sum = _log_sum(e, temperature)
     log_z = log_sum - ref / temperature
     helmholtz = ref - temperature * log_sum
     return FreeEnergyValues(
@@ -319,6 +319,11 @@ def _boltzmann(e: np.ndarray, temperature: float) -> np.ndarray:
     """exp(-(E_i - E_min) / T), largest weight 1; a level whose spread over
     T is beyond the float range weighs 0."""
     return np.exp(-(e - e.min()) / temperature)
+
+
+def _log_sum(e: np.ndarray, temperature: float) -> float:
+    """log sum_i exp(-(E_i - E_min) / T), in [0, log n]."""
+    return math.log(float(np.sum(_boltzmann(e, temperature))))
 
 
 def _exp(x: float) -> float:
@@ -354,15 +359,22 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
 
 def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
     """jackson_check for each order of alphas, as (lhs, rhs, gap) tuples:
-    the thermal population and A~(T0) are computed once, and every lhs in
-    one kernel call."""
+    the thermal population and L(T0) are computed once, and every lhs in
+    one kernel call.
+
+    With A~(T) = E_min - T L(T) - T log V and L = _log_sum, the quotient
+    is rhs = (L(T0 / alpha) - alpha L(T0)) / (1 - alpha) + log V, in which
+    neither E_min nor T0 appears outside L, so it stays finite wherever
+    T0 / alpha is a finite positive temperature, T0 near the float maximum
+    included.
+    """
     p = gibbs_distribution(levels, t0)
-    a_old = free_energy(levels, t0).helmholtz_scaled
+    log_v, l_old = math.log(levels.volume), _log_sum(levels.energies, t0)
     lhs = -_renyi_divergence(p, levels.volume, np.array(alphas, dtype=float))
     out = []
     for a, left in zip(alphas, lhs.tolist()):
-        t_new = t0 / a
-        rhs = -(free_energy(levels, t_new).helmholtz_scaled - a_old) / (t_new - t0)
+        l_new = _log_sum(levels.energies, _temperature(t0 / a))
+        rhs = (l_new - a * l_old) / (1.0 - a) + log_v
         out.append((left, rhs, left - rhs))
     return out
 

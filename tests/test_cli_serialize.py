@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsent import projective_cg
+from obsent import cli, projective_cg
 from obsent.cli import _build_parser, _sample_times, main
-from obsent.errors import SchemaError
+from obsent.errors import ObsentError, SchemaError, ValidationError
 from obsent.generators import random_density, random_povm
 from obsent.serialize import (
     CSV_COLUMNS,
     coarse_graining_from_json,
     coarse_graining_to_json,
+    dump_json,
     format_float,
     operator_from_json,
     operator_to_json,
@@ -311,6 +312,44 @@ class TestVerifyCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestVerifyWorkers:
+    # the suites of `verify --suite all` run in forked workers, two here on
+    # any host, so the pool path is the one under test
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_report_and_printout_equal_in_process_run(self, tmp_path, capsys, seed):
+        out, expected = tmp_path / "report.json", tmp_path / "expected.json"
+        argv = ["verify", "--suite", "all", "--seed", str(seed), "--n", "4", "--out", str(out)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        report = run_suite("all", seed, 4, 6)
+        dump_json(report.to_json(), expected)
+        cli._print_report(report)
+        assert out.read_bytes() == expected.read_bytes()
+        assert printed == capsys.readouterr().out
+
+    def test_worker_error_gives_the_in_process_line(self, capsys, monkeypatch):
+        def fail(seed, n, dim_max):
+            raise ValidationError(f"suite failed at seed {seed}", magnitude=2.0)
+
+        monkeypatch.setitem(_SUITES, "sequential", fail)
+        with pytest.raises(ObsentError) as caught:
+            run_suite("all", 3, 2, 3)
+        line = f"obsent: {type(caught.value).__name__}: {caught.value}\n"
+        assert main(["verify", "--seed", "3", "--n", "2", "--dim", "3"]) == 1
+        assert capsys.readouterr().err == line
+
+    def test_killed_worker_exits_one_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setitem(_SUITES, "thermo", lambda *args: os._exit(3))
+        assert main(["verify", "--n", "2", "--dim", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("obsent: BrokenProcessPool: ") and err.count("\n") == 1
+
+
 def _closed_config(tmp_path, **overrides):
     h1 = operator_to_json(np.diag([0.0, 1.0]))
     h2 = operator_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -543,6 +582,7 @@ _EXIT_CODES = {
     "verify-n-0": (["verify", "--suite", "all", "--n", "0"], 0),
     "verify-n-negative": (["verify", "--n", "-1"], 1),
     "verify-dim-1": (["verify", "--dim", "1"], 1),
+    "verify-seed-negative": (["verify", "--seed", "-1"], 1),
     "free-energy-overflow": (["free-energy", "LEVELS", "--t0", "1"], 0),
 }
 

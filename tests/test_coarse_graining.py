@@ -41,8 +41,10 @@ from obsent.generators import (
     random_merge,
     random_povm,
     random_projective_cg,
+    random_rank1_projective_cg,
     random_unitary,
 )
+from obsent.operators import op_power
 
 from conftest import HADAMARD, KET_PLUS, proj
 
@@ -405,6 +407,26 @@ class TestSequential:
             assert alpha_oe(seq, rho, a) == pytest.approx(
                 alpha_oe(Z_BASIS, rho, a), abs=1e-9
             )
+
+    def test_projective_first_stage_takes_no_eigh(self, rng, monkeypatch):
+        # a projector is its own square root, so no effect is eigendecomposed
+        cases = [
+            (cg1, random_coarse_graining(rng, d))
+            for d in (2, 3, 5)
+            for cg1 in (random_projective_cg(rng, d), random_rank1_projective_cg(rng, d))
+        ]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k)
+        )
+        seqs = [sequential(cg1, cg2) for cg1, cg2 in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for (cg1, cg2), seq in zip(cases, seqs):
+            roots = op_power(cg1.effects, 0.5)[:, None]
+            expected = (roots @ cg2.effects @ roots).reshape(-1, cg1.dim, cg1.dim)
+            np.testing.assert_allclose(seq.effects, expected, rtol=0, atol=1e-12)
 
 
 class TestRefinement:

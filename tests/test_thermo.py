@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from obsent import (
     jackson_check,
     open_run,
 )
+from obsent.cli import main
 from obsent.coarse_graining import alpha_oe, outcomes, projective_cg, tensor_cg
 from obsent.divergences import classical_petz_renyi, renyi_entropy
 from obsent.errors import (
@@ -203,6 +206,26 @@ class TestJackson:
     def test_rejects_bad_alpha(self):
         with pytest.raises(InvalidAlpha):
             jackson_check(LevelSystem(np.array([0.0]), 1.0), 1.0, 1.0)
+
+    def test_rhs_stays_finite_far_from_the_origin(self, tmp_path, capsys):
+        # A~(T0) leaves the float range at T0 = 1.7e308, and E_min / T0 is
+        # far beyond the levels' spread at E_min = -1e300; both sides are
+        # log 3 in exact arithmetic
+        cases = (([0.0, 1.0, 2.0], 1.0, 1.7e308, 2.0), ([-1e300, 0.0, 2.0], 3.0, 1.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for energies, volume, t0, a in cases:
+                lhs, rhs, gap = jackson_check(LevelSystem(energies, volume), t0, a)
+                assert lhs == pytest.approx(math.log(3.0), abs=1e-12)
+                assert rhs == pytest.approx(lhs, abs=1e-12) and abs(gap) <= 1e-12
+            levels, out = tmp_path / "levels.json", tmp_path / "table.json"
+            levels.write_text(json.dumps({"energies": [0, 1, 2]}))
+            argv = ["free-energy", str(levels), "--t0", "1.7e308", "--alpha", "2"]
+            assert main(argv + ["--out", str(out)]) == 0
+        [row] = json.loads(out.read_text())["rows"]
+        assert row["rhs"] == pytest.approx(math.log(3.0), abs=1e-12)
+        assert abs(row["gap"]) <= 1e-12
+        assert "inf" not in capsys.readouterr().out.split("units=nats")[1]
 
 
 def _qubit_quench():
