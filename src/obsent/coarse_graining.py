@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .divergences import (
-    _check_alpha,
-    _nonneg_vector,
-    _ragged,
-    _renyi_divergence,
-    _spectral_pair,
-    _support,
-)
+from .divergences import _check_alpha, _near_one, _nonneg_vector, _petz, _ragged, _support
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -230,19 +223,14 @@ def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     ValidationError, here and in every function of this module that reads
     entropies of rho.
     """
-    _check_alpha(alpha)
-    return _alpha_oe(outcomes(cg, _state(cg, rho)), alpha)
-
-
-def _alpha_oe(dist: OutcomeDistribution, alpha):
-    """alpha_oe from an outcome distribution, for one order or a 1-d array
-    of orders (one value per order)."""
-    return -_renyi_divergence(dist.probabilities, dist.volumes, alpha)
+    a = _check_alpha(alpha)
+    dist = outcomes(cg, _state(cg, rho))
+    return float(_alpha_oes([(dist.probabilities, dist.volumes)], a)[0])
 
 
 def _alpha_oes(pairs: list, alpha) -> np.ndarray:
-    """_alpha_oe of each (probabilities, volumes) pair of an outcome
-    distribution, as rows, from one _ragged call."""
+    """alpha_oe of each (probabilities, volumes) pair of an outcome
+    distribution, shaped as _ragged's result, from one _ragged call."""
     return -_ragged([p for p, _ in pairs], [v for _, v in pairs], alpha)
 
 
@@ -252,9 +240,9 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     log d - D_alpha(channel(rho) || channel(I/d)); agrees with alpha_oe to
     floating-point error.
     """
-    _check_alpha(alpha)
+    a = _check_alpha(alpha)
     p = outcomes(cg, _state(cg, rho)).probabilities
-    return math.log(cg.dim) - _renyi_divergence(p, cg.volumes() / cg.dim, alpha)
+    return math.log(cg.dim) - float(_ragged([p], [cg.volumes() / cg.dim], a)[0])
 
 
 def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -264,11 +252,11 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     telescopes to alpha_oe - renyi_entropy. Non-negative by the
     data-processing inequality for measurement channels.
     """
-    _check_alpha(alpha)
+    a = _check_alpha(alpha)
     m, d = _state(cg, rho), cg.dim
-    quantum = _renyi_divergence(*_spectral_pair(m, np.eye(d) / d), alpha)
+    quantum = _petz([m], [np.eye(d) / d], a)[0]
     p = outcomes(cg, m).probabilities
-    return quantum - _renyi_divergence(p, cg.volumes() / d, alpha)
+    return float(quantum - _ragged([p], [cg.volumes() / d], a)[0])
 
 
 def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -296,8 +284,8 @@ def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
     outcomes of largest t_i, weighted by V_i), and where (alpha - 1)^2
     does, the derivative is -0.0."""
     orders = np.asarray(alphas, dtype=float).tolist()
-    if any(abs(a - 1.0) <= tol.ALPHA_NEAR_ONE for a in orders):
-        raise InvalidAlpha("derivative formula needs |alpha - 1| > 1e-6")
+    if any(_near_one(a) for a in orders):
+        raise InvalidAlpha("derivative formula needs |alpha - 1| >= 1e-6")
     xs, ps = [], []
     for p, v in pairs:
         mask = _support(p)
@@ -350,11 +338,16 @@ def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
         _instance(cg, CoarseGraining, "coarse-graining")
     if cg1.dim != cg2.dim:
         raise DimensionMismatch(f"dims {cg1.dim} vs {cg2.dim}")
-    roots = cg1.effects if cg1.is_projective() else op_power(cg1.effects, 0.5)
-    roots = roots[:, None]
+    roots = _lueders_roots(cg1, cg1.is_projective())[:, None]
     effects = (roots @ cg2.effects @ roots).reshape(-1, cg1.dim, cg1.dim)
     labels = tuple((l1, l2) for l1 in cg1.labels for l2 in cg2.labels)
     return CoarseGraining(labels, effects)
+
+
+def _lueders_roots(cg: CoarseGraining, projective: bool) -> np.ndarray:
+    """sqrt(Pi_i) for every effect of cg, which is projective when
+    projective is True: a projector is its own square root."""
+    return cg.effects if projective else op_power(cg.effects, 0.5)
 
 
 def check_refinement(
@@ -431,8 +424,8 @@ def refinement_divergence_bound(
     same expression with escort weights proportional to
     p_I^alpha V_I^(1-alpha). Requires alpha > 1.
     """
-    _check_alpha(alpha)
-    if alpha <= 1.0 + tol.ALPHA_NEAR_ONE:
+    a = _check_alpha(alpha)
+    if a <= 1.0 or _near_one(a):
         raise InvalidAlpha("refinement bound is defined for alpha > 1")
     holds, residual = check_refinement(finer, coarser, m)
     if not holds:
@@ -441,7 +434,7 @@ def refinement_divergence_bound(
         )
     state = _state(finer, rho)
     case = (outcomes(finer, state), outcomes(coarser, state), m)
-    return float(_refinement_bounds([case], alpha)[0])
+    return float(_refinement_bounds([case], a)[0])
 
 
 @np.errstate(divide="ignore")

@@ -5,11 +5,14 @@ INFINITE value) on support violations rather than raising; callers are
 expected to propagate it. Every entropy and divergence, alpha-OE and the
 quantum ones (by their Nussbaum-Szkola pair) included, is one order-alpha
 kernel over weights: entries at most SUPPORT_RTOL times the largest are
-exact zeros, and a power sum that leaves the normal float range is redone
-in log space. The kernel takes a table whose rows are weight vectors, with
-its own support cut, q = 0 handling and log-space redo per row, and a grid
-of orders: one call gives a value per (row, order). A list of vectors of
-unequal lengths is evaluated as one table per length (_ragged).
+exact zeros, |alpha - 1| < ALPHA_NEAR_ONE (_near_one) takes the alpha -> 1
+limit, and a power sum that leaves the normal float range is redone in
+log space. The kernel has one input form, a same-length table whose rows
+are weight vectors and a 1-d grid of orders, and gives a value per (row,
+order). Its entry is _ragged, which stacks a list of vectors of any
+lengths into one table per length; each quantity has one table form over
+it (_entropies, _petz, _mutual_infos, coarse_graining._alpha_oes), and a
+public function is that form with one case and one order.
 """
 
 from __future__ import annotations
@@ -64,31 +67,31 @@ def _support(x: np.ndarray) -> np.ndarray:
     return x > tol.SUPPORT_RTOL * max(x_max, 1e-300)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _renyi_divergence(x, q, alpha):
-    """(1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha) over the support of x.
+def _near_one(alpha: float) -> bool:
+    """The alpha -> 1 rule: |alpha - 1| < ALPHA_NEAR_ONE. Where it holds,
+    the kernel and jackson_check take the alpha -> 1 limit, and
+    alpha_derivative and refinement_divergence_bound reject alpha."""
+    return abs(alpha - 1.0) < tol.ALPHA_NEAR_ONE
 
-    x is a 1-d vector of unnormalized weights or a 2-d table whose rows are
-    such vectors; q is one number or has the shape of x. alpha is one order
-    or a 1-d array of orders. The result has one value per (row, order): a
-    float for a vector and one order, an array with one value per order, or
-    per row, or a (rows, orders) array for a table and a grid. A vector is
-    the one-row table, and each entry of a grid result is bit-identical to
-    the call with that order alone. In each row, entries x_i <=
-    SUPPORT_RTOL * max x count as exact zeros. |alpha - 1| < ALPHA_NEAR_ONE
-    evaluates the limit sum_i x_i log(x_i / q_i). INFINITE when a kept x_i
-    has q_i = 0 (alpha > 1 and the limit) or no kept x_i has q_i > 0
-    (alpha < 1). A sum whose powers or terms leave the normal float range
-    is evaluated again in log space, for that row and order alone. The
-    support and q > 0 cuts are made once for all orders.
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _renyi_divergence(xs: np.ndarray, q, alphas: np.ndarray) -> np.ndarray:
+    """(1/(alpha-1)) log sum_i x_i^alpha q_i^(1-alpha) over the support of x,
+    for each row x of the 2-d table xs and each order of the 1-d array
+    alphas: a (rows, orders) array. q is one float or a table of the shape
+    of xs. Its one caller is _ragged.
+
+    In each row, entries x_i <= SUPPORT_RTOL * max x count as exact zeros;
+    the support and q > 0 cuts are made once for all orders. Where
+    _near_one(alpha), the entry is the limit sum_i x_i log(x_i / q_i).
+    INFINITE when a kept x_i has q_i = 0 (alpha > 1 and the limit) or no
+    kept x_i has q_i > 0 (alpha < 1). A sum whose powers or terms leave the
+    normal float range is evaluated again in log space, for that row and
+    order alone. Each entry depends only on its own row and order.
     """
-    orders = np.asarray(alpha, dtype=float)
-    alphas = orders.ravel().tolist()
-    table = np.asarray(x, dtype=float)
-    xs = table[None] if table.ndim == 1 else table
+    alphas = alphas.tolist()
+    xs = np.asarray(xs, dtype=float)
     qs = np.asarray(q, dtype=float)
-    if qs.ndim:
-        qs = qs.reshape(xs.shape)
     # the row maxima (at least 1e-300) by the ufunc, and the test that no
     # entry is cut by a count: both skip the ndarray method wrappers, as
     # this runs once per call of every entropy
@@ -102,9 +105,10 @@ def _renyi_divergence(x, q, alpha):
         gap, empty = (keep != use).any(axis=1).tolist(), (~use.any(axis=1)).tolist()
     # per order off the limit, the power sum and smallest power or term of
     # each row, from one stack of x^alpha, q^(1-alpha) and their product;
-    # each order takes a scalar exponent, as a one-order call does, since
-    # numpy's power may round differently for a broadcast exponent
-    powers = [a for a in alphas if abs(a - 1.0) >= tol.ALPHA_NEAR_ONE]
+    # each order takes a scalar exponent, since numpy's power may round
+    # differently for a broadcast exponent
+    near = [_near_one(a) for a in alphas]
+    powers = [a for a, near_one in zip(alphas, near) if not near_one]
     sums = {}
     if powers and xs.size:
         xa, qa, terms = stack = np.empty((3, len(powers)) + xs.shape)
@@ -126,8 +130,7 @@ def _renyi_divergence(x, q, alpha):
     def kept(r: int) -> tuple:
         return xs[r][use[r]], (qs[r][use[r]] if qs.ndim else qs)
 
-    def entry(r: int, a: float) -> float:
-        near_one = abs(a - 1.0) < tol.ALPHA_NEAR_ONE
+    def entry(r: int, a: float, near_one: bool) -> float:
         if gap[r] and (a > 1 or near_one):
             return INFINITE
         if empty[r]:
@@ -145,26 +148,37 @@ def _renyi_divergence(x, q, alpha):
         peak = float(logs.max())
         return (peak + math.log(float(np.exp(logs - peak).sum()))) / (a - 1.0)
 
-    out = [[entry(r, a) for a in alphas] for r in range(len(xs))]
-    if orders.ndim == 0:
-        out = [row[0] for row in out]
-    if table.ndim == 1:
-        out = out[0]
-    return out if isinstance(out, float) else np.array(out)
+    return np.array([[entry(r, a, n1) for a, n1 in zip(alphas, near)] for r in range(len(xs))])
 
 
 def _ragged(xs, qs, alpha) -> np.ndarray:
-    """_renyi_divergence of each vector of the sequence xs against the
-    vector of the sequence qs at the same position, or against the one
+    """The order-alpha divergence of each vector of the sequence xs from
+    the vector of the sequence qs at the same position, or from the one
     float qs: one value per vector, or one row of values per vector for a
-    1-d alpha. The vectors of each length are stacked into one table and
-    evaluated in one kernel call, so each row equals its own vector call
-    bit for bit."""
+    1-d alpha. The entry to the kernel: the vectors of each length are
+    stacked into one table and evaluated in one _renyi_divergence call, so
+    a vector's values do not depend on the other vectors of the call."""
+    orders = np.asarray(alpha, dtype=float).ravel()
     if isinstance(qs, float):
-        rows = _each(lambda x: _renyi_divergence(x, qs, alpha), xs)
+        rows = _each(lambda x: _renyi_divergence(x, qs, orders), xs)
     else:
-        rows = _each(lambda x, q: _renyi_divergence(x, q, alpha), xs, qs)
+        rows = _each(lambda x, q: _renyi_divergence(x, q, orders), xs, qs)
     return np.array(rows).reshape((len(xs),) + np.shape(alpha))
+
+
+def _entropies(states, alpha) -> np.ndarray:
+    """renyi_entropy of each matrix of the list states, shaped as _ragged's
+    result: the spectra come from one eigvalsh per dimension and the
+    entropies from one _ragged call."""
+    return -_ragged(_each(np.linalg.eigvalsh, states), 1.0, alpha)
+
+
+def _petz(rhos, sigmas, alpha) -> np.ndarray:
+    """petz_renyi of each same-position (rho, sigma) of two lists of
+    matrices, shaped as _ragged's result: one batched Nussbaum-Szkola pair
+    per dimension and one _ragged call."""
+    pairs = _each(_spectral_pair, rhos, sigmas)
+    return _ragged([p for p, _ in pairs], [q for _, q in pairs], alpha)
 
 
 def kl_divergence(x, p) -> float:
@@ -185,11 +199,11 @@ def classical_petz_renyi(x, q, alpha: float) -> float:
     INFINITE; for alpha < 1 the value is INFINITE when the overlap sum
     vanishes.
     """
-    _check_alpha(alpha)
+    a = _check_alpha(alpha)
     xv, qv = _nonneg_vector(x), _nonneg_vector(q)
     if xv.shape != qv.shape:
         raise LengthMismatch(f"length mismatch {xv.shape} vs {qv.shape}")
-    return _renyi_divergence(xv, qv, alpha)
+    return float(_ragged([xv], [qv], a)[0])
 
 
 def von_neumann(rho) -> float:
@@ -221,14 +235,8 @@ def renyi_entropy(rho, alpha: float) -> float:
     <= SUPPORT_RTOL * lambda_max count as exact zeros. A matrix with a
     non-finite entry or a trace that is not positive raises ValidationError.
     """
-    _check_alpha(alpha)
-    return _renyi_entropy(np.linalg.eigvalsh(_matrix(rho, "state")), alpha)
-
-
-def _renyi_entropy(spectrum, alpha):
-    """renyi_entropy of a spectrum, for one order or a 1-d array of orders
-    (one value per order)."""
-    return -_renyi_divergence(spectrum, 1.0, alpha)
+    a = _check_alpha(alpha)
+    return float(_entropies([_matrix(rho, "state")], a)[0])
 
 
 def umegaki(rho, sigma) -> float:
@@ -254,9 +262,9 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
     when no kept P_jk lies over a nonzero mu_k. Indefinite arguments raise
     NotPSD.
     """
-    _check_alpha(alpha)
+    a = _check_alpha(alpha)
     rm = _matrix(rho, "state")
-    return _renyi_divergence(*_spectral_pair(rm, _matrix(sigma, "state", len(rm))), alpha)
+    return float(_petz([rm], [_matrix(sigma, "state", len(rm))], a)[0])
 
 
 def renyi_mutual_info(rho_ab, dims: tuple, alpha: float) -> float:
@@ -279,7 +287,7 @@ def _mutual_infos(cases: list, alpha) -> np.ndarray:
         for m, dims in cases
         for part in (partial_trace(m, dims, "A"), partial_trace(m, dims, "B"), m)
     ]
-    s = -_ragged(_each(np.linalg.eigvalsh, parts), 1.0, alpha)
+    s = _entropies(parts, alpha)
     return s[0::3] + s[1::3] - s[2::3]
 
 

@@ -23,10 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, _alpha_oes, _state, outcomes
-from .divergences import _check_alpha, _ragged, _spectral_pair
+from .coarse_graining import CoarseGraining, _alpha_oes, _lueders_roots, _state, outcomes
+from .divergences import _check_alpha, _entropies, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import _each, op_power
+from .operators import _each
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ class _Measurement:
 
     @cached_property
     def lueders(self) -> np.ndarray:
-        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect; a projector is its
-        own square root."""
-        roots = self.cg.effects if self.projective else op_power(self.cg.effects, 0.5)
+        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
+        roots = _lueders_roots(self.cg, self.projective)
         return roots @ self.rho @ roots
 
     @cached_property
@@ -104,10 +103,6 @@ class _Measurement:
     @cached_property
     def post_state(self) -> np.ndarray:
         return self.lueders.sum(axis=0)
-
-    @cached_property
-    def post_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.post_state)
 
     @property
     def mixture_part(self) -> tuple:
@@ -240,11 +235,10 @@ def _report_part(cg: CoarseGraining, m: np.ndarray) -> tuple:
 
 def _reports(parts: list, alphas, atol: float = tol.CG_STATE_ATOL) -> list:
     """The is_coarse_grained reports of each _report_part, one per order of
-    the 1-d array alphas: one _ragged call for all alpha-OEs, and one for
-    all Renyi entropies from one eigvalsh per dimension."""
+    the 1-d array alphas, from one table call for all alpha-OEs and one for
+    all Renyi entropies."""
     oe = _alpha_oes([pv for _, pv, _ in parts], alphas)
-    spectra = _each(np.linalg.eigvalsh, [m for _, _, m in parts])
-    renyi = -_ragged(spectra, 1.0, alphas)
+    renyi = _entropies([m for _, _, m in parts], alphas)
     return [
         [
             CoarseGrainedReport(

@@ -29,20 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import (
-    CoarseGraining,
-    OutcomeDistribution,
-    _alpha_oe,
-    projective_cg,
-)
-from .divergences import (
-    INFINITE,
-    _check_alpha,
-    _nonneg_vector,
-    _ragged,
-    _renyi_divergence,
-    _renyi_entropy,
-)
+from .coarse_graining import CoarseGraining, _alpha_oes, projective_cg
+from .divergences import INFINITE, _check_alpha, _near_one, _nonneg_vector, _ragged
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -349,9 +337,14 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     p_i = exp(-E_i / T0) / Z(T0) and V_i = V; rhs is
     -(A~(T) - A~(T0)) / (T - T0) with T = T0 / alpha. Returns
     (lhs, rhs, lhs - rhs); the identity is exact in exact arithmetic.
+    alpha = 1 raises InvalidAlpha. Where |alpha - 1| < ALPHA_NEAR_ONE, lhs
+    is the plain observational entropy (the alpha -> 1 limit of alpha-OE)
+    and rhs the alpha -> 1 limit of the quotient, L + sum_i p_i (E_i -
+    E_min) / T0 + log V with L = log sum_i exp(-(E_i - E_min) / T0), so
+    the two agree to rounding instead of dividing it by alpha - 1.
     """
     a = _check_alpha(alpha)
-    if abs(a - 1.0) < 1e-15:
+    if a == 1.0:
         raise InvalidAlpha("the difference quotient needs alpha != 1")
     [row] = _jackson(_instance(levels, LevelSystem, "levels"), _temperature(t0), [a])
     return row
@@ -366,15 +359,22 @@ def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
     is rhs = (L(T0 / alpha) - alpha L(T0)) / (1 - alpha) + log V, in which
     neither E_min nor T0 appears outside L, so it stays finite wherever
     T0 / alpha is a finite positive temperature, T0 near the float maximum
-    included.
+    included. Where _near_one(alpha), rhs is its alpha -> 1 limit
+    L(T0) + sum_i p_i (E_i - E_min) / T0 + log V, summed over the levels
+    with p_i > 0, whose (E_i - E_min) / T0 is below about 745.
     """
-    p = gibbs_distribution(levels, t0)
-    log_v, l_old = math.log(levels.volume), _log_sum(levels.energies, t0)
-    lhs = -_renyi_divergence(p, levels.volume, np.array(alphas, dtype=float))
+    e, p = levels.energies, gibbs_distribution(levels, t0)
+    log_v, l_old = math.log(levels.volume), _log_sum(e, t0)
+    lhs = -_ragged([p], float(levels.volume), alphas)[0]
+    live = p > 0
+    limit = l_old + float(p[live] @ ((e[live] - e.min()) / t0)) + log_v
     out = []
     for a, left in zip(alphas, lhs.tolist()):
-        l_new = _log_sum(levels.energies, _temperature(t0 / a))
-        rhs = (l_new - a * l_old) / (1.0 - a) + log_v
+        if _near_one(a):
+            rhs = limit
+        else:
+            l_new = _log_sum(e, _temperature(t0 / a))
+            rhs = (l_new - a * l_old) / (1.0 - a) + log_v
         out.append((left, rhs, left - rhs))
     return out
 
@@ -468,12 +468,12 @@ def closed_run(
         beta = _beta_for_energy(lam, energy)
         w = _gibbs_weights(lam, beta)
         w = w / w.sum()
-        labels, bins = _window_bins(lam, windowing)
-        dist = OutcomeDistribution(labels, np.bincount(bins, pop), np.bincount(bins))
+        _, bins = _window_bins(lam, windowing)
+        p, v = _nonneg_vector(np.bincount(bins, pop)), np.bincount(bins)
         # one (window alpha-OE, Gibbs Renyi entropy) pair per alpha
-        oe, gibbs = _alpha_oe(dist, alphas), _renyi_entropy(w, alphas)
+        oe, gibbs = _alpha_oes([(p, v)], alphas)[0], -_ragged([w], 1.0, alphas)[0]
         pairs = list(zip(oe.tolist(), gibbs.tolist()))
-        return (vec, bins, dist.probabilities, dist.volumes), energy, beta, pairs
+        return (vec, bins, p, v), energy, beta, pairs
 
     k_cur = protocol.segment_index(0.0)
     terms = segment_terms(k_cur)

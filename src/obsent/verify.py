@@ -39,7 +39,7 @@ from .coarse_graining import (
     sequential,
     tensor_cg,
 )
-from .divergences import _mutual_infos, _ragged, _spectral_pair
+from .divergences import _entropies, _mutual_infos, _petz, _ragged
 from .errors import NotARefinement
 from .generators import (
     random_coarse_grained_state,
@@ -49,7 +49,7 @@ from .generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from .operators import _each, _integer, _option, tensor
+from .operators import _integer, _option, tensor
 from .serialize import operator_to_json
 from .state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
 from .thermo import (
@@ -157,19 +157,6 @@ def _pv(dist) -> tuple:
     return dist.probabilities, dist.volumes
 
 
-def _entropies(states, alphas=ALPHA_GRID) -> np.ndarray:
-    """Renyi entropy of each state (rows) at each order (columns), from one
-    eigvalsh per dimension and one _ragged call."""
-    return -_ragged(_each(np.linalg.eigvalsh, states), 1.0, alphas)
-
-
-def _petz(rhos, sigmas, alphas=ALPHA_GRID) -> np.ndarray:
-    """petz_renyi of each (rho, sigma) (rows) at each order (columns), from
-    one batched Nussbaum-Szkola pair per dimension and one _ragged call."""
-    pairs = _each(_spectral_pair, rhos, sigmas)
-    return _ragged([p for p, _ in pairs], [q for _, q in pairs], alphas)
-
-
 # ----------------------------------------------------------------- suites
 # Each suite draws its instances in the order of its random stream and
 # reduces each one at once to small vectors and matrices: outcome (p, V),
@@ -259,8 +246,9 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     # petz_renyi(rho, I / d, a), over the grid
     flat_p = [v / len(rho) for (_, v), rho in zip(dists, rhos)]
     classical = _ragged([p for p, _ in dists], flat_p, ALPHA_GRID).tolist()
-    quantum = _petz(rhos, [np.eye(len(rho)) / len(rho) for rho in rhos]).tolist()
-    s_rho = _entropies(rhos).tolist()
+    flats = [np.eye(len(rho)) / len(rho) for rho in rhos]
+    quantum = _petz(rhos, flats, ALPHA_GRID).tolist()
+    s_rho = _entropies(rhos, ALPHA_GRID).tolist()
     derivs = _alpha_derivatives(dists, ALPHA_GRID).tolist()
     others = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).tolist()
     tables = zip(cases, oe, classical, quantum, s_rho, derivs, others)
@@ -348,7 +336,7 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         dists += [_pv(outcomes(c, m)) for c, m in measured]
     g = len(ALPHA_GRID)
     oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 9, g).tolist()
-    s_rho = _entropies([rho for rho, _, _ in cases]).tolist()
+    s_rho = _entropies([rho for rho, _, _ in cases], ALPHA_GRID).tolist()
     at_two = ALPHA_GRID.index(2.0)
     for i, ((rho, rho_q, first), s_row, grids) in enumerate(zip(cases, s_rho, oe)):
         for a, values, s in zip(ALPHA_GRID, zip(*grids[:4]), s_row):

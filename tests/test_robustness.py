@@ -64,7 +64,7 @@ from obsent import (
     von_neumann,
 )
 from obsent import divergences
-from obsent.divergences import _ragged, _renyi_divergence
+from obsent.divergences import _ragged
 from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
 from obsent.verify import run_suite
 from obsent.generators import (
@@ -165,11 +165,11 @@ def test_grid_call_equals_scalar_calls_bit_for_bit(
         q = 10.0 ** centers[1]
     # the orders with special cases in the kernel or in numpy's power
     orders = [1.0, 1 + 1e-7, 1 - 1e-7, 0.5, 2.0, 3.0, *orders]
-    grid = _renyi_divergence(x, q, np.array(orders))
-    assert isinstance(grid, np.ndarray) and grid.shape == (len(orders),)
-    for alpha, value in zip(orders, grid.tolist()):
-        scalar = _renyi_divergence(x, q, alpha)
-        assert type(scalar) is float
+    qs = q if scalar_q else [q]
+    grid = _ragged([x], qs, np.array(orders))
+    assert grid.shape == (1, len(orders))
+    for alpha, value in zip(orders, grid[0].tolist()):
+        [scalar] = _ragged([x], qs, alpha).tolist()
         assert not math.isnan(scalar)
         # hex compares every bit: the sign of zero and INFINITE included
         assert scalar.hex() == value.hex(), (alpha, scalar, value)
@@ -231,6 +231,16 @@ def test_public_functions_take_one_real_order(name, alpha):
         call(alpha)
     for one in (2, np.float64(2.0), np.array(2.0)):
         assert call(one) == call(2.0)
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_ALPHA_FUNCTIONS))
+def test_public_functions_return_python_floats(name):
+    # the table helpers return arrays; each public value is a Python float
+    value = _SCALAR_ALPHA_FUNCTIONS[name](2.0)
+    if name == "is_coarse_grained":
+        value = (value.matrix_residual, value.entropy_residual)
+    for v in value if isinstance(value, tuple) else (value,):
+        assert type(v) is float
 
 
 _NAN = np.full((2, 2), np.nan)
@@ -337,9 +347,9 @@ def test_table_rows_equal_their_vector_calls():
     assert not np.isnan(table).any()
     unit = _ragged(xs, 1.0, orders)
     for x, q, row, unit_row in zip(xs, qs, table.tolist(), unit.tolist()):
-        for value, alone in zip(row, _renyi_divergence(x, q, orders).tolist()):
+        for value, alone in zip(row, _ragged([x], [q], orders)[0].tolist()):
             assert value.hex() == alone.hex()
-        for value, alone in zip(unit_row, _renyi_divergence(x, 1.0, orders).tolist()):
+        for value, alone in zip(unit_row, _ragged([x], 1.0, orders)[0].tolist()):
             assert value.hex() == alone.hex()
     # a kept entry over q = 0: INFINITE from alpha = 1 on, cut below
     assert table[1, 1:].tolist() == [INFINITE] * 4
@@ -352,10 +362,10 @@ def test_table_rows_equal_their_vector_calls():
     # one order gives that column of the grid, bit for bit
     column = _ragged(xs, qs, 2.0)
     assert column.tolist() == table[:, 3].tolist()
-    # the rows of one length are one table of the kernel
+    # the rows of one length alone are one table of the kernel
     same = [1, 3, 4]
-    stacked = [np.stack([vs[r] for r in same]) for vs in (xs, qs)]
-    assert np.array_equal(_renyi_divergence(*stacked, orders), table[same])
+    alone = _ragged([xs[r] for r in same], [qs[r] for r in same], orders)
+    assert np.array_equal(alone, table[same])
 
 
 def test_ragged_makes_one_kernel_call_per_length(monkeypatch):
@@ -373,7 +383,7 @@ def test_ragged_makes_one_kernel_call_per_length(monkeypatch):
     values = _ragged(xs, qs, orders)
     assert sorted(tables) == [(1, 2), (1, 5), (1, 17), (2, 3), (2, 40)]
     for x, q, row in zip(xs, qs, values.tolist()):
-        assert row == kernel(x, q, orders).tolist()
+        assert row == _ragged([x], [q], orders)[0].tolist()
 
 
 def test_overflow_gives_a_value():

@@ -187,6 +187,20 @@ class TestJackson:
         lhs, _, _ = jackson_check(levels, 1.5, 1 + 1e-6)
         assert lhs == pytest.approx(oe, abs=1e-5)
 
+    def test_rhs_takes_the_limit_near_alpha_one(self):
+        # within ALPHA_NEAR_ONE of 1 lhs is the plain OE and rhs the limit
+        # of the quotient; the quotient itself divides its rounding error
+        # by alpha - 1
+        systems = (
+            LevelSystem([0.0, 1.0, 2.0], 2.0),
+            LevelSystem([-0.3, 0.4, 1.1, 2.5]),
+            LevelSystem([0.0, 0.0, 5.0], 0.5),
+        )
+        for levels in systems:
+            for a in (1 + 1e-14, 1 - 1e-14, 1 + 1e-9, 1 - 1e-9, 1 + 5e-7):
+                _, _, gap = jackson_check(levels, 1.0, a)
+                assert abs(gap) <= 1e-12, (levels, a, gap)
+
     def test_single_level_gives_log_volume(self):
         lhs, rhs, gap = jackson_check(LevelSystem(np.array([0.7]), 3.0), 1.0, 2.0)
         assert lhs == pytest.approx(math.log(3.0), abs=1e-12)

@@ -32,13 +32,8 @@ from obsent import (
     renyi_post_measurement,
 )
 from obsent import divergences
-from obsent.coarse_graining import _alpha_derivatives, _alpha_oe, _refinement_bounds
-from obsent.divergences import (
-    _mutual_infos,
-    _renyi_divergence,
-    _renyi_entropy,
-    _spectral_pair,
-)
+from obsent.coarse_graining import _alpha_derivatives, _alpha_oes, _refinement_bounds
+from obsent.divergences import _mutual_infos, _petz, _ragged
 from obsent.generators import (
     random_coarse_graining,
     random_density,
@@ -83,16 +78,16 @@ def test_hoisted_values_equal_public_functions(seed):
         dist, spectrum = outcomes(cg, rho), np.linalg.eigvalsh(rho)
         meas = _Measurement(proj, rho)
         fine, coarse = outcomes(proj, rho), outcomes(coarser, rho)
-        oe = _alpha_oe(dist, grid).tolist()
-        ent = _renyi_entropy(spectrum, grid).tolist()
-        petz = _renyi_divergence(*_spectral_pair(rho, sigma), grid).tolist()
-        classical = _renyi_divergence(dist.probabilities, dist.volumes / d, grid)
-        flat = _renyi_divergence(*_spectral_pair(rho, np.eye(d) / d), grid)
+        [oe] = _alpha_oes([(dist.probabilities, dist.volumes)], grid).tolist()
+        [ent] = (-_ragged([spectrum], 1.0, grid)).tolist()
+        [petz] = _petz([rho], [sigma], grid).tolist()
+        [classical] = _ragged([dist.probabilities], [dist.volumes / d], grid)
+        [flat] = _petz([rho], [np.eye(d) / d], grid)
         forms = (math.log(d) - classical).tolist()
         gaps = (flat - classical).tolist()
         [mixture] = _mixtures([meas.mixture_part], grid).tolist()
         post_terms, div_terms = (t[0].tolist() for t in _splits([meas.split_part], grid))
-        post_ent = _renyi_entropy(meas.post_spectrum, grid).tolist()
+        [post_ent] = (-_ragged([np.linalg.eigvalsh(meas.post_state)], 1.0, grid)).tolist()
         post = post_measurement_state(proj, rho)
         [mi] = _mutual_infos([(rho_ab, (2, 3))], grid).tolist()
         [reports] = _reports([_report_part(proj, rho)], grid)
