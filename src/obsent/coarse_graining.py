@@ -7,11 +7,15 @@ entropy weights each outcome probability p_i = Tr(Pi_i rho) against the
 volume V_i = Tr(Pi_i) of its effect; the alpha variant replaces the
 log-mean with a power mean. Sequential composition uses the Luders update,
 so the composed effects of a parent outcome always sum back to the parent
-effect.
+effect. Construction, outcomes, sequential, merge_outcomes and tensor_cg
+are validated one-instance wrappers over private stack forms (_checked,
+_traces, _sequential with _lueders_roots, _merged, _tensor), which verify
+calls on many instances at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .operators import _instance, _integer, _items, _matrix, _reals, op_power
+from .operators import _instance, _integer, _items, _matrix, _per_dim, _reals, op_power
 
 
 @dataclass(frozen=True)
@@ -68,29 +72,9 @@ class CoarseGraining:
             dim = _matrix(effects[0], name=f"effect {labels[0]!r}").shape[0]
             for lab, e in zip(labels, effects):
                 _matrix(e, dim=dim, name=f"effect {lab!r}")
-        # the Hermitian parts (E + E^H) / 2, written into the owned stack
-        stack = np.empty(raw.shape, dtype=complex)
-        np.conjugate(raw.swapaxes(1, 2), out=stack)
-        stack += raw
-        stack *= 0.5
-        dim = stack.shape[1]
-        lam_min = np.linalg.eigvalsh(stack)[:, 0]
-        bad = np.flatnonzero(lam_min < -tol.PSD_EIGENVALUE_FLOOR)
-        if bad.size:
-            k = bad[0]
-            raise NotPSD(f"effect {labels[k]!r} is not PSD", magnitude=-lam_min[k])
-        volumes = stack.trace(axis1=1, axis2=2).real
-        keep = volumes >= tol.ZERO_EFFECT_TRACE
-        if not keep.any():
-            raise ValidationError("all effects have zero trace")
+        [(stack, volumes, keep)] = _checked([raw], labels)
         if not keep.all():
-            stack, volumes = stack[keep], volumes[keep]
             labels = tuple(lab for lab, k in zip(labels, keep) if k)
-        defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
-        if defect > tol.POVM_SUM_ATOL:
-            raise ValidationError(
-                "effects do not sum to the identity", magnitude=defect
-            )
         stack.flags.writeable = False
         volumes.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -111,6 +95,41 @@ class CoarseGraining:
     def is_projective(self, atol: float = 1e-9) -> bool:
         e = self.effects
         return float(np.max(np.abs(e @ e - e))) <= atol
+
+
+def _checked(raws: list, labels: tuple = ()) -> list:
+    """Construction's checks of raw (n, d, d) effect stacks, with one
+    eigvalsh per dimension: the Hermitian parts (E + E^H) / 2 must be PSD
+    (NotPSD names the effect by its label, else by its position among the
+    stacks of its dimension), effects of trace below ZERO_EFFECT_TRACE are
+    dropped, and each stack's kept effects must sum to I. (effects,
+    volumes, mask of the kept effects) per stack."""
+
+    def hermitian_parts(raw):
+        stack = np.empty(raw.shape, dtype=complex)
+        np.conjugate(raw.swapaxes(1, 2), out=stack)
+        stack += raw
+        stack *= 0.5
+        lam_min = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(lam_min < -tol.PSD_EIGENVALUE_FLOOR)
+        if bad.size:
+            k = bad[0]
+            name = (labels or range(len(raw)))[k]
+            raise NotPSD(f"effect {name!r} is not PSD", magnitude=-lam_min[k])
+        volumes = stack.trace(axis1=1, axis2=2).real
+        return stack, volumes, volumes >= tol.ZERO_EFFECT_TRACE
+
+    out = []
+    for stack, volumes, keep in _per_dim(hermitian_parts, raws):
+        if not keep.all():
+            if not keep.any():
+                raise ValidationError("all effects have zero trace")
+            stack, volumes = stack[keep], volumes[keep]
+        defect = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
+        if defect > tol.POVM_SUM_ATOL:
+            raise ValidationError("effects do not sum to the identity", magnitude=defect)
+        out.append((stack, volumes, keep))
+    return out
 
 
 def identity_cg(dim: int) -> CoarseGraining:
@@ -185,18 +204,22 @@ class RefinementMap:
 def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
     """Outcome probabilities and volumes of a state under a coarse-graining."""
     m = _state(cg, rho, "square")
-    return OutcomeDistribution(cg.labels, _traces(cg, m), cg.volumes())
+    return OutcomeDistribution(cg.labels, _traces([cg.effects], [m])[0], cg.volumes())
 
 
 def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
     """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i."""
     cg = _instance(cg, CoarseGraining, "coarse-graining")
-    return ClassicalState(cg.labels, _traces(cg, _matrix(x, dim=cg.dim)))
+    [w] = _traces([cg.effects], [_matrix(x, dim=cg.dim)])
+    return ClassicalState(cg.labels, w)
 
 
-def _traces(cg: CoarseGraining, m: np.ndarray) -> np.ndarray:
-    """Tr(Pi_i M) for every effect, as one real vector."""
-    return np.einsum("kij,ji->k", cg.effects, m).real
+def _traces(stacks: list, ms: list, gate=np.asarray) -> list:
+    """gate(Tr(Pi_i M)) for the effects Pi_i of each stack and the matrix M
+    at its position in ms, as real vectors, from one einsum per dimension;
+    each Pi_i meets a stride-0 view of M, which sums as a one-M einsum."""
+    views = [np.broadcast_to(m, s.shape) for s, m in zip(stacks, ms)]
+    return _per_dim(lambda e, m: gate(np.einsum("kij,kji->k", e, m).real), stacks, views)
 
 
 def _state(cg: CoarseGraining, rho, kind: str = "state") -> np.ndarray:
@@ -320,11 +343,16 @@ def tensor_cg(parts) -> CoarseGraining:
     effects = parts[0].effects
     for part in parts[1:]:
         labels = [l1 + (l2,) for l1 in labels for l2 in part.labels]
-        (n1, d1, _), (n2, d2, _) = effects.shape, part.effects.shape
-        effects = np.einsum("aij,bkl->abikjl", effects, part.effects).reshape(
-            n1 * n2, d1 * d2, d1 * d2
-        )
+        effects = _tensor(effects, part.effects)
     return CoarseGraining(tuple(labels), effects)
+
+
+def _tensor(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The Kronecker products of two effect stacks, in (i, j) order:
+    tensor_cg's stack form."""
+    (n1, d1, _), (n2, d2, _) = first.shape, second.shape
+    product = np.einsum("aij,bkl->abikjl", first, second)
+    return product.reshape(n1 * n2, d1 * d2, d1 * d2)
 
 
 def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
@@ -338,16 +366,27 @@ def sequential(cg1: CoarseGraining, cg2: CoarseGraining) -> CoarseGraining:
         _instance(cg, CoarseGraining, "coarse-graining")
     if cg1.dim != cg2.dim:
         raise DimensionMismatch(f"dims {cg1.dim} vs {cg2.dim}")
-    roots = _lueders_roots(cg1, cg1.is_projective())[:, None]
-    effects = (roots @ cg2.effects @ roots).reshape(-1, cg1.dim, cg1.dim)
+    [roots] = _lueders_roots([cg1.effects])
     labels = tuple((l1, l2) for l1 in cg1.labels for l2 in cg2.labels)
-    return CoarseGraining(labels, effects)
+    return CoarseGraining(labels, _sequential(roots, cg2.effects))
 
 
-def _lueders_roots(cg: CoarseGraining, projective: bool) -> np.ndarray:
-    """sqrt(Pi_i) for every effect of cg, which is projective when
-    projective is True: a projector is its own square root."""
-    return cg.effects if projective else op_power(cg.effects, 0.5)
+def _sequential(roots: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The Luders effects sqrt(Pi_i) Q_j sqrt(Pi_i) of the roots of a first
+    stage and the effect stack of a second, in (i, j) order: sequential's
+    stack form."""
+    d = roots.shape[-1]
+    return (roots[:, None] @ second @ roots[:, None]).reshape(-1, d, d)
+
+
+def _lueders_roots(stacks: list) -> list:
+    """sqrt(Pi_i) for every effect of each stack: a projective stack (as
+    is_projective) is its own root, and the others take one op_power per
+    dimension."""
+    errors = _per_dim(lambda e: np.abs(e @ e - e).max(axis=(1, 2)), stacks)
+    rooted = [float(err.max()) > 1e-9 for err in errors]
+    roots = iter(_per_dim(lambda e: op_power(e, 0.5), [*itertools.compress(stacks, rooted)]))
+    return [next(roots) if r else s for s, r in zip(stacks, rooted)]
 
 
 def check_refinement(
@@ -368,7 +407,7 @@ def check_refinement(
         raise ShapeMismatch(
             f"map shape {mm.shape} != ({len(finer)}, {len(coarser)})"
         )
-    built = np.tensordot(mm, finer.effects, axes=(0, 0))
+    built = _merged(mm, finer.effects)
     worst = float(np.max(np.abs(built - coarser.effects)))
     return worst <= tol.REFINEMENT_ATOL, worst
 
@@ -401,8 +440,13 @@ def merge_outcomes(cg: CoarseGraining, partition) -> tuple:
     for j, group in enumerate(partition):
         m[[index[lab] for lab in group], j] = 1.0
     labels = tuple(tuple(g) if len(g) > 1 else g[0] for g in partition)
-    coarser = CoarseGraining(labels, np.tensordot(m, cg.effects, axes=(0, 0)))
-    return coarser, RefinementMap(m)
+    return CoarseGraining(labels, _merged(m, cg.effects)), RefinementMap(m)
+
+
+def _merged(m: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """The effects sum_i m[i, j] Pi_i of the coarser coarse-graining a map
+    m gives: merge_outcomes' stack form."""
+    return np.tensordot(m, effects, axes=(0, 0))
 
 
 def refinement_divergence_bound(
@@ -433,21 +477,22 @@ def refinement_divergence_bound(
             "map does not reproduce the coarser effects", magnitude=residual
         )
     state = _state(finer, rho)
-    case = (outcomes(finer, state), outcomes(coarser, state), m)
-    return float(_refinement_bounds([case], a)[0])
+    fine, coarse = (outcomes(cg, state) for cg in (finer, coarser))
+    case = ((fine.probabilities, fine.volumes), (coarse.probabilities, coarse.volumes))
+    return float(_refinement_bounds([(*case, m.matrix)], a)[0])
 
 
 @np.errstate(divide="ignore")
 def _refinement_bounds(cases: list, alpha: float) -> np.ndarray:
-    """refinement_divergence_bound of each (fine, coarse, map) case, fine
-    and coarse being the outcome distributions of the two coarse-grainings,
-    at one order, from one _ragged call; log Q_i is a logsumexp over j, so
-    (V_i p'_j / V'_j)^alpha cannot underflow."""
+    """refinement_divergence_bound of each ((p, V), (p', V'), m) case, the
+    outcome probabilities and volumes of the finer and the coarser
+    coarse-graining and the map's matrix, at one order, from one _ragged
+    call; log Q_i is a logsumexp over j, so (V_i p'_j / V'_j)^alpha cannot
+    underflow."""
     qs = []
-    for fine, coarse, m in cases:
-        v, pc, vc = fine.volumes, coarse.probabilities, coarse.volumes
-        logs = np.log(m.matrix) + alpha * np.log(v[:, None] * pc / vc)
+    for (_, v), (pc, vc), m in cases:
+        logs = np.log(m) + alpha * np.log(v[:, None] * pc / vc)
         top = logs.max(axis=1, keepdims=True)
         top[~np.isfinite(top)] = 0.0
         qs.append(np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / alpha))
-    return _ragged([fine.probabilities for fine, _, _ in cases], qs, alpha)
+    return _ragged([p for (p, _), _, _ in cases], qs, alpha)

@@ -23,6 +23,7 @@ Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -271,21 +272,35 @@ def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
     return np.where(lam > support_rtol * lam_max, lam, 0.0), vec
 
 
+def _per_dim(fn, *stacks) -> list:
+    """fn(s, ...) for each tuple of same-position stacks (arrays of matrices
+    or vectors along axis 0) of the lists stacks, split back per stack from
+    one call of fn per shape on the joined stacks of that shape; fn must
+    map each matrix or vector on its own to one row (of an array, or of
+    each array of a tuple), as np.linalg.eigvalsh does."""
+    if len(stacks[0]) == 1:
+        return [fn(*(ss[0] for ss in stacks))]
+    groups = {}
+    for i, s in enumerate(stacks[0]):
+        groups.setdefault(s.shape[1:], []).append(i)
+    out = [None] * len(stacks[0])
+    for idx in groups.values():
+        res = fn(*(
+            ss[idx[0]] if len(idx) == 1 else np.concatenate([ss[i] for i in idx])
+            for ss in stacks
+        ))
+        bounds = [0, *itertools.accumulate(len(stacks[0][i]) for i in idx)]
+        for i, a, b in zip(idx, bounds, bounds[1:]):
+            out[i] = tuple(r[a:b] for r in res) if isinstance(res, tuple) else res[a:b]
+    return out
+
+
 def _each(fn, *mats) -> list:
     """fn(m, ...) for each tuple of same-position arrays (matrices or
-    vectors) of the lists mats, with one call of fn per length on the
-    stacks of that length; fn must act on each array of a stack on its
-    own, as np.linalg.eigvalsh does. The results (arrays, or tuples of
-    arrays) in list order."""
-    groups = {}
-    for i, m in enumerate(mats[0]):
-        groups.setdefault(len(m), []).append(i)
-    out = [None] * len(mats[0])
-    for idx in groups.values():
-        res = fn(*(np.stack([ms[i] for i in idx]) for ms in mats))
-        for k, i in enumerate(idx):
-            out[i] = tuple(r[k] for r in res) if isinstance(res, tuple) else res[k]
-    return out
+    vectors) of the lists mats, through _per_dim: one call of fn per shape
+    on the stack of the arrays of that shape."""
+    rows = _per_dim(fn, *([np.asarray(m)[None] for m in ms] for ms in mats))
+    return [tuple(r[0] for r in row) if isinstance(row, tuple) else row[0] for row in rows]
 
 
 def tensor(*ops) -> np.ndarray:

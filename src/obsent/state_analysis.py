@@ -23,8 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .coarse_graining import CoarseGraining, _alpha_oes, _lueders_roots, _state, outcomes
-from .divergences import _check_alpha, _entropies, _ragged, _spectral_pair
+from .coarse_graining import (
+    CoarseGraining, _alpha_oes, _lueders_roots, _state, _traces, outcomes
+)
+from .divergences import _check_alpha, _entropies, _nonneg_vector, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
 from .operators import _each
 
@@ -72,7 +74,7 @@ class _Measurement:
 
     def __init__(self, cg: CoarseGraining, rho: np.ndarray):
         self.cg, self.rho = cg, rho
-        self.dist = outcomes(cg, rho)
+        [self.p] = _traces([cg.effects], [rho], _nonneg_vector)
 
     @cached_property
     def projective(self) -> bool:
@@ -81,17 +83,17 @@ class _Measurement:
     @cached_property
     def lueders(self) -> np.ndarray:
         """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
-        roots = _lueders_roots(self.cg, self.projective)
+        [roots] = _lueders_roots([self.cg.effects])
         return roots @ self.rho @ roots
 
     @cached_property
     def kept(self) -> tuple:
         """(mask, p_i, stack of rho_i, stack of omega_i) of the outcomes with
         probability above PROB_FLOOR."""
-        keep = self.dist.probabilities > tol.PROB_FLOOR
-        p = self.dist.probabilities[keep]
+        keep = self.p > tol.PROB_FLOOR
+        p = self.p[keep]
         states = self.lueders[keep] / p[:, None, None]
-        flats = self.cg.effects[keep] / self.dist.volumes[keep][:, None, None]
+        flats = self.cg.effects[keep] / self.cg.volumes()[keep][:, None, None]
         return keep, p, states, flats
 
     @cached_property
@@ -207,8 +209,12 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
     """The coarse-grained state sum_i (p_i / V_i) Pi_i."""
-    dist = outcomes(cg, rho)
-    return np.tensordot(dist.probabilities / dist.volumes, cg.effects, axes=1)
+    return _coarse_grained(cg, outcomes(cg, rho).probabilities)
+
+
+def _coarse_grained(cg: CoarseGraining, p: np.ndarray) -> np.ndarray:
+    """sum_i (p_i / V_i) Pi_i over the effects of cg, for weights p."""
+    return np.tensordot(p / cg.volumes(), cg.effects, axes=1)
 
 
 def is_coarse_grained(
@@ -221,22 +227,25 @@ def is_coarse_grained(
     disagreement between the two.
     """
     _check_alpha(alpha)
-    [[report]] = _reports([_report_part(cg, _state(cg, rho))], [alpha], atol)
+    [[report]] = _reports(_report_parts([(cg, _state(cg, rho))]), [alpha], atol)
     return report
 
 
-def _report_part(cg: CoarseGraining, m: np.ndarray) -> tuple:
-    """(matrix residual, (p, V) of the outcomes, m) of m under cg: what the
-    reports of m read."""
-    residual = float(np.max(np.abs(m - coarse_grained_state(cg, m))))
-    dist = outcomes(cg, m)
-    return residual, (dist.probabilities, dist.volumes), m
+def _report_parts(cases: list) -> list:
+    """(matrix residual, (p, V) of the outcomes, m) of each (cg, m) case:
+    what the reports of m under cg read. The outcome probabilities come
+    from one einsum per dimension."""
+    ps = _traces([cg.effects for cg, _ in cases], [m for _, m in cases], _nonneg_vector)
+    return [
+        (float(np.max(np.abs(m - _coarse_grained(cg, p)))), (p, cg.volumes()), m)
+        for (cg, m), p in zip(cases, ps)
+    ]
 
 
 def _reports(parts: list, alphas, atol: float = tol.CG_STATE_ATOL) -> list:
-    """The is_coarse_grained reports of each _report_part, one per order of
-    the 1-d array alphas, from one table call for all alpha-OEs and one for
-    all Renyi entropies."""
+    """The is_coarse_grained reports of each part of _report_parts, one per
+    order of the 1-d array alphas, from one table call for all alpha-OEs
+    and one for all Renyi entropies."""
     oe = _alpha_oes([pv for _, pv, _ in parts], alphas)
     renyi = _entropies([m for _, _, m in parts], alphas)
     return [

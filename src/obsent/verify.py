@@ -28,30 +28,40 @@ from .coarse_graining import (
     RefinementMap,
     _alpha_derivatives,
     _alpha_oes,
+    _checked,
+    _lueders_roots,
+    _merged,
     _refinement_bounds,
+    _sequential,
+    _tensor,
+    _traces,
     alpha_oe,
-    check_refinement,
     identity_cg,
-    merge_outcomes,
-    outcomes,
     projective_cg,
     refinement_divergence_bound,
     sequential,
-    tensor_cg,
 )
-from .divergences import _entropies, _mutual_infos, _petz, _ragged
+from .divergences import _entropies, _mutual_infos, _nonneg_vector, _petz, _ragged
 from .errors import NotARefinement
 from .generators import (
-    random_coarse_grained_state,
-    random_coarse_graining,
+    _coarse_graining,
+    _draw_cg,
+    _draw_merge,
+    _draw_projective,
+    _effect_stacks,
     random_density,
-    random_merge,
     random_projective_cg,
-    random_rank1_projective_cg,
 )
-from .operators import _integer, _option, tensor
+from .operators import _each, _integer, _option, tensor
 from .serialize import operator_to_json
-from .state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
+from .state_analysis import (
+    _coarse_grained,
+    _Measurement,
+    _mixtures,
+    _report_parts,
+    _reports,
+    _splits,
+)
 from .thermo import (
     DrivingProtocol,
     EnergyWindowing,
@@ -99,16 +109,7 @@ class PropertyResult:
 
     def to_json(self) -> dict:
         worst = self.worst_margin
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "instances": self.instances,
-            "passes": self.passes,
-            "fails": self.fails,
-            "worst_margin": "INFINITE" if math.isinf(worst) else worst,
-            "violations": self.violations,
-        }
+        return {**vars(self), "worst_margin": "INFINITE" if math.isinf(worst) else worst}
 
 
 @dataclass
@@ -140,29 +141,32 @@ class VerificationReport:
 
 
 def _state_instance(rho, alpha=None, **extra) -> dict:
-    inst = {"state": rho}
-    if alpha is not None:
-        inst["alpha"] = alpha
-    inst.update(extra)
-    return inst
+    return {"state": rho, **({} if alpha is None else {"alpha": alpha}), **extra}
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def _pv(dist) -> tuple:
-    """(p, V) of an outcome distribution without its labels, which for a
-    long sequential chain outweigh the two vectors."""
-    return dist.probabilities, dist.volumes
+def _outcomes(cases: list) -> list:
+    """(p, V) of each ((effects, volumes, ...), rho) case, as outcomes gives
+    them, from one einsum per dimension."""
+    effects, states = [cg[0] for cg, _ in cases], [m for _, m in cases]
+    return [(p, cg[1]) for (cg, _), p in zip(cases, _traces(effects, states, _nonneg_vector))]
 
 
 # ----------------------------------------------------------------- suites
-# Each suite draws its instances in the order of its random stream and
-# reduces each one at once to small vectors and matrices: outcome (p, V),
-# states, spectra, Nussbaum-Szkola pairs. After the draw loop every table
-# is evaluated in one _ragged call (and one batched eigendecomposition per
-# dimension); the margins are then recorded in instance order.
+# Each suite runs in two phases. The draw loop takes its instances from
+# its random stream in a fixed order and does no linear algebra: states,
+# and the raw draws behind each coarse-graining (generators._draw_cg and
+# its kin). After it, every linear-algebra step runs once per dimension
+# over all instances: the frames' qr and the POVMs' inverse roots
+# (generators._effect_stacks), the construction checks (_checked), the
+# Luders roots of each level of a sequential chain, the outcome traces,
+# the batched eigendecompositions of the entropy tables, and one _ragged
+# call per table. The stack forms give each instance the bits of its
+# public one-instance call (tests/test_verify_hoisting.py). The margins are
+# then recorded in instance order.
 
 
 def suite_divergences(seed: int, n: int, dim_max: int) -> list:
@@ -173,16 +177,17 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
     mi_sign = PropertyResult("renyi_mutual_info_sign", "survey", 1e-9)
 
     rng = _rng(seed, 1)
-    rhos, sigmas, ps, qs, mi_cases = [], [], [], [], []
+    rhos, sigmas, draws, mi_cases = [], [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rhos.append(random_density(rng, d))
         sigmas.append(random_density(rng, d))  # full rank
-        cg = random_coarse_graining(rng, d)
-        ps.append(outcomes(cg, rhos[-1]).probabilities)
-        qs.append(outcomes(cg, sigmas[-1]).probabilities)
+        draws.append(_draw_cg(rng, d))
         dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         mi_cases.append((random_density(rng, dims[0] * dims[1]), dims))
+    cgs = _checked(_effect_stacks(draws))
+    dists = _outcomes(list(zip(cgs, rhos)) + list(zip(cgs, sigmas)))
+    ps, qs = [p for p, _ in dists[:n]], [p for p, _ in dists[n:]]
     quantum = _petz(rhos, sigmas, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7)).tolist()
     # the kernel calls classical_petz_renyi(p, q, a) makes, over the grid
     classical = _ragged(ps, qs, ALPHA_GRID).tolist()
@@ -216,28 +221,33 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     quasi = PropertyResult("quasi_concavity_alpha_gt1", "hard", 1e-10)
 
     rng = _rng(seed, 2)
-    cases, dists, others = [], [], []
+    cases, draws = [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
-        cg = random_coarse_graining(rng, d)
+        draws.append(_draw_cg(rng, d))
         rho = random_density(rng, d)
         # additivity on a 2 x 3 product
-        cg_a = random_coarse_graining(rng, 2)
-        cg_b = random_coarse_graining(rng, 3)
+        draws += [_draw_cg(rng, 2), _draw_cg(rng, 3)]
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        prod_rho = tensor(rho_a, rho_b)
         # concavity
         rho2 = random_density(rng, d)
         lam = float(rng.uniform(0.05, 0.95))
         mix = lam * rho + (1 - lam) * rho2
-        # the public path, against the hoisted grid
-        cases.append((rho, prod_rho, mix, lam, alpha_oe(cg, rho, 1.0)))
-        dists.append(_pv(outcomes(cg, rho)))
-        measured = ((tensor_cg([cg_a, cg_b]), prod_rho), (cg_a, rho_a), (cg_b, rho_b),
-                    (cg, mix), (cg, rho2))
-        others += [_pv(outcomes(c, m)) for c, m in measured]
+        cases.append((rho, tensor(rho_a, rho_b), mix, lam, rho_a, rho_b, rho2))
+    cgs = _checked(_effect_stacks(draws))
+    whole, part_a, part_b = cgs[0::3], cgs[1::3], cgs[2::3]
+    products = _checked([_tensor(a[0], b[0]) for a, b in zip(part_a, part_b)])
+    measured = [(cg, case[0]) for cg, case in zip(whole, cases)]
+    for cg, a, b, prod, (_, prod_rho, mix, _, rho_a, rho_b, rho2) in zip(
+        whole, part_a, part_b, products, cases
+    ):
+        measured += [(prod, prod_rho), (a, rho_a), (b, rho_b), (cg, mix), (cg, rho2)]
+    dists = _outcomes(measured)
+    dists, others = dists[:n], dists[n:]
     rhos = [rho for rho, *_ in cases]
+    # the public path, against the hoisted grid
+    ones = [alpha_oe(_coarse_graining(cg[0]), rho, 1.0) for cg, rho in zip(whole, rhos)]
     g = len(ALPHA_GRID)
     # the grid, the alpha -> 1 neighbours and the finite-difference points
     steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
@@ -251,8 +261,8 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     s_rho = _entropies(rhos, ALPHA_GRID).tolist()
     derivs = _alpha_derivatives(dists, ALPHA_GRID).tolist()
     others = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).tolist()
-    tables = zip(cases, oe, classical, quantum, s_rho, derivs, others)
-    for (rho, prod_rho, mix, lam, s1), row, c_row, q_row, s_row, d_row, other in tables:
+    tables = zip(cases, ones, oe, classical, quantum, s_rho, derivs, others)
+    for (rho, prod_rho, mix, lam, *_), s1, row, c_row, q_row, s_row, d_row, other in tables:
         d = len(rho)
         svals, (above, below), fd_points = row[:g], row[g : g + 2], row[g + 2 :]
         limit.record(-max(abs(above - s1), abs(below - s1)), _state_instance(rho))
@@ -270,10 +280,8 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
             # floor keeps the relative test meaningful near zero derivatives
             rel = abs(deriv - fd) / max(abs(deriv), abs(fd), 1e-3)
             deriv_fd.record(-rel, _state_instance(rho, a))
-        ordering.record(
-            min(b - a for a, b in zip(svals[1:], svals[:-1])),
-            _state_instance(rho),
-        )
+        margin = min(b - a for a, b in zip(svals[1:], svals[:-1]))
+        ordering.record(margin, _state_instance(rho))
         whole, s_a, s_b = other[:3]
         for a, w, u, v in zip(ALPHA_GRID, whole, s_a, s_b):
             additivity.record(-abs(w - (u + v)), _state_instance(prod_rho, a))
@@ -284,26 +292,16 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         for a in (2.0, 3.0):
             margin = s_mix[a] - min(s[a], s_2[a])
             quasi.record(margin, _state_instance(mix, a))
-    return [
-        limit,
-        forms,
-        gap_id,
-        gap_pos,
-        bounds,
-        ordering,
-        deriv_sign,
-        deriv_fd,
-        additivity,
-        concave,
-        quasi,
-    ]
+    return [limit, forms, gap_id, gap_pos, bounds, ordering, deriv_sign, deriv_fd,
+            additivity, concave, quasi]
 
 
-def _mub_qubit_case():
-    z = projective_cg(np.eye(2, dtype=complex), labels=("z0", "z1"))
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    x = projective_cg(h, labels=("x0", "x1"))
-    return z, x
+def _composed(firsts: list, seconds: list) -> list:
+    """The checked (effects, volumes, keep) of sequential(first, second)
+    for each checked first stage and the effect stack of its second, with
+    one root call and one check call per dimension."""
+    roots = _lueders_roots([e for e, _, _ in firsts])
+    return _checked([_sequential(r, e) for r, e in zip(roots, seconds)])
 
 
 def suite_sequential(seed: int, n: int, dim_max: int) -> list:
@@ -314,31 +312,41 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
     converse = PropertyResult("equality_condition_converse", "survey", 1e-10)
 
     rng = _rng(seed, 3)
-    z, x = _mub_qubit_case()
+    # mutually-unbiased qubit bases: measuring x after z keeps z's alpha-OE
+    z = projective_cg(np.eye(2, dtype=complex))
+    x = projective_cg(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
     seq = sequential(z, x)
-    cases, dists = [], []
+    cases, draws = [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rho = random_density(rng, d)
-        cgs = [random_coarse_graining(rng, d) for _ in range(4)]
-        stages = [cgs[0]]
-        for nxt in cgs[1:]:
-            stages.append(sequential(stages[-1], nxt))
+        draws += [_draw_cg(rng, d) for _ in range(4)]
         # mutually-unbiased qubit case: exact equality
         rho_q = random_density(rng, 2)
         # composing with the trivial second stage keeps t-ratios, so
         # equality; the converse of the equality condition is observed only
-        cg1 = random_coarse_graining(rng, d)
-        seq2 = sequential(cg1, random_coarse_graining(rng, d))
-        cases.append((rho, rho_q, [cg1.labels.index(lab1) for lab1, _ in seq2.labels]))
-        measured = [(c, rho) for c in stages] + [(seq, rho_q), (z, rho_q)]
-        measured += [(sequential(cg1, identity_cg(d)), rho), (cg1, rho), (seq2, rho)]
-        dists += [_pv(outcomes(c, m)) for c, m in measured]
+        draws += [_draw_cg(rng, d), _draw_cg(rng, d)]
+        cases.append((rho, rho_q))
+    cgs = _checked(_effect_stacks(draws))
+    cg1s, identities = cgs[4::6], [np.eye(len(rho), dtype=complex)[None] for rho, _ in cases]
+    # the chains level by level; the first level also composes cg1 with a
+    # random second stage and with the trivial {I}
+    seconds = [e for e, _, _ in cgs[1::6] + cgs[5::6]] + identities
+    level = _composed(cgs[0::6] + cg1s + cg1s, seconds)
+    stages = [cgs[0::6], level[:n]]
+    for k in (2, 3):
+        stages.append(_composed(stages[-1], [e for e, _, _ in cgs[k::6]]))
+    mubs = [(c.effects, c.volumes()) for c in (seq, z)]
+    measured = []
+    for i, (rho, rho_q) in enumerate(cases):
+        measured += [(stage[i], rho) for stage in stages] + [(c, rho_q) for c in mubs]
+        measured += [(level[2 * n + i], rho), (cg1s[i], rho), (level[n + i], rho)]
+    dists = _outcomes(measured)
     g = len(ALPHA_GRID)
     oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 9, g).tolist()
-    s_rho = _entropies([rho for rho, _, _ in cases], ALPHA_GRID).tolist()
+    s_rho = _entropies([rho for rho, _ in cases], ALPHA_GRID).tolist()
     at_two = ALPHA_GRID.index(2.0)
-    for i, ((rho, rho_q, first), s_row, grids) in enumerate(zip(cases, s_rho, oe)):
+    for i, ((rho, rho_q), s_row, grids) in enumerate(zip(cases, s_rho, oe)):
         for a, values, s in zip(ALPHA_GRID, zip(*grids[:4]), s_row):
             chain.record(
                 min(u - v for u, v in zip(values, values[1:])),
@@ -352,6 +360,8 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
             equality.record(-abs(u - v), _state_instance(rho, a))
         if abs(s_12[at_two] - s_1[at_two]) <= 1e-9:
             (p1, v1), (p12, v12) = dists[9 * i + 7], dists[9 * i + 8]
+            # the cg1 outcome of each kept effect of cg1 then cg2
+            first = np.flatnonzero(level[n + i][2]) // len(cgs[6 * i + 5][0])
             p1, v1 = p1[first], v1[first]
             kept = (p12 > 1e-12) & (p1 > 1e-12)
             ratios = np.abs(p12 / v12 - p1 / v1)[kept]
@@ -368,32 +378,36 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
     control = PropertyResult("invalid_map_rejected", "hard", 0.0)
 
     rng = _rng(seed, 4)
-    rhos, merges, trivials = [], [], []
+    rhos, draws, maps = [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
-        rho = random_density(rng, d)
-        cg = random_projective_cg(rng, d)
-        coarser, rmap = random_merge(rng, cg)
-        _, residual = check_refinement(cg, coarser, rmap)
-        relation.record(-residual, _state_instance(rho))
-        fine = outcomes(cg, rho)
-        # trivial coarser {I}: the bound equals the gap exactly
-        triv_cg, triv_map = merge_outcomes(cg, [list(cg.labels)])
-        rhos.append(rho)
-        merges.append((fine, outcomes(coarser, rho), rmap))
-        trivials.append((fine, outcomes(triv_cg, rho), triv_map))
+        rhos.append(random_density(rng, d))
+        draws.append(_draw_projective(rng, d))
+        maps.append(_draw_merge(rng, len(draws[-1][0])))
         # a non-stochastic map must be rejected
-        bad = np.full((len(cg), len(coarser)), 0.37)
         try:
-            RefinementMap(bad)
+            RefinementMap(np.full(maps[-1].shape, 0.37))
             control.record(-1.0, {"note": "non-stochastic map accepted"})
         except NotARefinement:
             control.record(0.0)
+    fines = _checked(_effect_stacks(draws))
+    # the trivial coarser {I}: the bound equals the gap exactly
+    maps += [np.ones((len(e), 1)) for e, _, _ in fines]
+    built = [_merged(m, e) for m, (e, _, _) in zip(maps, fines + fines)]
+    coarse = _checked(built)
+    for rho, raw, (e, _, _) in zip(rhos, built, coarse):
+        # check_refinement's residual
+        relation.record(-float(np.max(np.abs(raw - e))), _state_instance(rho))
+    measured = []
+    for i, rho in enumerate(rhos):
+        measured += [(fines[i], rho), (coarse[i], rho), (coarse[n + i], rho)]
+    dists = _outcomes(measured)
     g = len(ALPHA_GRID)
-    dists = [(fine, coarse, triv) for (fine, coarse, _), (_, triv, _) in zip(merges, trivials)]
-    oe = _alpha_oes([_pv(d) for ds in dists for d in ds], ALPHA_GRID).reshape(n, 3, g).tolist()
+    oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 3, g).tolist()
     # per order above 1: the bound of each merge, then of each trivial merge
-    d_bounds = [_refinement_bounds(merges + trivials, a).tolist() for a in ALPHA_GT1]
+    cases = [(dists[3 * i], dists[3 * i + 1], maps[i]) for i in range(n)]
+    cases += [(dists[3 * i], dists[3 * i + 2], maps[n + i]) for i in range(n)]
+    d_bounds = [_refinement_bounds(cases, a).tolist() for a in ALPHA_GT1]
     for i, (rho, grids) in enumerate(zip(rhos, oe)):
         s_fine, s_coarse, s_triv = (dict(zip(ALPHA_GRID, grid)) for grid in grids)
         for a, d_bound in zip(ALPHA_GT1, d_bounds):
@@ -437,34 +451,40 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
 
     rng = _rng(seed, 7)
     alphas = (0.5, 2.0, 3.0)
-    rhos, dists, mixtures, splits, eq_parts, pert_parts = [], [], [], [], [], []
+    rhos, draws, weights, herms = [], [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
-        rho = random_density(rng, d)
-        cg_r1 = random_rank1_projective_cg(rng, d)
-        cg_gen = random_projective_cg(rng, d)
+        rhos.append(random_density(rng, d))
+        draws += [_draw_projective(rng, d, [1] * d), _draw_projective(rng, d)]
+        # coarse-grained-state biconditional
+        weights.append(rng.dirichlet(np.ones(len(draws[-1][0]))))
+        herms.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    cgs = [_coarse_graining(e) for e in _effect_stacks(draws)]
+    dists, mixtures, splits, eq_states, perts = [], [], [], [], []
+    for rho, cg_r1, cg_gen, w, herm in zip(rhos, cgs[0::2], cgs[1::2], weights, herms):
         r1, gen = _Measurement(cg_r1, rho), _Measurement(cg_gen, rho)
         trace_one.record(
             -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
         )
-        rhos.append(rho)
-        dists += [_pv(r1.dist), _pv(gen.dist)]
+        dists += [(r1.p, cg_r1.volumes()), (gen.p, cg_gen.volumes())]
         mixtures += [r1.mixture_part, gen.mixture_part]
         splits += [r1.split_part, gen.split_part]
-        # coarse-grained-state biconditional
-        eq_parts.append(_report_part(cg_gen, random_coarse_grained_state(rng, cg_gen)))
-        rho_eq = eq_parts[-1][2]
-        herm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        eq_states.append(_coarse_grained(cg_gen, w))
+        d = len(rho)
         herm = herm + herm.conj().T
         herm = herm - np.trace(herm) / d * np.eye(d)
-        pert = rho_eq + 0.02 * herm / max(1.0, float(np.max(np.abs(herm))))
-        lam_min = float(np.linalg.eigvalsh(pert)[0])
+        perts.append(eq_states[-1] + 0.02 * herm / max(1.0, float(np.max(np.abs(herm)))))
+    for i, spectrum in enumerate(_each(np.linalg.eigvalsh, perts)):
+        lam_min, d = float(spectrum[0]), len(perts[i])
         if lam_min < 1e-6:
-            pert = (pert + abs(lam_min) * 1.5 * np.eye(d)) / (
+            perts[i] = (perts[i] + abs(lam_min) * 1.5 * np.eye(d)) / (
                 1 + 1.5 * abs(lam_min) * d
             )
-        part = _report_part(cg_gen, pert)
-        pert_parts.append(part if part[0] >= 1e-3 else None)
+    eq_parts = _report_parts(list(zip(cgs[1::2], eq_states)))
+    pert_parts = [
+        part if part[0] >= 1e-3 else None
+        for part in _report_parts(list(zip(cgs[1::2], perts)))
+    ]
     g = len(alphas)
     mix = _mixtures(mixtures, alphas).reshape(n, 2, g)
     post, div = (t.reshape(n, 2, g) for t in _splits(splits, alphas))
@@ -501,17 +521,8 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
                     _state_instance(pert_parts[i][2], a),
                 )
                 agreement.record(0.0 if report.consistent else -1.0)
-    return [
-        post_r1,
-        split_r1,
-        post_gen,
-        split_gen,
-        assembly,
-        trace_one,
-        eq_cases,
-        pert_cases,
-        agreement,
-    ]
+    return [post_r1, split_r1, post_gen, split_gen, assembly, trace_one, eq_cases,
+            pert_cases, agreement]
 
 
 def _canonical_closed_runs(alphas, n_samples=50):

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from obsent import (
     INFINITE,
     CoarseGraining,
+    DensityOperator,
+    HermitianOperator,
     DrivingProtocol,
     EnergyWindowing,
     LevelSystem,
@@ -27,11 +29,13 @@ from obsent import (
     check_refinement,
     closed_run,
     coarse_grained_state,
+    conditional_ensemble,
     energy_cg,
     free_energy,
     measurement_channel,
     merge_outcomes,
     op_power,
+    open_run,
     outcomes,
     partial_trace,
     post_measurement_state,
@@ -56,6 +60,7 @@ from obsent import (
     projective_cg,
     refinement_divergence_bound,
     renyi_entropy,
+    sequential,
     tensor_cg,
     renyi_mutual_info,
     renyi_mutual_info_divergence_form,
@@ -63,7 +68,7 @@ from obsent import (
     umegaki,
     von_neumann,
 )
-from obsent import divergences
+from obsent import divergences, generators
 from obsent.divergences import _ragged
 from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
 from obsent.verify import run_suite
@@ -405,3 +410,121 @@ def test_overflow_gives_a_value():
         rho = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
         assert alpha_derivative(_COARSE, rho, 1.7e308) == 0.0
         assert alpha_derivative(_FINE, _RHO, 1.7e308) == 0.0
+
+
+_H2 = np.diag([0.0, 1.0]).astype(complex)
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_WINDOWS = EnergyWindowing(0.5)
+_LEVELS = LevelSystem([0.0, 1.0, 2.0], 1.0)
+# a valid call of every public callable of the package (the result
+# containers EigenSystem and ConditionalEnsemble, which check nothing,
+# aside), of run_suite and of the generators, as callable -> arguments
+_VALID_CALLS = {
+    "CoarseGraining": (CoarseGraining, [("a", "b"), [np.diag([1, 0]), np.diag([0, 1])]]),
+    "OutcomeDistribution": (OutcomeDistribution, [("a",), [1.0], [1.0]]),
+    "RefinementMap": (RefinementMap, [[[1.0], [1.0]]]),
+    "alpha_derivative": (alpha_derivative, [_FINE, _RHO, 2.0]),
+    "alpha_oe": (alpha_oe, [_FINE, _RHO, 2.0]),
+    "alpha_oe_divergence_form": (alpha_oe_divergence_form, [_FINE, _RHO, 2.0]),
+    "alpha_oe_gap": (alpha_oe_gap, [_FINE, _RHO, 2.0]),
+    "check_refinement": (check_refinement, [_FINE, _COARSE, _MERGE]),
+    "identity_cg": (identity_cg, [3]),
+    "measurement_channel": (measurement_channel, [_FINE, _RHO]),
+    "merge_outcomes": (merge_outcomes, [_FINE, [["0", "1"], ["2", "3"]]]),
+    "observational_entropy": (observational_entropy, [_FINE, _RHO]),
+    "outcomes": (outcomes, [_FINE, _RHO]),
+    "projective_cg": (projective_cg, [np.eye(3)]),
+    "refinement_divergence_bound": (
+        refinement_divergence_bound, [_FINE, _COARSE, _MERGE, _RHO, 2.0]
+    ),
+    "sequential": (sequential, [_FINE, _COARSE]),
+    "tensor_cg": (tensor_cg, [[_QUBIT, _QUBIT]]),
+    "classical_petz_renyi": (classical_petz_renyi, [[0.5, 0.5], [0.3, 0.7], 2.0]),
+    "kl_divergence": (kl_divergence, [[0.5, 0.5], [0.3, 0.7]]),
+    "petz_renyi": (petz_renyi, [_RHO, np.eye(4) / 4, 2.0]),
+    "renyi_entropy": (renyi_entropy, [_RHO, 2.0]),
+    "renyi_mutual_info": (renyi_mutual_info, [_RHO, (2, 2), 2.0]),
+    "renyi_mutual_info_divergence_form": (
+        renyi_mutual_info_divergence_form, [_RHO, (2, 2), 2.0]
+    ),
+    "umegaki": (umegaki, [_RHO, np.eye(4) / 4]),
+    "von_neumann": (von_neumann, [_RHO]),
+    "DensityOperator": (DensityOperator, [_RHO]),
+    "HermitianOperator": (HermitianOperator, [_H2]),
+    "op_power": (op_power, [_RHO, 0.5]),
+    "partial_trace": (partial_trace, [_RHO, (2, 2), "A"]),
+    "propagate": (propagate, [_STATE, _H2, 1.0]),
+    "spectral": (spectral, [_H2]),
+    "tensor": (tensor, [_H2, _H2]),
+    "validate_operator": (validate_operator, [_RHO, "density"]),
+    "coarse_grained_state": (coarse_grained_state, [_FINE, _RHO]),
+    "conditional_ensemble": (conditional_ensemble, [_FINE, _RHO]),
+    "decompose_alpha_oe": (decompose_alpha_oe, [_FINE, _RHO, 2.0]),
+    "is_coarse_grained": (is_coarse_grained, [_FINE, _RHO, 2.0]),
+    "post_measurement_state": (post_measurement_state, [_FINE, _RHO]),
+    "renyi_post_measurement": (renyi_post_measurement, [_FINE, _RHO, 2.0]),
+    "DrivingProtocol": (DrivingProtocol, [((_H2, 1.0),)]),
+    "EnergyWindowing": (EnergyWindowing, [0.5]),
+    "LevelSystem": (LevelSystem, [[0.0, 1.0], 1.0]),
+    "closed_run": (closed_run, [
+        DrivingProtocol(((_H2, 1.0), (_SX, 1.0))), _STATE, _WINDOWS, [2.0], [0.5, 1.5]
+    ]),
+    "effective_beta": (effective_beta, [_H2, _STATE]),
+    "energy_cg": (energy_cg, [_H2, _WINDOWS]),
+    "free_energy": (free_energy, [_LEVELS, 1.0]),
+    "gibbs_state": (gibbs_state, [_H2, 1.0]),
+    "jackson_check": (jackson_check, [_LEVELS, 1.0, 2.0]),
+    "open_run": (open_run, [
+        _H2, _H2, 0.1 * np.kron(_SX, _SX), _STATE, 1.0, _WINDOWS, [2.0], [0.5]
+    ]),
+    "run_suite": (run_suite, ["divergences", 0, 2, 3]),
+}
+_GENERATOR_RNG = np.random.default_rng(0)
+# the seeded generators behind verify, which share one stream here
+_VALID_CALLS.update({
+    name: (getattr(generators, name), [_GENERATOR_RNG, *args])
+    for name, args in {
+        "random_density": [3],
+        "random_unitary": [3],
+        "random_rank_partition": [3],
+        "random_projective_cg": [3],
+        "random_rank1_projective_cg": [3],
+        "random_povm": [3, 4],
+        "random_coarse_graining": [3],
+        "random_merge": [_FINE],
+        "random_coarse_grained_state": [_FINE],
+    }.items()
+})
+# malformed values, each put in place of one argument at a time
+_MALFORMED_VALUES = (
+    None, math.nan, math.inf, -1, 0, 1e300, "a", [], [[1, 2]], np.zeros((2, 3)),
+    _NAN, _NOT_HERMITIAN, 1j, {}, object(), np.eye(3),
+)
+
+
+def _holds_nan(value) -> bool:
+    """Whether a result holds nan, in a float, an array, a tuple or list, or a
+    dataclass field other than the caller's labels."""
+    if isinstance(value, float):
+        return math.isnan(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "fc" and bool(np.isnan(value).any())
+    if isinstance(value, (tuple, list)):
+        return any(map(_holds_nan, value))
+    fields = getattr(value, "__dataclass_fields__", ())
+    return any(_holds_nan(getattr(value, f)) for f in fields if f != "labels")
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_CALLS))
+def test_malformed_arguments_give_a_value_or_an_obsent_error(name):
+    fn, args = _VALID_CALLS[name]
+    fn(*args)  # the unchanged call is valid
+    for k in range(len(args)):
+        for bad in _MALFORMED_VALUES:
+            try:
+                value = fn(*args[:k], bad, *args[k + 1 :])
+            except ObsentError:
+                continue
+            assert not _holds_nan(value), (k, bad, value)
+            if isinstance(value, float):
+                assert math.isfinite(value) or value == INFINITE, (k, bad, value)

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from obsent import (
+    CoarseGraining,
+    OutcomeDistribution,
     alpha_derivative,
     alpha_oe,
     alpha_oe_divergence_form,
@@ -40,7 +42,7 @@ from obsent.generators import (
     random_merge,
     random_projective_cg,
 )
-from obsent.state_analysis import _Measurement, _mixtures, _report_part, _reports, _splits
+from obsent.state_analysis import _Measurement, _mixtures, _report_parts, _reports, _splits
 from obsent.thermo import _jackson
 from obsent.verify import (
     ALPHA_GRID,
@@ -59,8 +61,18 @@ KERNEL_CALL_CEILING = 1578
 
 # np.linalg.eigh and eigvalsh calls of the same run, with one batched call
 # per stack of conditional or flat states and per dimension of a table's
-# states; per-matrix loops that creep back fail here
-EIG_CALL_CEILING = 477
+# states, of a level of coarse-graining checks or of Luders roots; per-matrix
+# loops that creep back fail here
+EIG_CALL_CEILING = 218
+
+# objects and qr calls of the same run: verify draws first and builds the
+# effect stacks of all instances afterwards, so it constructs only the
+# coarse-grainings it reads through public paths (oe-core's alpha_oe at
+# alpha = 1, decomposition's measurements, the MUB case and the thermo
+# runs' bases) and one qr per dimension and suite
+CONSTRUCTION_CEILING = 41
+OUTCOME_DISTRIBUTION_CEILING = 12
+QR_CALL_CEILING = 25
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -90,7 +102,7 @@ def test_hoisted_values_equal_public_functions(seed):
         [post_ent] = (-_ragged([np.linalg.eigvalsh(meas.post_state)], 1.0, grid)).tolist()
         post = post_measurement_state(proj, rho)
         [mi] = _mutual_infos([(rho_ab, (2, 3))], grid).tolist()
-        [reports] = _reports([_report_part(proj, rho)], grid)
+        [reports] = _reports(_report_parts([(proj, rho)]), grid)
         for k, a in enumerate(ALPHAS):
             assert oe[k] == alpha_oe(cg, rho, a)
             assert ent[k] == renyi_entropy(rho, a)
@@ -107,7 +119,9 @@ def test_hoisted_values_equal_public_functions(seed):
             assert reports[k] == is_coarse_grained(proj, rho, a)
             if a > 1.5 - 1e-9:
                 bound = refinement_divergence_bound(proj, coarser, rmap, rho, a)
-                assert _refinement_bounds([(fine, coarse, rmap)], a).tolist() == [bound]
+                case = ((fine.probabilities, fine.volumes),
+                        (coarse.probabilities, coarse.volumes), rmap.matrix)
+                assert _refinement_bounds([case], a).tolist() == [bound]
         pair = (dist.probabilities, dist.volumes)
         [derivs] = _alpha_derivatives([pair], ALPHA_GRID).tolist()
         for a, deriv in zip(ALPHA_GRID, derivs):
@@ -156,3 +170,25 @@ def test_eig_calls_stay_under_ceiling(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     run_suite("all", 5, 12, 6)
     assert 0 < len(calls) <= EIG_CALL_CEILING
+
+
+def _count(monkeypatch, owner, name: str) -> list:
+    """The list that records each call of owner.name from now on."""
+    fn, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
+    constructions = _count(monkeypatch, CoarseGraining, "__post_init__")
+    distributions = _count(monkeypatch, OutcomeDistribution, "__post_init__")
+    qrs = _count(monkeypatch, np.linalg, "qr")
+    run_suite("all", 5, 12, 6)
+    assert 0 < len(constructions) <= CONSTRUCTION_CEILING
+    assert 0 < len(distributions) <= OUTCOME_DISTRIBUTION_CEILING
+    assert 0 < len(qrs) <= QR_CALL_CEILING
