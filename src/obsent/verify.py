@@ -331,8 +331,9 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
     cg1s, identities = cgs[4::6], [np.eye(len(rho), dtype=complex)[None] for rho, _ in cases]
     # the chains level by level; the first level also composes cg1 with a
     # random second stage and with the trivial {I}
+    roots = _lueders_roots([e for e, _, _ in cgs[0::6] + cg1s])
     seconds = [e for e, _, _ in cgs[1::6] + cgs[5::6]] + identities
-    level = _composed(cgs[0::6] + cg1s + cg1s, seconds)
+    level = _checked([_sequential(r, e) for r, e in zip(roots + roots[n:], seconds)])
     stages = [cgs[0::6], level[:n]]
     for k in (2, 3):
         stages.append(_composed(stages[-1], [e for e, _, _ in cgs[k::6]]))

@@ -54,10 +54,10 @@ from obsent.verify import (
 # the grid, the alpha -> 1 neighbours and finite-difference points verify uses
 ALPHAS = ALPHA_GRID + (0.5, 1.0, 1 + 1e-7, 1 - 1e-7, 2.0 + 1e-5, 0.3 - 1e-5)
 
-# kernel calls of run_suite("all", 5, 12, 6) with one call per distribution,
-# spectrum or pair and grid; the count is deterministic, so a per-order loop
-# that creeps back fails here without any timing
-KERNEL_CALL_CEILING = 1578
+# kernel calls of run_suite("all", 5, 12, 6), one per row length of each
+# table of distributions, spectra or pairs; the count is deterministic, so a
+# per-instance or per-order loop that creeps back fails here without timing
+KERNEL_CALL_CEILING = 210
 
 # np.linalg.eigh and eigvalsh calls of the same run, with one batched call
 # per stack of conditional or flat states and per dimension of a table's
