@@ -77,10 +77,6 @@ class _Measurement:
         [self.p] = _traces([cg.effects], [rho], _nonneg_vector)
 
     @cached_property
-    def projective(self) -> bool:
-        return self.cg.is_projective()
-
-    @cached_property
     def lueders(self) -> np.ndarray:
         """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
         [roots] = _lueders_roots([self.cg.effects])
@@ -116,7 +112,7 @@ class _Measurement:
     def split_part(self) -> tuple:
         """(p_i, post-measurement state, stack of rho_i, stack of omega_i):
         what _splits reads."""
-        if not self.projective:
+        if not self.cg.is_projective():
             raise NonProjectiveCoarseGraining(
                 "decomposition requires a projective coarse-graining"
             )
