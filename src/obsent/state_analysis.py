@@ -28,7 +28,7 @@ from .coarse_graining import (
 )
 from .divergences import _check_alpha, _entropies, _nonneg_vector, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import _each
+from .operators import _each, _per_dim
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,8 @@ def _mixtures(parts: list, alpha) -> np.ndarray:
     mixture_part: S_alpha((p_i)) + sum_i p_i S_alpha(rho_i). The spectra
     of all rho_i come from one eigvalsh per dimension, and every entropy
     is one row of one _ragged call."""
-    spectra = _each(np.linalg.eigvalsh, [m for _, states in parts for m in states])
-    rows, at = [], 0
-    for p, _ in parts:
-        rows += [p, *spectra[at : at + len(p)]]
-        at += len(p)
+    spectra = _per_dim(np.linalg.eigvalsh, [states for _, states in parts])
+    rows = [row for (p, _), spectrum in zip(parts, spectra) for row in (p, *spectrum)]
     s = -_ragged(rows, 1.0, alpha)
     return np.array([head + tail for head, tail in _blocks([p for p, _ in parts], s)])
 
@@ -142,16 +139,11 @@ def _splits(parts: list, alpha) -> tuple:
     dimension, and each post spectrum (against q = 1) and pair is one row
     of one _ragged call."""
     posts = _each(np.linalg.eigvalsh, [post for _, post, _, _ in parts])
-    pairs = _each(
-        _spectral_pair,
-        [m for _, _, states, _ in parts for m in states],
-        [m for _, _, _, flats in parts for m in flats],
-    )
-    xs, qs, at = [], [], 0
-    for (p, *_), post in zip(parts, posts):
-        xs += [post, *(big_p for big_p, _ in pairs[at : at + len(p)])]
-        qs += [np.ones(len(post)), *(big_q for _, big_q in pairs[at : at + len(p)])]
-        at += len(p)
+    pairs = _per_dim(_spectral_pair, [s for _, _, s, _ in parts], [f for *_, f in parts])
+    xs, qs = [], []
+    for post, (big_p, big_q) in zip(posts, pairs):
+        xs += [post, *big_p]
+        qs += [np.ones(len(post)), *big_q]
     blocks = _blocks([p for p, *_ in parts], _ragged(xs, qs, alpha))
     return np.array([-head for head, _ in blocks]), np.array([tail for _, tail in blocks])
 
