@@ -157,16 +157,17 @@ def _outcomes(cases: list) -> list:
 
 # ----------------------------------------------------------------- suites
 # Each suite runs in two phases. The draw loop takes its instances from
-# its random stream in a fixed order and does no linear algebra: states,
-# and the raw draws behind each coarse-graining (generators._draw_cg and
-# its kin). After it, every linear-algebra step runs once per dimension
-# over all instances: the frames' qr and the POVMs' inverse roots
-# (generators._effect_stacks), the construction checks (_checked), the
-# Luders roots of each level of a sequential chain, the outcome traces,
-# the batched eigendecompositions of the entropy tables, and one _ragged
-# call per table. The stack forms give each instance the bits of its
-# public one-instance call (tests/test_verify_hoisting.py). The margins are
-# then recorded in instance order.
+# its random stream in a fixed order and makes no decomposition or check:
+# states (Wishart products), and the raw draws behind each coarse-graining
+# (generators._draw_cg and its kin). After it, every linear-algebra step
+# runs once per dimension over all instances: the frames' qr and the
+# POVMs' inverse roots (generators._effect_stacks), the construction
+# checks (_checked), the Luders roots of each level of a sequential chain,
+# the outcome traces, the batched eigendecompositions of the entropy
+# tables, and one _ragged call per table. The stack forms give each
+# instance the bits of its public one-instance call
+# (tests/test_stack_forms.py). The margins are then recorded in instance
+# order.
 
 
 def suite_divergences(seed: int, n: int, dim_max: int) -> list:
