@@ -32,7 +32,10 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .operators import _instance, _integer, _items, _matrix, _per_dim, _reals, op_power
+from .operators import _instance, _integer, _items, _matrix, _per_dim, _real, _reals, op_power
+
+# max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
+_PROJECTIVE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class CoarseGraining:
         """Read-only effect volumes V_i = Tr(Pi_i)."""
         return self._volumes
 
-    def is_projective(self, atol: float = 1e-9) -> bool:
+    def is_projective(self, atol: float = _PROJECTIVE_ATOL) -> bool:
         e = self.effects
-        return float(np.max(np.abs(e @ e - e))) <= atol
+        return float(np.max(np.abs(e @ e - e))) <= _real(atol, name="atol", least=0.0)
 
 
 def _checked(raws: list, labels: tuple = ()) -> list:
@@ -384,7 +387,7 @@ def _lueders_roots(stacks: list) -> list:
     is_projective) is its own root, and the others take one op_power per
     dimension."""
     errors = _per_dim(lambda e: np.abs(e @ e - e).max(axis=(1, 2)), stacks)
-    rooted = [float(err.max()) > 1e-9 for err in errors]
+    rooted = [float(err.max()) > _PROJECTIVE_ATOL for err in errors]
     roots = iter(_per_dim(lambda e: op_power(e, 0.5), [*itertools.compress(stacks, rooted)]))
     return [next(roots) if r else s for s, r in zip(stacks, rooted)]
 

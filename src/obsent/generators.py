@@ -152,4 +152,4 @@ def random_coarse_grained_state(
 ) -> np.ndarray:
     """A state that equals its own coarse-grained state (projective cg)."""
     n = _dim(rng, len(_instance(cg, CoarseGraining, "cg")))
-    return _coarse_grained(cg, rng.dirichlet(np.ones(n)))
+    return _coarse_grained(cg.effects, cg.volumes(), rng.dirichlet(np.ones(n)))

@@ -10,9 +10,9 @@ through one gate per kind of value, and its private helpers trust what
 they are given. A matrix goes through _matrix here (one finite square
 matrix; kind 'state' adds a positive trace, kind 'hermitian' the
 Hermiticity check and symmetrization), a real number through _real here
-(one finite real; range tests stay with the caller), an integer with a
-lower bound through _integer here, an array of real
-numbers through _reals here (a weight vector through
+(one finite real, with an optional lower bound; other range tests stay
+with the caller), an integer with a lower bound through _integer here, an
+array of real numbers through _reals here (a weight vector through
 divergences._nonneg_vector, which adds the shape and sign tests), an
 object such as a CoarseGraining through _instance here, a sequence
 through _items here and an option string through _option here. Each
@@ -76,16 +76,17 @@ def _matrix(
     return m
 
 
-def _real(x, error=ValidationError, name: str = "value") -> float:
+def _real(x, error=ValidationError, name: str = "value", least: float = -math.inf) -> float:
     """The real-number gate: x as a float when it is exactly one finite
-    real number (a Python or numpy int or float, or a 0-d array), else
-    error. Range tests stay with the caller."""
+    real number (a Python or numpy int or float, or a 0-d array) of at
+    least least, else error. Other range tests stay with the caller."""
     try:
         a = np.asarray(x)
     except ValueError:  # ragged nesting
         a = np.asarray(None)
-    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a):
-        raise error(f"{name} must be one finite real number, got {x!r:.40}")
+    if a.ndim or a.dtype.kind not in "iuf" or not np.isfinite(a) or a < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise error(f"{name} must be one finite real number{bound}, got {x!r:.40}")
     return float(a)
 
 
@@ -233,7 +234,7 @@ def spectral(H, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> EigenSystem:
     the rank-weighted mean.
     """
     lam, vec = np.linalg.eigh(validate_operator(H, "hermitian").matrix)
-    levels = _levels(lam, degeneracy_tol)
+    levels = _levels(lam, _real(degeneracy_tol, name="degeneracy_tol", least=0.0))
     projectors = [vec[:, a:b] @ vec[:, a:b].conj().T for a, b, _ in levels]
     mults = tuple(b - a for a, b, _ in levels)
     return EigenSystem(np.array([v for _, _, v in levels]), projectors, mults)
@@ -253,7 +254,7 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrices need finite entries")
-    lam, vec = _psd_eigh(m, support_rtol)
+    lam, vec = _psd_eigh(m, _real(support_rtol, name="support_rtol", least=0.0))
     keep = lam > 0
     powered = np.where(keep, np.power(np.where(keep, lam, 1.0), _real(s, name="s")), 0.0)
     return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)

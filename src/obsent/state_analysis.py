@@ -10,25 +10,27 @@ unless every effect is rank 1. For projective effects of any rank,
 Tr rho'^alpha = sum_i p_i^alpha Tr rho_i^alpha, so the exact relations take
 exponential means of the conditional entropies and divergences where these
 formulas take p_i-weighted averages (see renyi_post_measurement and
-decompose_alpha_oe). Those two reject a state with a non-finite entry or
-a trace that is not positive (ValidationError); the post-measurement
-state and the conditional ensemble are defined for any finite operator.
+decompose_alpha_oe). A Luders sum needs no probabilities, so the
+post-measurement state is defined for any finite square operator. The
+conditional ensemble also needs non-negative outcome traces Tr(Pi_i rho)
+(ValidationError), and renyi_post_measurement and decompose_alpha_oe also
+a finite state of positive trace; all three are one-case wrappers of the
+stack form _measured, which verify calls on many cases at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import (
-    CoarseGraining, _alpha_oes, _lueders_roots, _state, _traces, outcomes
+    CoarseGraining, _alpha_oes, _lueders_roots, _sequential, _state, _traces, outcomes
 )
 from .divergences import _check_alpha, _entropies, _nonneg_vector, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import _each, _per_dim
+from .operators import _each, _per_dim, _real
 
 
 @dataclass(frozen=True)
@@ -62,89 +64,56 @@ class CoarseGrainedReport:
 
 def post_measurement_state(cg: CoarseGraining, rho) -> np.ndarray:
     """Unselective post-measurement state sum_i sqrt(Pi_i) rho sqrt(Pi_i)."""
-    return _Measurement(cg, _state(cg, rho, "square")).post_state
+    m = _state(cg, rho, "square")
+    [roots] = _lueders_roots([cg.effects])
+    return _sequential(roots, m[None]).sum(axis=0)
 
 
-class _Measurement:
-    """The alpha-independent data of measuring the complex matrix rho (of
-    cg's dimension) with cg, each piece computed once on first use and
-    shared by a whole alpha grid. Its parts (mixture_part, split_part) are
-    the plain arrays from which _mixtures and _splits evaluate one
-    measurement or many at once, for one order or a 1-d array of orders."""
-
-    def __init__(self, cg: CoarseGraining, rho: np.ndarray):
-        self.cg, self.rho = cg, rho
-        [self.p] = _traces([cg.effects], [rho], _nonneg_vector)
-
-    @cached_property
-    def lueders(self) -> np.ndarray:
-        """sqrt(Pi_i) rho sqrt(Pi_i) for every effect."""
-        [roots] = _lueders_roots([self.cg.effects])
-        return roots @ self.rho @ roots
-
-    @cached_property
-    def kept(self) -> tuple:
-        """(mask, p_i, stack of rho_i, stack of omega_i) of the outcomes with
-        probability above PROB_FLOOR."""
-        keep = self.p > tol.PROB_FLOOR
-        p = self.p[keep]
-        states = self.lueders[keep] / p[:, None, None]
-        flats = self.cg.effects[keep] / self.cg.volumes()[keep][:, None, None]
-        return keep, p, states, flats
-
-    @cached_property
-    def ensemble(self) -> ConditionalEnsemble:
-        keep, p, states, flats = self.kept
-        labels = tuple(lab for lab, k in zip(self.cg.labels, keep) if k)
-        return ConditionalEnsemble(labels, tuple(p.tolist()), tuple(states), tuple(flats))
-
-    @cached_property
-    def post_state(self) -> np.ndarray:
-        return self.lueders.sum(axis=0)
-
-    @property
-    def mixture_part(self) -> tuple:
-        """(p_i, stack of rho_i): what _mixtures reads."""
-        _, p, states, _ = self.kept
-        return p, states
-
-    @property
-    def split_part(self) -> tuple:
-        """(p_i, post-measurement state, stack of rho_i, stack of omega_i):
-        what _splits reads."""
-        if not self.cg.is_projective():
-            raise NonProjectiveCoarseGraining(
-                "decomposition requires a projective coarse-graining"
-            )
-        _, p, states, flats = self.kept
-        return p, self.post_state, states, flats
+def _measured(cases: list) -> list:
+    """The alpha-independent data of measuring the complex matrix m with
+    the effects of each (effects, volumes, m) case: (p_i, mask of the
+    outcomes with p_i above PROB_FLOOR, stack of their rho_i, stack of
+    their omega_i, post-measurement state). The traces (through the weight
+    gate) come from one einsum and the roots from one _lueders_roots call
+    per dimension; _mixtures and _splits evaluate these tuples, one or
+    many at once, for one order or a 1-d array of orders."""
+    stacks = [e for e, _, _ in cases]
+    ps = _traces(stacks, [m for _, _, m in cases], _nonneg_vector)
+    out = []
+    for (e, v, m), p, roots in zip(cases, ps, _lueders_roots(stacks)):
+        lueders, keep = _sequential(roots, m[None]), p > tol.PROB_FLOOR
+        states = lueders[keep] / p[keep][:, None, None]
+        out.append((p, keep, states, e[keep] / v[keep][:, None, None], lueders.sum(axis=0)))
+    return out
 
 
-def _mixtures(parts: list, alpha) -> np.ndarray:
-    """renyi_post_measurement of each measurement, as rows, from its
-    mixture_part: S_alpha((p_i)) + sum_i p_i S_alpha(rho_i). The spectra
-    of all rho_i come from one eigvalsh per dimension, and every entropy
-    is one row of one _ragged call."""
-    spectra = _per_dim(np.linalg.eigvalsh, [states for _, states in parts])
-    rows = [row for (p, _), spectrum in zip(parts, spectra) for row in (p, *spectrum)]
+def _mixtures(measured: list, alpha) -> np.ndarray:
+    """renyi_post_measurement of each tuple of _measured, as rows:
+    S_alpha((p_i)) + sum_i p_i S_alpha(rho_i) over the kept outcomes. The
+    spectra of all rho_i come from one eigvalsh per dimension, and every
+    entropy is one row of one _ragged call."""
+    ps = [p[keep] for p, keep, _, _, _ in measured]
+    spectra = _per_dim(np.linalg.eigvalsh, [states for _, _, states, _, _ in measured])
+    rows = [row for p, spectrum in zip(ps, spectra) for row in (p, *spectrum)]
     s = -_ragged(rows, 1.0, alpha)
-    return np.array([head + tail for head, tail in _blocks([p for p, _ in parts], s)])
+    return np.array([head + tail for head, tail in _blocks(ps, s)])
 
 
-def _splits(parts: list, alpha) -> tuple:
-    """decompose_alpha_oe of each measurement, as rows of two arrays
-    (S_alpha(rho'), sum_i p_i D_alpha(rho_i || omega_i)), from its
-    split_part. The post spectra and the Nussbaum-Szkola pairs of all
+def _splits(measured: list, alpha) -> tuple:
+    """decompose_alpha_oe of each tuple of _measured (projective effects),
+    as rows of two arrays (S_alpha(rho'), sum_i p_i D_alpha(rho_i ||
+    omega_i)). The post spectra and the Nussbaum-Szkola pairs of all
     (rho_i, omega_i) come from one batched eigendecomposition per
     dimension, and each post spectrum (against q = 1) and pair is one row
     of one _ragged call."""
-    posts = _each(np.linalg.eigvalsh, [post for _, post, _, _ in parts])
-    pairs = _per_dim(_spectral_pair, [s for _, _, s, _ in parts], [f for *_, f in parts])
+    posts = _each(np.linalg.eigvalsh, [post for *_, post in measured])
+    states, flats = [s for _, _, s, _, _ in measured], [f for _, _, _, f, _ in measured]
+    pairs = _per_dim(_spectral_pair, states, flats)
     xs, qs = [], []
     for post, (big_p, big_q) in zip(posts, pairs):
         xs += [post, *big_p]
         qs += [np.ones(len(post)), *big_q]
-    blocks = _blocks([p for p, *_ in parts], _ragged(xs, qs, alpha))
+    blocks = _blocks([p[keep] for p, keep, *_ in measured], _ragged(xs, qs, alpha))
     return np.array([-head for head, _ in blocks]), np.array([tail for _, tail in blocks])
 
 
@@ -161,7 +130,10 @@ def _blocks(ps: list, values: np.ndarray) -> list:
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
     """Conditional states and flat references per outcome."""
-    return _Measurement(cg, _state(cg, rho, "square")).ensemble
+    m = _state(cg, rho, "square")
+    [(p, keep, states, flats, _)] = _measured([(cg.effects, cg.volumes(), m)])
+    labels = tuple(lab for lab, k in zip(cg.labels, keep) if k)
+    return ConditionalEnsemble(labels, tuple(p[keep].tolist()), tuple(states), tuple(flats))
 
 
 def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -175,7 +147,8 @@ def renyi_post_measurement(cg: CoarseGraining, rho, alpha: float) -> float:
     differs from this one by at most max_i S_alpha(rho_i) - min_i S_alpha(rho_i).
     """
     _check_alpha(alpha)
-    return float(_mixtures([_Measurement(cg, _state(cg, rho)).mixture_part], alpha)[0])
+    m = _state(cg, rho)
+    return float(_mixtures(_measured([(cg.effects, cg.volumes(), m)]), alpha)[0])
 
 
 def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
@@ -191,18 +164,22 @@ def decompose_alpha_oe(cg: CoarseGraining, rho, alpha: float) -> tuple:
     p_i^alpha exp((1-alpha) S_alpha(rho_i)).
     """
     _check_alpha(alpha)
-    post_terms, div_terms = _splits([_Measurement(cg, _state(cg, rho)).split_part], alpha)
+    m = _state(cg, rho)
+    if not cg.is_projective():
+        raise NonProjectiveCoarseGraining("decomposition requires a projective coarse-graining")
+    post_terms, div_terms = _splits(_measured([(cg.effects, cg.volumes(), m)]), alpha)
     return float(post_terms[0]), float(div_terms[0])
 
 
 def coarse_grained_state(cg: CoarseGraining, rho) -> np.ndarray:
     """The coarse-grained state sum_i (p_i / V_i) Pi_i."""
-    return _coarse_grained(cg, outcomes(cg, rho).probabilities)
+    p = outcomes(cg, rho).probabilities
+    return _coarse_grained(cg.effects, cg.volumes(), p)
 
 
-def _coarse_grained(cg: CoarseGraining, p: np.ndarray) -> np.ndarray:
-    """sum_i (p_i / V_i) Pi_i over the effects of cg, for weights p."""
-    return np.tensordot(p / cg.volumes(), cg.effects, axes=1)
+def _coarse_grained(effects: np.ndarray, volumes: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_i (p_i / V_i) Pi_i over the effects Pi_i of volumes V_i, for weights p."""
+    return np.tensordot(p / volumes, effects, axes=1)
 
 
 def is_coarse_grained(
@@ -215,18 +192,19 @@ def is_coarse_grained(
     disagreement between the two.
     """
     _check_alpha(alpha)
-    [[report]] = _reports(_report_parts([(cg, _state(cg, rho))]), [alpha], atol)
+    m, atol = _state(cg, rho), _real(atol, name="atol", least=0.0)
+    [[report]] = _reports(_report_parts([(cg.effects, cg.volumes(), m)]), [alpha], atol)
     return report
 
 
 def _report_parts(cases: list) -> list:
-    """(matrix residual, (p, V) of the outcomes, m) of each (cg, m) case:
-    what the reports of m under cg read. The outcome probabilities come
-    from one einsum per dimension."""
-    ps = _traces([cg.effects for cg, _ in cases], [m for _, m in cases], _nonneg_vector)
+    """(matrix residual, (p, V) of the outcomes, m) of each (effects,
+    volumes, m) case: what the reports of m under those effects read. The
+    outcome probabilities come from one einsum per dimension."""
+    ps = _traces([e for e, _, _ in cases], [m for _, _, m in cases], _nonneg_vector)
     return [
-        (float(np.max(np.abs(m - _coarse_grained(cg, p)))), (p, cg.volumes()), m)
-        for (cg, m), p in zip(cases, ps)
+        (float(np.max(np.abs(m - _coarse_grained(e, v, p)))), (p, v), m)
+        for (e, v, m), p in zip(cases, ps)
     ]
 
 

@@ -55,12 +55,7 @@ from .generators import (
 from .operators import _each, _integer, _option, tensor
 from .serialize import operator_to_json
 from .state_analysis import (
-    _coarse_grained,
-    _Measurement,
-    _mixtures,
-    _report_parts,
-    _reports,
-    _splits,
+    _coarse_grained, _measured, _mixtures, _report_parts, _reports, _splits
 )
 from .thermo import (
     DrivingProtocol,
@@ -162,9 +157,10 @@ def _outcomes(cases: list) -> list:
 # (generators._draw_cg and its kin). After it, every linear-algebra step
 # runs once per dimension over all instances: the frames' qr and the
 # POVMs' inverse roots (generators._effect_stacks), the construction
-# checks (_checked), the Luders roots of each level of a sequential chain,
-# the outcome traces, the batched eigendecompositions of the entropy
-# tables, and one _ragged call per table. The stack forms give each
+# checks (_checked), the Luders roots of each level of a sequential chain
+# and of decomposition's measurements (state_analysis._measured), the
+# outcome traces, the batched eigendecompositions of the entropy tables,
+# and one _ragged call per table. The stack forms give each
 # instance the bits of its public one-instance call
 # (tests/test_stack_forms.py). The margins are then recorded in instance
 # order.
@@ -458,39 +454,35 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
         d = int(rng.integers(2, dim_max + 1))
         rhos.append(random_density(rng, d))
         draws += [_draw_projective(rng, d, [1] * d), _draw_projective(rng, d)]
-        # coarse-grained-state biconditional
+        # coarse-grained-state biconditional, and a traceless perturbation
         weights.append(rng.dirichlet(np.ones(len(draws[-1][0]))))
-        herms.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    cgs = [_coarse_graining(e) for e in _effect_stacks(draws)]
-    dists, mixtures, splits, eq_states, perts = [], [], [], [], []
-    for rho, cg_r1, cg_gen, w, herm in zip(rhos, cgs[0::2], cgs[1::2], weights, herms):
-        r1, gen = _Measurement(cg_r1, rho), _Measurement(cg_gen, rho)
-        trace_one.record(
-            -abs(float(np.trace(gen.post_state).real) - 1.0), _state_instance(rho)
-        )
-        dists += [(r1.p, cg_r1.volumes()), (gen.p, cg_gen.volumes())]
-        mixtures += [r1.mixture_part, gen.mixture_part]
-        splits += [r1.split_part, gen.split_part]
-        eq_states.append(_coarse_grained(cg_gen, w))
-        d = len(rho)
+        herm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         herm = herm + herm.conj().T
         herm = herm - np.trace(herm) / d * np.eye(d)
-        perts.append(eq_states[-1] + 0.02 * herm / max(1.0, float(np.max(np.abs(herm)))))
+        herms.append(0.02 * herm / max(1.0, float(np.max(np.abs(herm)))))
+    cgs = _checked(_effect_stacks(draws))
+    # the rank-1 and the general-rank case of each state, in that order
+    measured = _measured([(e, v, rhos[i // 2]) for i, (e, v, _) in enumerate(cgs)])
+    for rho, (*_, post) in zip(rhos, measured[1::2]):
+        trace_one.record(-abs(float(np.trace(post).real) - 1.0), _state_instance(rho))
+    eq_states = [(e, v, _coarse_grained(e, v, w)) for (e, v, _), w in zip(cgs[1::2], weights)]
+    eq_parts = _report_parts(eq_states)
+    perts = [eq + herm for (_, _, eq), herm in zip(eq_parts, herms)]
     for i, spectrum in enumerate(_each(np.linalg.eigvalsh, perts)):
         lam_min, d = float(spectrum[0]), len(perts[i])
         if lam_min < 1e-6:
             perts[i] = (perts[i] + abs(lam_min) * 1.5 * np.eye(d)) / (
                 1 + 1.5 * abs(lam_min) * d
             )
-    eq_parts = _report_parts(list(zip(cgs[1::2], eq_states)))
     pert_parts = [
         part if part[0] >= 1e-3 else None
-        for part in _report_parts(list(zip(cgs[1::2], perts)))
+        for part in _report_parts([(e, v, s) for (e, v, _), s in zip(cgs[1::2], perts)])
     ]
     g = len(alphas)
-    mix = _mixtures(mixtures, alphas).reshape(n, 2, g)
-    post, div = (t.reshape(n, 2, g) for t in _splits(splits, alphas))
-    oe = _alpha_oes(dists, alphas).reshape(n, 2, g)
+    mix = _mixtures(measured, alphas).reshape(n, 2, g)
+    post, div = (t.reshape(n, 2, g) for t in _splits(measured, alphas))
+    oe = _alpha_oes([(p, v) for (p, *_), (_, v, _) in zip(measured, cgs)], alphas)
+    oe = oe.reshape(n, 2, g)
     s_rho = _entropies(rhos, alphas)
     eq_reports = _reports(eq_parts, alphas)
     pert_reports = iter(_reports([part for part in pert_parts if part], alphas))

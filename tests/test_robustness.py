@@ -315,6 +315,14 @@ _MALFORMED_CALLS = {
     ),
     "array operator kind": lambda: validate_operator(np.eye(2), np.array([1, 2])),
     "array suite": lambda: run_suite(np.array([1, 2])),
+    # a tolerance keyword is one finite real number >= 0
+    "string is_projective atol": lambda: _QUBIT.is_projective("x"),
+    "negative is_projective atol": lambda: _QUBIT.is_projective(-1.0),
+    "None is_coarse_grained atol": lambda: is_coarse_grained(_QUBIT, _STATE, 2.0, atol=None),
+    "string op_power support_rtol": lambda: op_power(_STATE, 0.5, support_rtol="x"),
+    "nan op_power support_rtol": lambda: op_power(np.eye(2) / 2, 0.5, support_rtol=np.nan),
+    "None spectral degeneracy_tol": lambda: spectral(_STATE, degeneracy_tol=None),
+    "negative spectral degeneracy_tol": lambda: spectral(np.eye(2), degeneracy_tol=-1.0),
 }
 
 

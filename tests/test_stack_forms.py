@@ -10,7 +10,14 @@ verify's bits."""
 import numpy as np
 import pytest
 
-from obsent import CoarseGraining, outcomes, sequential, tensor_cg
+from obsent import (
+    CoarseGraining,
+    conditional_ensemble,
+    outcomes,
+    post_measurement_state,
+    sequential,
+    tensor_cg,
+)
 from obsent.coarse_graining import _checked, _lueders_roots, _merged, _tensor, _traces
 from obsent.generators import (
     _draw_cg,
@@ -27,6 +34,7 @@ from obsent.generators import (
     random_rank_partition,
 )
 from obsent.operators import op_power
+from obsent.state_analysis import _measured
 from obsent.verify import _composed
 
 DIMS = (2, 3, 4, 5, 6, 8)
@@ -151,3 +159,23 @@ def test_batched_stack_forms_equal_public_operations():
     products = _checked([_tensor(a.effects, b.effects) for a, b in pairs])
     for (a, b), (effects, _, _) in zip(pairs, products):
         assert _same(effects, tensor_cg([a, b]).effects)
+
+
+def test_measured_cases_equal_one_case_calls():
+    rng = np.random.default_rng(11)
+    cgs, rhos = [], []
+    for k in range(4 * len(DIMS)):
+        d = DIMS[k % len(DIMS)]
+        cgs += [random_projective_cg(rng, d), random_povm(rng, d)]
+        rhos += [random_density(rng, d)] * 2
+    cases = [(cg.effects, cg.volumes(), rho) for cg, rho in zip(cgs, rhos)]
+    for case, cg, rho, many in zip(cases, cgs, rhos, _measured(cases)):
+        [one] = _measured([case])
+        assert len(many) == len(one) == 5
+        assert all(_same(a, b) for a, b in zip(many, one))
+        # and the one-case call gives the public wrappers' bytes
+        p, keep, states, flats, post = one
+        ensemble = conditional_ensemble(cg, rho)
+        assert _same(p[keep], ensemble.probabilities)
+        assert _same(states, ensemble.states) and _same(flats, ensemble.flat_states)
+        assert _same(post, post_measurement_state(cg, rho))

@@ -17,7 +17,7 @@ from obsent import (
     renyi_entropy,
     renyi_post_measurement,
 )
-from obsent.errors import NonProjectiveCoarseGraining, ObsentError
+from obsent.errors import NonProjectiveCoarseGraining, ObsentError, ValidationError
 from obsent.generators import (
     random_coarse_grained_state,
     random_density,
@@ -25,7 +25,7 @@ from obsent.generators import (
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from obsent.state_analysis import _Measurement
+from obsent.state_analysis import _measured
 
 from conftest import KET_PLUS, proj
 
@@ -69,12 +69,24 @@ class TestPostMeasurementState:
         monkeypatch.setattr(
             np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k)
         )
-        lueders = [_Measurement(cg, rho).lueders for cg, rho in cases]
+        measured = _measured([(cg.effects, cg.volumes(), rho) for cg, rho in cases])
         assert calls == []
         monkeypatch.undo()
-        for (cg, rho), out in zip(cases, lueders):
+        for (cg, rho), (p, keep, states, _, post) in zip(cases, measured):
             roots = op_power(cg.effects, 0.5)
-            np.testing.assert_allclose(out, roots @ rho @ roots, rtol=0, atol=1e-12)
+            lueders = roots @ rho @ roots
+            np.testing.assert_allclose(post, lueders.sum(axis=0), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                states * p[keep][:, None, None], lueders[keep], rtol=0, atol=1e-12
+            )
+
+    def test_any_finite_operator(self):
+        # a Luders sum needs no probabilities, so negative outcome traces
+        # are fine here; the conditional ensemble divides by them
+        m = np.diag([1.0, -1.0])
+        np.testing.assert_array_equal(post_measurement_state(Z_BASIS, m), m)
+        with pytest.raises(ValidationError):
+            conditional_ensemble(Z_BASIS, m)
 
 
 def test_zero_operator_gives_no_raw_error():

@@ -1,11 +1,11 @@
 """verify evaluates each alpha grid from data computed once per instance:
 outcome distributions, spectra, Nussbaum-Szkola pairs and the per-(cg, rho)
-measurement object of state_analysis, each swept over the whole grid in one
-kernel call. Every grid entry of these table helpers, called with one
-case, is bit-identical (==, not approx) to the public scalar function it
-stands for; verify takes the helpers' tables over many instances at once,
-whose rows equal their one-case calls bit for bit (see the table tests in
-test_robustness.py)."""
+measurement tuples of state_analysis._measured, each swept over the whole
+grid in one kernel call. Every grid entry of these table helpers, called
+with one case, is bit-identical (==, not approx) to the public scalar
+function it stands for; verify takes the helpers' tables over many
+instances at once, whose rows equal their one-case calls bit for bit (see
+the table tests in test_robustness.py)."""
 
 import math
 import sys
@@ -33,7 +33,7 @@ from obsent import (
     renyi_mutual_info,
     renyi_post_measurement,
 )
-from obsent import divergences
+from obsent import coarse_graining, divergences
 from obsent.coarse_graining import _alpha_derivatives, _alpha_oes, _refinement_bounds
 from obsent.divergences import _mutual_infos, _petz, _ragged
 from obsent.generators import (
@@ -42,7 +42,7 @@ from obsent.generators import (
     random_merge,
     random_projective_cg,
 )
-from obsent.state_analysis import _Measurement, _mixtures, _report_parts, _reports, _splits
+from obsent.state_analysis import _measured, _mixtures, _report_parts, _reports, _splits
 from obsent.thermo import _jackson
 from obsent.verify import (
     ALPHA_GRID,
@@ -63,16 +63,21 @@ KERNEL_CALL_CEILING = 210
 # per stack of conditional or flat states and per dimension of a table's
 # states, of a level of coarse-graining checks or of Luders roots; per-matrix
 # loops that creep back fail here
-EIG_CALL_CEILING = 218
+EIG_CALL_CEILING = 199
 
 # objects and qr calls of the same run: verify draws first and builds the
 # effect stacks of all instances afterwards, so it constructs only the
 # coarse-grainings it reads through public paths (oe-core's alpha_oe at
-# alpha = 1, decomposition's measurements, the MUB case and the thermo
-# runs' bases) and one qr per dimension and suite
-CONSTRUCTION_CEILING = 41
+# alpha = 1, the MUB case and the thermo runs' bases) and one qr per
+# dimension and suite
+CONSTRUCTION_CEILING = 17
 OUTCOME_DISTRIBUTION_CEILING = 12
 QR_CALL_CEILING = 25
+
+# _lueders_roots calls of the same run: one per level of the sequential
+# suite's chains, one for its MUB case and one for all of decomposition's
+# measurements
+LUEDERS_ROOTS_CALL_CEILING = 5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -88,7 +93,7 @@ def test_hoisted_values_equal_public_functions(seed):
         coarser, rmap = random_merge(rng, proj)
 
         dist, spectrum = outcomes(cg, rho), np.linalg.eigvalsh(rho)
-        meas = _Measurement(proj, rho)
+        [meas] = _measured([(proj.effects, proj.volumes(), rho)])
         fine, coarse = outcomes(proj, rho), outcomes(coarser, rho)
         [oe] = _alpha_oes([(dist.probabilities, dist.volumes)], grid).tolist()
         [ent] = (-_ragged([spectrum], 1.0, grid)).tolist()
@@ -97,12 +102,12 @@ def test_hoisted_values_equal_public_functions(seed):
         [flat] = _petz([rho], [np.eye(d) / d], grid)
         forms = (math.log(d) - classical).tolist()
         gaps = (flat - classical).tolist()
-        [mixture] = _mixtures([meas.mixture_part], grid).tolist()
-        post_terms, div_terms = (t[0].tolist() for t in _splits([meas.split_part], grid))
-        [post_ent] = (-_ragged([np.linalg.eigvalsh(meas.post_state)], 1.0, grid)).tolist()
+        [mixture] = _mixtures([meas], grid).tolist()
+        post_terms, div_terms = (t[0].tolist() for t in _splits([meas], grid))
+        [post_ent] = (-_ragged([np.linalg.eigvalsh(meas[-1])], 1.0, grid)).tolist()
         post = post_measurement_state(proj, rho)
         [mi] = _mutual_infos([(rho_ab, (2, 3))], grid).tolist()
-        [reports] = _reports(_report_parts([(proj, rho)]), grid)
+        [reports] = _reports(_report_parts([(proj.effects, proj.volumes(), rho)]), grid)
         for k, a in enumerate(ALPHAS):
             assert oe[k] == alpha_oe(cg, rho, a)
             assert ent[k] == renyi_entropy(rho, a)
@@ -111,7 +116,7 @@ def test_hoisted_values_equal_public_functions(seed):
             assert classical[k] == classical_petz_renyi(p, q, a)
             assert forms[k] == alpha_oe_divergence_form(cg, rho, a)
             assert gaps[k] == alpha_oe_gap(cg, rho, a)
-            # one measurement object serves the whole grid
+            # one measurement tuple serves the whole grid
             assert mixture[k] == renyi_post_measurement(proj, rho, a)
             assert (post_terms[k], div_terms[k]) == decompose_alpha_oe(proj, rho, a)
             assert post_ent[k] == renyi_entropy(post, a)
@@ -154,20 +159,27 @@ def _count(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def _count_imported(monkeypatch, owner, name: str) -> list:
+    """_count for a private helper that obsent modules import by name: each
+    obsent module that holds owner.name calls it by that name."""
+    fn = getattr(owner, name)
+    calls = _count(monkeypatch, owner, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("obsent") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, getattr(owner, name))
+    return calls
+
+
 def test_kernel_calls_stay_under_ceiling(monkeypatch):
-    kernel, calls = divergences._renyi_divergence, []
-
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    # every obsent module that imported the kernel calls it by that name
-    for name, module in list(sys.modules.items()):
-        uses_kernel = getattr(module, "_renyi_divergence", None) is kernel
-        if name.startswith("obsent") and uses_kernel:
-            monkeypatch.setattr(module, "_renyi_divergence", counting)
+    calls = _count_imported(monkeypatch, divergences, "_renyi_divergence")
     run_suite("all", 5, 12, 6)
     assert 0 < len(calls) <= KERNEL_CALL_CEILING
+
+
+def test_lueders_root_calls_stay_under_ceiling(monkeypatch):
+    calls = _count_imported(monkeypatch, coarse_graining, "_lueders_roots")
+    run_suite("all", 5, 12, 6)
+    assert 0 < len(calls) <= LUEDERS_ROOTS_CALL_CEILING
 
 
 def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
