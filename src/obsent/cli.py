@@ -27,6 +27,7 @@ from .divergences import renyi_entropy
 from .errors import ObsentError, SchemaError
 from .operators import validate_operator
 from .serialize import (
+    _finite,
     _floats,
     coarse_graining_from_json,
     dump_json,
@@ -153,7 +154,7 @@ def _usable_cpus() -> int:
 def _print_report(report: VerificationReport) -> None:
     for prop in report.properties:
         worst = prop.worst_margin
-        worst_s = "INFINITE" if math.isinf(worst) else format_float(worst)
+        worst_s = _finite(worst) if math.isinf(worst) else format_float(worst)
         status = "PASS" if prop.fails == 0 else "FAIL"
         if prop.mode == "survey":
             status = "SURVEY"

@@ -1,9 +1,11 @@
 """Numerical tolerances used across the package.
 
-All tolerances scale with the OBSENT_TOL environment variable (a positive
-finite float multiplier, default 1.0), read once at import. Library
-functions take explicit tolerance arguments defaulting to these module
-constants, so a caller can always override per call.
+All tolerances here scale with the OBSENT_TOL environment variable (a
+positive finite float multiplier, default 1.0), read once at import; the
+1e-9 default of CoarseGraining.is_projective does not. A caller can
+override per call only SUPPORT_RTOL (op_power's support_rtol),
+DEGENERACY_ATOL (spectral's degeneracy_tol) and CG_STATE_ATOL
+(is_coarse_grained's atol).
 """
 
 import math

@@ -53,7 +53,7 @@ from .generators import (
     random_projective_cg,
 )
 from .operators import _each, _integer, _option, tensor
-from .serialize import operator_to_json
+from .serialize import _finite, operator_to_json
 from .state_analysis import (
     _coarse_grained, _measured, _mixtures, _report_parts, _reports, _splits
 )
@@ -88,23 +88,27 @@ class PropertyResult:
     worst_margin: float = math.inf
     violations: list = field(default_factory=list)
 
-    def record(self, margin: float, instance=None):
-        self.instances += 1
-        self.worst_margin = min(self.worst_margin, margin)
-        if margin >= -self.tolerance:
-            self.passes += 1
-        else:
-            self.fails += 1
-            if instance is not None and len(self.violations) < _MAX_RECORDED_VIOLATIONS:
+    def record(self, margins, instance=None):
+        """Fold one margin, or an array of margins read in row-major order.
+        instance(k) is the instance of the k-th margin; it is called only
+        for the violations kept."""
+        values = np.ravel(margins).tolist()
+        self.instances += len(values)
+        # as a fold of two-value mins, a list's min keeps the first zero and skips nans
+        self.worst_margin = min([self.worst_margin, *values])
+        failed = [k for k, margin in enumerate(values) if not margin >= -self.tolerance]
+        self.fails += len(failed)
+        self.passes += len(values) - len(failed)
+        if instance is not None:
+            for k in failed[: _MAX_RECORDED_VIOLATIONS - len(self.violations)]:
                 # matrices are serialized only for the violations kept
                 self.violations.append(
-                    {k: operator_to_json(v) if isinstance(v, np.ndarray) else v
-                     for k, v in dict(instance, margin=margin).items()}
+                    {key: operator_to_json(v) if isinstance(v, np.ndarray) else v
+                     for key, v in dict(instance(k), margin=values[k]).items()}
                 )
 
     def to_json(self) -> dict:
-        worst = self.worst_margin
-        return {**vars(self), "worst_margin": "INFINITE" if math.isinf(worst) else worst}
+        return {**vars(self), "worst_margin": _finite(self.worst_margin)}
 
 
 @dataclass
@@ -135,8 +139,16 @@ class VerificationReport:
         }
 
 
-def _state_instance(rho, alpha=None, **extra) -> dict:
-    return {"state": rho, **({} if alpha is None else {"alpha": alpha}), **extra}
+def _at(states, alphas=(), mask=None, **per_state):
+    """instance(k) for the k-th margin of a table with one row per state
+    and one column per alpha, read in row-major order; with a mask, of the
+    k-th entry where the mask holds. per_state names more values per row."""
+    def instance(k):
+        flat = k if mask is None else int(np.flatnonzero(mask)[k])
+        i, j = divmod(flat, len(alphas) or 1)
+        alpha = {"alpha": alphas[j]} if alphas else {}
+        return {"state": states[i], **alpha, **{key: v[i] for key, v in per_state.items()}}
+    return instance
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -162,8 +174,9 @@ def _outcomes(cases: list) -> list:
 # outcome traces, the batched eigendecompositions of the entropy tables,
 # and one _ragged call per table. The stack forms give each
 # instance the bits of its public one-instance call
-# (tests/test_stack_forms.py). The margins are then recorded in instance
-# order.
+# (tests/test_stack_forms.py). Each property is then recorded once, from
+# the margin table its suite computes out of those tables, elementwise in
+# the order of the one-instance arithmetic.
 
 
 def suite_divergences(seed: int, n: int, dim_max: int) -> list:
@@ -185,22 +198,17 @@ def suite_divergences(seed: int, n: int, dim_max: int) -> list:
     cgs = _checked(_effect_stacks(draws))
     dists = _outcomes(list(zip(cgs, rhos)) + list(zip(cgs, sigmas)))
     ps, qs = [p for p, _ in dists[:n]], [p for p, _ in dists[n:]]
-    quantum = _petz(rhos, sigmas, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7)).tolist()
+    quantum = _petz(rhos, sigmas, ALPHA_GRID + (1.0, 1 + 1e-7, 1 - 1e-7))
+    vals, (one, above, below) = quantum[:, :-3], quantum[:, -3:].T
     # the kernel calls classical_petz_renyi(p, q, a) makes, over the grid
-    classical = _ragged(ps, qs, ALPHA_GRID).tolist()
-    mis = _mutual_infos(mi_cases, ALPHA_GRID).tolist()
-    rows = zip(rhos, sigmas, mi_cases, quantum, classical, mis)
-    for rho, sigma, (rho_ab, dims), (*vals, one, above, below), c_row, mi_row in rows:
-        margin = min(b - a for a, b in zip(vals, vals[1:]))
-        ordering.record(margin, _state_instance(rho, sigma=sigma))
-        for a, v in zip(ALPHA_GRID, vals):
-            nonneg.record(v, _state_instance(rho, a))
-        for a, v, c in zip(ALPHA_GRID, vals, c_row):
-            if not math.isinf(v):
-                dpi.record(v - c, _state_instance(rho, a))
-        limit.record(-max(abs(above - one), abs(below - one)), _state_instance(rho))
-        for a, mi in zip(ALPHA_GRID, mi_row):
-            mi_sign.record(mi, _state_instance(rho_ab, a, dims=list(dims)))
+    classical = _ragged(ps, qs, ALPHA_GRID)
+    ordering.record(np.min(vals[:, 1:] - vals[:, :-1], axis=1), _at(rhos, sigma=sigmas))
+    nonneg.record(vals, _at(rhos, ALPHA_GRID))
+    finite = ~np.isinf(vals)
+    dpi.record(vals[finite] - classical[finite], _at(rhos, ALPHA_GRID, finite))
+    limit.record(-np.maximum(abs(above - one), abs(below - one)), _at(rhos))
+    at_mi = _at([m for m, _ in mi_cases], ALPHA_GRID, dims=[list(d) for _, d in mi_cases])
+    mi_sign.record(_mutual_infos(mi_cases, ALPHA_GRID), at_mi)
     return [ordering, dpi, nonneg, limit, mi_sign]
 
 
@@ -242,53 +250,44 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
         measured += [(prod, prod_rho), (a, rho_a), (b, rho_b), (cg, mix), (cg, rho2)]
     dists = _outcomes(measured)
     dists, others = dists[:n], dists[n:]
-    rhos = [rho for rho, *_ in cases]
+    rhos, prod_rhos, mixes = ([case[k] for case in cases] for k in range(3))
     # the public path, against the hoisted grid
-    ones = [alpha_oe(_coarse_graining(cg[0]), rho, 1.0) for cg, rho in zip(whole, rhos)]
+    s1 = np.array([alpha_oe(_coarse_graining(e), rho, 1.0) for (e, *_), rho in zip(whole, rhos)])
+    # per-state columns; [:, None] keeps their shape (0, 1) at n = 0
+    log_d = np.array([math.log(len(rho)) for rho in rhos])[:, None]
+    lam = np.array([case[3] for case in cases])[:, None]
     g = len(ALPHA_GRID)
     # the grid, the alpha -> 1 neighbours and the finite-difference points
     steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
-    oe = _alpha_oes(dists, ALPHA_GRID + (1 + 1e-7, 1 - 1e-7) + steps).tolist()
+    oe = _alpha_oes(dists, ALPHA_GRID + (1 + 1e-7, 1 - 1e-7) + steps)
+    s, (above, below) = oe[:, :g], oe[:, g : g + 2].T
     # the kernel calls of classical_petz_renyi(p, V / d, a) and
     # petz_renyi(rho, I / d, a), over the grid
     flat_p = [v / len(rho) for (_, v), rho in zip(dists, rhos)]
-    classical = _ragged([p for p, _ in dists], flat_p, ALPHA_GRID).tolist()
+    c = _ragged([p for p, _ in dists], flat_p, ALPHA_GRID)
     flats = [np.eye(len(rho)) / len(rho) for rho in rhos]
-    quantum = _petz(rhos, flats, ALPHA_GRID).tolist()
-    s_rho = _entropies(rhos, ALPHA_GRID).tolist()
-    derivs = _alpha_derivatives(dists, ALPHA_GRID).tolist()
-    others = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).tolist()
-    tables = zip(cases, ones, oe, classical, quantum, s_rho, derivs, others)
-    for (rho, prod_rho, mix, lam, *_), s1, row, c_row, q_row, s_row, d_row, other in tables:
-        d = len(rho)
-        svals, (above, below), fd_points = row[:g], row[g : g + 2], row[g + 2 :]
-        limit.record(-max(abs(above - s1), abs(below - s1)), _state_instance(rho))
-        columns = zip(
-            ALPHA_GRID, svals, c_row, q_row, s_row, d_row, fd_points[0::2], fd_points[1::2]
-        )
-        for a, s, c, qu, s_rho_a, deriv, up, down in columns:
-            forms.record(-abs(s - (math.log(d) - c)), _state_instance(rho, a))
-            gap = qu - c
-            gap_id.record(-abs(gap - (s - s_rho_a)), _state_instance(rho, a))
-            gap_pos.record(gap, _state_instance(rho, a))
-            bounds.record(min(s - s_rho_a, math.log(d) - s), _state_instance(rho, a))
-            deriv_sign.record(-deriv, _state_instance(rho, a))
-            fd = (up - down) / 2e-5
-            # floor keeps the relative test meaningful near zero derivatives
-            rel = abs(deriv - fd) / max(abs(deriv), abs(fd), 1e-3)
-            deriv_fd.record(-rel, _state_instance(rho, a))
-        margin = min(b - a for a, b in zip(svals[1:], svals[:-1]))
-        ordering.record(margin, _state_instance(rho))
-        whole, s_a, s_b = other[:3]
-        for a, w, u, v in zip(ALPHA_GRID, whole, s_a, s_b):
-            additivity.record(-abs(w - (u + v)), _state_instance(prod_rho, a))
-        s, s_mix, s_2 = (dict(zip(ALPHA_GRID, vals)) for vals in (svals, *other[3:]))
-        for a in ALPHA_LT1:
-            margin = s_mix[a] - (lam * s[a] + (1 - lam) * s_2[a])
-            concave.record(margin, _state_instance(mix, a))
-        for a in (2.0, 3.0):
-            margin = s_mix[a] - min(s[a], s_2[a])
-            quasi.record(margin, _state_instance(mix, a))
+    gap = _petz(rhos, flats, ALPHA_GRID) - c
+    s_rho = _entropies(rhos, ALPHA_GRID)
+    deriv = _alpha_derivatives(dists, ALPHA_GRID)
+    s_prod, s_a, s_b, s_mix, s_2 = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).swapaxes(0, 1)
+    at_rho = _at(rhos, ALPHA_GRID)
+    limit.record(-np.maximum(abs(above - s1), abs(below - s1)), _at(rhos))
+    forms.record(-abs(s - (log_d - c)), at_rho)
+    gap_id.record(-abs(gap - (s - s_rho)), at_rho)
+    gap_pos.record(gap, at_rho)
+    bounds.record(np.minimum(s - s_rho, log_d - s), at_rho)
+    deriv_sign.record(-deriv, at_rho)
+    fd = (oe[:, g + 2 :: 2] - oe[:, g + 3 :: 2]) / 2e-5
+    # floor keeps the relative test meaningful near zero derivatives
+    rel = abs(deriv - fd) / np.maximum(np.maximum(abs(deriv), abs(fd)), 1e-3)
+    deriv_fd.record(-rel, at_rho)
+    ordering.record(np.min(s[:, :-1] - s[:, 1:], axis=1), _at(rhos))
+    additivity.record(-abs(s_prod - (s_a + s_b)), _at(prod_rhos, ALPHA_GRID))
+    lt1, gt1 = slice(0, len(ALPHA_LT1)), slice(ALPHA_GRID.index(2.0), g)
+    concave.record(
+        s_mix[:, lt1] - (lam * s[:, lt1] + (1 - lam) * s_2[:, lt1]), _at(mixes, ALPHA_LT1)
+    )
+    quasi.record(s_mix[:, gt1] - np.minimum(s[:, gt1], s_2[:, gt1]), _at(mixes, (2.0, 3.0)))
     return [limit, forms, gap_id, gap_pos, bounds, ordering, deriv_sign, deriv_fd,
             additivity, concave, quasi]
 
@@ -313,19 +312,18 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
     z = projective_cg(np.eye(2, dtype=complex))
     x = projective_cg(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
     seq = sequential(z, x)
-    cases, draws = [], []
+    rhos, rho_qs, draws = [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
-        rho = random_density(rng, d)
+        rhos.append(random_density(rng, d))
         draws += [_draw_cg(rng, d) for _ in range(4)]
         # mutually-unbiased qubit case: exact equality
-        rho_q = random_density(rng, 2)
+        rho_qs.append(random_density(rng, 2))
         # composing with the trivial second stage keeps t-ratios, so
         # equality; the converse of the equality condition is observed only
         draws += [_draw_cg(rng, d), _draw_cg(rng, d)]
-        cases.append((rho, rho_q))
     cgs = _checked(_effect_stacks(draws))
-    cg1s, identities = cgs[4::6], [np.eye(len(rho), dtype=complex)[None] for rho, _ in cases]
+    cg1s, identities = cgs[4::6], [np.eye(len(rho), dtype=complex)[None] for rho in rhos]
     # the chains level by level; the first level also composes cg1 with a
     # random second stage and with the trivial {I}
     roots = _lueders_roots([e for e, _, _ in cgs[0::6] + cg1s])
@@ -336,34 +334,29 @@ def suite_sequential(seed: int, n: int, dim_max: int) -> list:
         stages.append(_composed(stages[-1], [e for e, _, _ in cgs[k::6]]))
     mubs = [(c.effects, c.volumes()) for c in (seq, z)]
     measured = []
-    for i, (rho, rho_q) in enumerate(cases):
+    for i, (rho, rho_q) in enumerate(zip(rhos, rho_qs)):
         measured += [(stage[i], rho) for stage in stages] + [(c, rho_q) for c in mubs]
         measured += [(level[2 * n + i], rho), (cg1s[i], rho), (level[n + i], rho)]
     dists = _outcomes(measured)
     g = len(ALPHA_GRID)
-    oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 9, g).tolist()
-    s_rho = _entropies([rho for rho, _ in cases], ALPHA_GRID).tolist()
+    oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 9, g).swapaxes(0, 1)
+    at_rho = _at(rhos, ALPHA_GRID)
+    chain.record(np.min(oe[:3] - oe[1:4], axis=0), at_rho)
+    above.record(oe[3] - _entropies(rhos, ALPHA_GRID), at_rho)
+    mub.record(-abs(oe[4] - oe[5]), _at(rho_qs, ALPHA_GRID))
+    s_triv, s_1, s_12 = oe[6:]
+    equality.record(-abs(s_triv - s_1), at_rho)
     at_two = ALPHA_GRID.index(2.0)
-    for i, ((rho, rho_q), s_row, grids) in enumerate(zip(cases, s_rho, oe)):
-        for a, values, s in zip(ALPHA_GRID, zip(*grids[:4]), s_row):
-            chain.record(
-                min(u - v for u, v in zip(values, values[1:])),
-                _state_instance(rho, a),
-            )
-            above.record(values[-1] - s, _state_instance(rho, a))
-        for a, u, v in zip(ALPHA_GRID, grids[4], grids[5]):
-            mub.record(-abs(u - v), _state_instance(rho_q, a))
-        s_triv, s_1, s_12 = grids[6:]
-        for a, u, v in zip(ALPHA_GRID, s_triv, s_1):
-            equality.record(-abs(u - v), _state_instance(rho, a))
-        if abs(s_12[at_two] - s_1[at_two]) <= 1e-9:
-            (p1, v1), (p12, v12) = dists[9 * i + 7], dists[9 * i + 8]
-            # the cg1 outcome of each kept effect of cg1 then cg2
-            first = np.flatnonzero(level[n + i][2]) // len(cgs[6 * i + 5][0])
-            p1, v1 = p1[first], v1[first]
-            kept = (p12 > 1e-12) & (p1 > 1e-12)
-            ratios = np.abs(p12 / v12 - p1 / v1)[kept]
-            converse.record(-float(ratios.max(initial=0.0)), _state_instance(rho, 2.0))
+    equal = abs(s_12[:, at_two] - s_1[:, at_two]) <= 1e-9
+    margins = []
+    for i in np.flatnonzero(equal):
+        (p1, v1), (p12, v12) = dists[9 * i + 7], dists[9 * i + 8]
+        # the cg1 outcome of each kept effect of cg1 then cg2
+        first = np.flatnonzero(level[n + i][2]) // len(cgs[6 * i + 5][0])
+        p1, v1 = p1[first], v1[first]
+        kept = (p12 > 1e-12) & (p1 > 1e-12)
+        margins.append(-float(np.abs(p12 / v12 - p1 / v1)[kept].max(initial=0.0)))
+    converse.record(margins, _at(rhos, (2.0,), equal))
     return [chain, above, mub, equality, converse]
 
 
@@ -376,7 +369,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
     control = PropertyResult("invalid_map_rejected", "hard", 0.0)
 
     rng = _rng(seed, 4)
-    rhos, draws, maps = [], [], []
+    rhos, draws, maps, rejected = [], [], [], []
     for _ in range(n):
         d = int(rng.integers(2, dim_max + 1))
         rhos.append(random_density(rng, d))
@@ -385,39 +378,35 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
         # a non-stochastic map must be rejected
         try:
             RefinementMap(np.full(maps[-1].shape, 0.37))
-            control.record(-1.0, {"note": "non-stochastic map accepted"})
+            rejected.append(-1.0)
         except NotARefinement:
-            control.record(0.0)
+            rejected.append(0.0)
+    control.record(rejected, lambda k: {"note": "non-stochastic map accepted"})
     fines = _checked(_effect_stacks(draws))
     # the trivial coarser {I}: the bound equals the gap exactly
     maps += [np.ones((len(e), 1)) for e, _, _ in fines]
     built = [_merged(m, e) for m, (e, _, _) in zip(maps, fines + fines)]
     coarse = _checked(built)
-    for rho, raw, (e, _, _) in zip(rhos, built, coarse):
-        # check_refinement's residual
-        relation.record(-float(np.max(np.abs(raw - e))), _state_instance(rho))
+    # check_refinement's residual
+    relation.record([-float(np.max(np.abs(raw - e))) for raw, (e, _, _) in zip(built[:n], coarse)],
+                    _at(rhos))
     measured = []
     for i, rho in enumerate(rhos):
         measured += [(fines[i], rho), (coarse[i], rho), (coarse[n + i], rho)]
     dists = _outcomes(measured)
     g = len(ALPHA_GRID)
-    oe = _alpha_oes(dists, ALPHA_GRID).reshape(n, 3, g).tolist()
+    s_fine, s_coarse, s_triv = _alpha_oes(dists, ALPHA_GRID).reshape(n, 3, g).swapaxes(0, 1)
     # per order above 1: the bound of each merge, then of each trivial merge
     cases = [(dists[3 * i], dists[3 * i + 1], maps[i]) for i in range(n)]
     cases += [(dists[3 * i], dists[3 * i + 2], maps[n + i]) for i in range(n)]
-    d_bounds = [_refinement_bounds(cases, a).tolist() for a in ALPHA_GT1]
-    for i, (rho, grids) in enumerate(zip(rhos, oe)):
-        s_fine, s_coarse, s_triv = (dict(zip(ALPHA_GRID, grid)) for grid in grids)
-        for a, d_bound in zip(ALPHA_GT1, d_bounds):
-            gap = s_coarse[a] - s_fine[a]
-            mono_hi.record(gap, _state_instance(rho, a))
-            if not math.isinf(d_bound[i]):
-                bound.record(gap - d_bound[i], _state_instance(rho, a))
-        for a in ALPHA_LT1:
-            mono_lo.record(s_coarse[a] - s_fine[a], _state_instance(rho, a))
-        for a, d_bound in zip(ALPHA_GT1, d_bounds):
-            gap = s_triv[a] - s_fine[a]
-            trivial.record(-abs(gap - d_bound[n + i]), _state_instance(rho, a))
+    d_bounds = np.array([_refinement_bounds(cases, a) for a in ALPHA_GT1]).reshape(3, 2 * n).T
+    gt1, lt1 = slice(len(ALPHA_LT1), g), slice(0, len(ALPHA_LT1))
+    gap = s_coarse[:, gt1] - s_fine[:, gt1]
+    mono_hi.record(gap, _at(rhos, ALPHA_GT1))
+    finite = ~np.isinf(d_bounds[:n])
+    bound.record(gap[finite] - d_bounds[:n][finite], _at(rhos, ALPHA_GT1, finite))
+    mono_lo.record(s_coarse[:, lt1] - s_fine[:, lt1], _at(rhos, ALPHA_LT1))
+    trivial.record(-abs((s_triv[:, gt1] - s_fine[:, gt1]) - d_bounds[n:]), _at(rhos, ALPHA_GT1))
     results = [relation, mono_hi, mono_lo, bound, trivial, control]
     if inject_invalid:
         injected = PropertyResult("injected_invalid_map", "hard", 0.0)
@@ -429,9 +418,9 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
             refinement_divergence_bound(
                 cg, identity_cg(d), rmap, random_density(_rng(seed, 6), d), 2.0
             )
-            injected.record(-1.0, {"note": "invalid map not surfaced"})
+            injected.record(-1.0, lambda k: {"note": "invalid map not surfaced"})
         except NotARefinement as exc:
-            injected.record(-1.0, {"error": f"NotARefinement: {exc}"})
+            injected.record(-1.0, lambda k: {"error": f"NotARefinement: {exc}"})
         results.append(injected)
     return results
 
@@ -463,8 +452,8 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
     cgs = _checked(_effect_stacks(draws))
     # the rank-1 and the general-rank case of each state, in that order
     measured = _measured([(e, v, rhos[i // 2]) for i, (e, v, _) in enumerate(cgs)])
-    for rho, (*_, post) in zip(rhos, measured[1::2]):
-        trace_one.record(-abs(float(np.trace(post).real) - 1.0), _state_instance(rho))
+    traces = [float(np.trace(post).real) for *_, post in measured[1::2]]
+    trace_one.record([-abs(t - 1.0) for t in traces], _at(rhos))
     eq_states = [(e, v, _coarse_grained(e, v, w)) for (e, v, _), w in zip(cgs[1::2], weights)]
     eq_parts = _report_parts(eq_states)
     perts = [eq + herm for (_, _, eq), herm in zip(eq_parts, herms)]
@@ -475,46 +464,34 @@ def suite_decomposition(seed: int, n: int, dim_max: int) -> list:
                 1 + 1.5 * abs(lam_min) * d
             )
     pert_parts = [
-        part if part[0] >= 1e-3 else None
-        for part in _report_parts([(e, v, s) for (e, v, _), s in zip(cgs[1::2], perts)])
+        part for part in _report_parts([(e, v, s) for (e, v, _), s in zip(cgs[1::2], perts)])
+        if part[0] >= 1e-3
     ]
-    g = len(alphas)
-    mix = _mixtures(measured, alphas).reshape(n, 2, g)
-    post, div = (t.reshape(n, 2, g) for t in _splits(measured, alphas))
     oe = _alpha_oes([(p, v) for (p, *_), (_, v, _) in zip(measured, cgs)], alphas)
-    oe = oe.reshape(n, 2, g)
+    # the rank-1 and the general-rank table of each quantity
+    (mix_1, mix_g), (post_1, post_g), (div_1, div_g), (oe_1, oe_g) = (
+        t.reshape(n, 2, len(alphas)).swapaxes(0, 1)
+        for t in (_mixtures(measured, alphas), *_splits(measured, alphas), oe)
+    )
     s_rho = _entropies(rhos, alphas)
-    eq_reports = _reports(eq_parts, alphas)
-    pert_reports = iter(_reports([part for part in pert_parts if part], alphas))
-    props = (post_r1, split_r1, post_gen, split_gen, assembly)
-    for i, rho in enumerate(rhos):
-        (mix_1, mix_g), (post_1, post_g), (div_1, div_g), (oe_1, oe_g) = (
-            mix[i], post[i], div[i], oe[i]
-        )
-        # one margin array per property, in the order they are recorded
-        margins = (
-            -abs(mix_1 - post_1),
-            -abs(post_1 + div_1 - oe_1),
-            -abs(mix_g - post_g),
-            -abs(post_g + div_g - oe_g),
-            -abs(oe_g - s_rho[i] - ((post_g - s_rho[i]) + div_g)),
-        )
-        for a, row in zip(alphas, zip(*(m.tolist() for m in margins))):
-            for prop, margin in zip(props, row):
-                prop.record(margin, _state_instance(rho, a))
-        for a, report in zip(alphas, eq_reports[i]):
-            eq_cases.record(
-                -max(report.matrix_residual, report.entropy_residual),
-                _state_instance(eq_parts[i][2], a),
-            )
-            agreement.record(0.0 if report.consistent else -1.0)
-        if pert_parts[i]:
-            for a, report in zip(alphas, next(pert_reports)):
-                pert_cases.record(
-                    min(report.matrix_residual, report.entropy_residual) - 1e-8,
-                    _state_instance(pert_parts[i][2], a),
-                )
-                agreement.record(0.0 if report.consistent else -1.0)
+    at_rho = _at(rhos, alphas)
+    post_r1.record(-abs(mix_1 - post_1), at_rho)
+    split_r1.record(-abs(post_1 + div_1 - oe_1), at_rho)
+    post_gen.record(-abs(mix_g - post_g), at_rho)
+    split_gen.record(-abs(post_g + div_g - oe_g), at_rho)
+    assembly.record(-abs(oe_g - s_rho - ((post_g - s_rho) + div_g)), at_rho)
+    eq_reports, pert_reports = _reports(eq_parts, alphas), _reports(pert_parts, alphas)
+    eq_cases.record(
+        [[-max(r.matrix_residual, r.entropy_residual) for r in row] for row in eq_reports],
+        _at([part[2] for part in eq_parts], alphas),
+    )
+    pert_cases.record(
+        [[min(r.matrix_residual, r.entropy_residual) - 1e-8 for r in row]
+         for row in pert_reports],
+        _at([part[2] for part in pert_parts], alphas),
+    )
+    reports = [r for row in eq_reports + pert_reports for r in row]
+    agreement.record([0.0 if r.consistent else -1.0 for r in reports])
     return [post_r1, split_r1, post_gen, split_gen, assembly, trace_one, eq_cases,
             pert_cases, agreement]
 
@@ -569,25 +546,25 @@ def suite_thermo(seed: int, n: int, dim_max: int) -> list:
     beta_fix = PropertyResult("effective_beta_fixed_point", "hard", 1e-8)
 
     alphas = (1.0 + 1e-7, 0.5, 2.0, 3.0)
-    for record in _canonical_closed_runs(alphas):
-        for s in record.samples:
-            second_law.record(s.delta_entropy, {"t": s.t, "alpha": s.alpha})
-            if s.gibbs_monitor_ok:
-                clausius.record(s.xi3, {"t": s.t, "alpha": s.alpha})
-        for f in record.findings:
-            monitor.record(-abs(f["margin"]), dict(f))
-        if not record.findings:
-            monitor.record(0.0)
-    for record in _canonical_open_runs(alphas):
-        for s in record.samples:
-            xi1.record(s.xi1, {"t": s.t, "alpha": s.alpha})
-            facto.record(
-                -abs(s.factorization_residual), {"t": s.t, "alpha": s.alpha}
-            )
-            xi2.record(s.xi2, {"t": s.t, "alpha": s.alpha})
-            mi.record(s.mutual_info, {"t": s.t, "alpha": s.alpha})
+    closed = _canonical_closed_runs(alphas)
+    samples = [s for run in closed for s in run.samples]
+    held = [s for s in samples if s.gibbs_monitor_ok]
+    opened = [s for run in _canonical_open_runs(alphas) for s in run.samples]
+    at_closed, at_held, at_open = (
+        lambda k, g=group: {"t": g[k].t, "alpha": g[k].alpha} for group in (samples, held, opened)
+    )
+    second_law.record([s.delta_entropy for s in samples], at_closed)
+    clausius.record([s.xi3 for s in held], at_held)
+    # a run without findings records one passing margin of 0.0
+    findings = [f for run in closed for f in run.findings or [None]]
+    monitor.record([-abs(f["margin"]) if f else 0.0 for f in findings], findings.__getitem__)
+    xi1.record([s.xi1 for s in opened], at_open)
+    facto.record([-abs(s.factorization_residual) for s in opened], at_open)
+    xi2.record([s.xi2 for s in opened], at_open)
+    mi.record([s.mutual_info for s in opened], at_open)
 
     rng = _rng(seed, 8)
+    checks, betas = [], []
     for _ in range(50):
         n_levels = int(rng.integers(1, 7))
         levels = LevelSystem(
@@ -596,15 +573,17 @@ def suite_thermo(seed: int, n: int, dim_max: int) -> list:
         )
         t0 = float(rng.uniform(0.2, 3.0))
         orders = (0.5, 2.0, 3.0, 5.0)
-        for a, (lhs, rhs, gap) in zip(orders, _jackson(levels, t0, orders)):
-            jackson.record(-abs(gap), {"t0": t0, "alpha": a, "lhs": lhs, "rhs": rhs})
+        checks += [(t0, a, *check) for a, check in zip(orders, _jackson(levels, t0, orders))]
+    keys = ("t0", "alpha", "lhs", "rhs")
+    jackson.record([-abs(gap) for *_, gap in checks], lambda k: dict(zip(keys, checks[k])))
     for _ in range(min(n, 50)):
         d = int(rng.integers(2, dim_max + 1))
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = h + h.conj().T
         beta = float(rng.uniform(-2.0, 2.0))
-        recovered = effective_beta(h, gibbs_state(h, beta))
-        beta_fix.record(-abs(recovered - beta), {"beta": beta})
+        betas.append((beta, effective_beta(h, gibbs_state(h, beta))))
+    beta_fix.record([-abs(recovered - beta) for beta, recovered in betas],
+                    lambda k: {"beta": betas[k][0]})
     return [second_law, monitor, clausius, xi1, facto, xi2, mi, jackson, beta_fix]
 
 

@@ -27,7 +27,7 @@ from obsent.serialize import (
     operator_from_json,
     operator_to_json,
 )
-from obsent.verify import _SUITES, PropertyResult, run_suite
+from obsent.verify import _SUITES, PropertyResult, VerificationReport, _at, run_suite
 
 from conftest import KET_PLUS, proj
 
@@ -295,13 +295,60 @@ class TestVerifyCommand:
     def test_violation_matrices_serialized_in_report(self, rng):
         rho = random_density(rng, 3)
         prop = PropertyResult("p", "survey", 0.0)
-        prop.record(-1.0, {"state": rho, "alpha": 2.0, "dims": [3]})
-        prop.record(1.0, {"state": rho})
+        prop.record(-1.0, lambda k: {"state": rho, "alpha": 2.0, "dims": [3]})
+        prop.record(1.0, lambda k: {"state": rho})
         (violation,) = prop.to_json()["violations"]
         assert violation == {
             "state": operator_to_json(rho), "alpha": 2.0, "dims": [3], "margin": -1.0
         }
         json.dumps(prop.to_json())
+
+    @pytest.mark.parametrize("table, mask", [
+        # more than three violations, one of them masked out
+        ([[0.2, -0.5, -3.0], [-2.0, 0.0, -1.0]], [[True, True, False], [True, True, True]]),
+        # signed zeros and nans, a nan first; np.min would give nan or either zero
+        ([[np.nan, -0.0, 0.0], [0.0, np.nan, -0.0]], None),
+        ([[0.0, -0.0, np.nan], [np.nan, -0.0, 0.0]], None),
+    ])
+    def test_margin_table_equals_scalar_fold(self, rng, table, mask):
+        states, alphas = [random_density(rng, 2), random_density(rng, 3)], (0.5, 2.0, 3.0)
+        table = np.array(table)
+        mask = None if mask is None else np.array(mask)
+        # the reference: one scalar record per margin in row-major order,
+        # folded as a sequence of two-value mins
+        instances = passes = fails = 0
+        worst, violations = math.inf, []
+        for (i, j), margin in np.ndenumerate(table):
+            if mask is not None and not mask[i, j]:
+                continue
+            margin = float(margin)
+            instances, worst = instances + 1, min(worst, margin)
+            if margin >= 0.0:
+                passes += 1
+                continue
+            fails += 1
+            if len(violations) < 3:
+                violations.append(
+                    {"state": operator_to_json(states[i]), "alpha": alphas[j], "margin": margin}
+                )
+        built = []
+        at = _at(states, alphas, mask)
+        prop = PropertyResult("p", "survey", 0.0)
+        margins = table if mask is None else table[mask]
+        prop.record(margins, lambda k: built.append(k) or at(k))
+        assert (prop.instances, prop.passes, prop.fails) == (instances, passes, fails)
+        assert repr(prop.worst_margin) == repr(worst)  # the sign of a zero too
+        # nan != nan, so the violations are compared as JSON text
+        assert json.dumps(prop.violations) == json.dumps(violations)
+        assert len(built) == min(fails, 3)  # instances are built for kept violations only
+
+    def test_infinite_worst_margin_keeps_its_sign(self, capsys):
+        prop = PropertyResult("p", "hard", 0.0)
+        prop.record(-math.inf)
+        assert (prop.fails, prop.to_json()["worst_margin"]) == (1, "-INFINITE")
+        cli._print_report(VerificationReport("s", 0, 1, 2, [prop]))
+        assert "fails=1     worst_margin=-INFINITE\n" in capsys.readouterr().out
+        assert PropertyResult("q", "hard", 0.0).to_json()["worst_margin"] == "INFINITE"
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

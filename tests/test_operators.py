@@ -3,6 +3,7 @@ import pytest
 
 from obsent import (
     DensityOperator,
+    HermitianOperator,
     op_power,
     partial_trace,
     propagate,
@@ -35,6 +36,10 @@ class TestValidation:
         assert rho.dim == 2
 
     def test_negative_eigenvalue_fails_psd(self):
+        # a PSD operator passes as a HermitianOperator, not as a state
+        op = validate_operator(np.eye(2) / 2, "psd")
+        assert type(op) is HermitianOperator
+        np.testing.assert_array_equal(op.matrix, np.eye(2) / 2)
         with pytest.raises(NotPSD) as err:
             validate_operator(np.diag([1.0, -1e-3]), "psd")
         assert err.value.magnitude == pytest.approx(1e-3)

@@ -9,6 +9,7 @@ malformed matrices, arrays, numbers, objects and options raise an
 ObsentError at every public entry."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -71,6 +72,7 @@ from obsent import (
 from obsent import divergences, generators
 from obsent.divergences import _ragged
 from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
+from obsent.serialize import coarse_graining_from_json, dump_json
 from obsent.verify import run_suite
 from obsent.generators import (
     random_coarse_graining,
@@ -323,6 +325,25 @@ _MALFORMED_CALLS = {
     "nan op_power support_rtol": lambda: op_power(np.eye(2) / 2, 0.5, support_rtol=np.nan),
     "None spectral degeneracy_tol": lambda: spectral(_STATE, degeneracy_tol=None),
     "negative spectral degeneracy_tol": lambda: spectral(np.eye(2), degeneracy_tol=-1.0),
+    # error paths no other test reaches
+    "refinement map with a negative entry": lambda: RefinementMap([[1.5, -0.5]]),
+    "sequential of two dimensions": lambda: sequential(_QUBIT, projective_cg(np.eye(3))),
+    "check_refinement of two dimensions": lambda: check_refinement(
+        _QUBIT, projective_cg(np.eye(3)), RefinementMap([[1.0], [1.0]])
+    ),
+    "merge that repeats a label": lambda: merge_outcomes(_QUBIT, [["0"], ["0", "1"]]),
+    "map that does not reproduce the coarser": lambda: refinement_divergence_bound(
+        _QUBIT, _QUBIT, RefinementMap([[0, 1], [1, 0]]), _STATE, 2.0
+    ),
+    "density with a negative eigenvalue": lambda: DensityOperator(np.diag([1.5, -0.5])),
+    "coarse-graining JSON without effects": lambda: coarse_graining_from_json({"dim": 2}),
+    "effect JSON without a matrix": (
+        lambda: coarse_graining_from_json({"effects": [{"label": "a"}]})
+    ),
+    "nan written as JSON": lambda: dump_json({"x": np.nan}, os.devnull),
+    "negative sample time": lambda: closed_run(
+        DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), (2.0,), [-1.0]
+    ),
 }
 
 

@@ -48,6 +48,7 @@ from obsent.verify import (
     ALPHA_GRID,
     _canonical_closed_runs,
     _canonical_open_runs,
+    PropertyResult,
     run_suite,
 )
 
@@ -78,6 +79,10 @@ QR_CALL_CEILING = 25
 # suite's chains, one for its MUB case and one for all of decomposition's
 # measurements
 LUEDERS_ROOTS_CALL_CEILING = 5
+
+# PropertyResult.record calls of the same run: one per property, from the
+# suite's margin table, at any n; a per-instance record loop fails here
+RECORD_CALL_CEILING = 45
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -190,6 +195,14 @@ def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
     assert 0 < len(constructions) <= CONSTRUCTION_CEILING
     assert 0 < len(distributions) <= OUTCOME_DISTRIBUTION_CEILING
     assert 0 < len(qrs) <= QR_CALL_CEILING
+
+
+def test_record_calls_stay_under_ceiling_at_any_n(monkeypatch):
+    calls = _count(monkeypatch, PropertyResult, "record")
+    for n in (12, 24):
+        calls.clear()
+        run_suite("all", 5, n, 6)
+        assert 0 < len(calls) <= RECORD_CALL_CEILING
 
 
 def test_eig_calls_stay_under_ceiling(monkeypatch):
