@@ -28,11 +28,12 @@ from .errors import (
     InvalidAlpha,
     InvalidPartition,
     NotARefinement,
-    NotPSD,
     ShapeMismatch,
     ValidationError,
 )
-from .operators import _instance, _integer, _items, _matrix, _per_dim, _real, _reals, op_power
+from .operators import (
+    _instance, _integer, _items, _matrix, _per_dim, _psd, _real, _reals, op_power
+)
 
 # max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
 _PROJECTIVE_ATOL = 1e-9
@@ -62,11 +63,10 @@ class CoarseGraining:
             raise ShapeMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise ValidationError("a coarse-graining needs at least one effect")
-        raw = effects
-        if not isinstance(raw, np.ndarray):
-            raw = [getattr(e, "matrix", e) for e in raw]
+        if not isinstance(effects, np.ndarray):
+            effects = [getattr(e, "matrix", e) for e in effects]
         try:
-            raw = np.asarray(raw, dtype=complex)
+            raw = np.asarray(effects, dtype=complex)
         except (TypeError, ValueError):  # ragged or not numeric
             raw = None
         stacked = raw is not None and raw.ndim == 3 and raw.shape[1] == raw.shape[2]
@@ -101,24 +101,19 @@ class CoarseGraining:
 
 
 def _checked(raws: list, labels: tuple = ()) -> list:
-    """Construction's checks of raw (n, d, d) effect stacks, with one
-    eigvalsh per dimension: the Hermitian parts (E + E^H) / 2 must be PSD
-    (NotPSD names the effect by its label, else by its position among the
-    stacks of its dimension), effects of trace below ZERO_EFFECT_TRACE are
-    dropped, and each stack's kept effects must sum to I. (effects,
-    volumes, mask of the kept effects) per stack."""
+    """Construction's checks of raw (n, d, d) effect stacks, with one PSD
+    gate call (operators._psd) per dimension: the Hermitian parts
+    (E + E^H) / 2 must be PSD (NotPSD names the effect by its label, else
+    by its position among the stacks of its dimension), effects of trace
+    below ZERO_EFFECT_TRACE are dropped, and each stack's kept effects must
+    sum to I. (effects, volumes, mask of the kept effects) per stack."""
 
     def hermitian_parts(raw):
         stack = np.empty(raw.shape, dtype=complex)
         np.conjugate(raw.swapaxes(1, 2), out=stack)
         stack += raw
         stack *= 0.5
-        lam_min = np.linalg.eigvalsh(stack)[:, 0]
-        bad = np.flatnonzero(lam_min < -tol.PSD_EIGENVALUE_FLOOR)
-        if bad.size:
-            k = bad[0]
-            name = (labels or range(len(raw)))[k]
-            raise NotPSD(f"effect {name!r} is not PSD", magnitude=-lam_min[k])
+        _psd(stack, lambda k: f"effect {(labels or range(len(raw)))[k]!r} is not PSD")
         volumes = stack.trace(axis1=1, axis2=2).real
         return stack, volumes, volumes >= tol.ZERO_EFFECT_TRACE
 

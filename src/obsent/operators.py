@@ -9,9 +9,10 @@ Input gates: each public function of the package checks each input once,
 through one gate per kind of value, and its private helpers trust what
 they are given. A matrix goes through _matrix here (one finite square
 matrix; kind 'state' adds a positive trace, kind 'hermitian' the
-Hermiticity check and symmetrization), a real number through _real here
-(one finite real, with an optional lower bound; other range tests stay
-with the caller), an integer with a lower bound through _integer here, an
+Hermiticity check and symmetrization), PSD operators through _psd here
+(one rule, shared by _psd_eigh), a real number through _real here (one
+finite real, with an optional lower bound; other range tests stay with
+the caller), an integer with a lower bound through _integer here, an
 array of real numbers through _reals here (a weight vector through
 divergences._nonneg_vector, which adds the shape and sign tests), an
 object such as a CoarseGraining through _instance here, a sequence
@@ -39,6 +40,8 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
+
+_PSD_CHUNK_BYTES = 2 << 20
 
 
 def as_matrix(x) -> np.ndarray:
@@ -161,25 +164,15 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(HermitianOperator):
     """A validated quantum state: Hermitian, PSD, unit trace."""
 
-    matrix: np.ndarray
-
     def __post_init__(self):
-        m = _matrix(self.matrix, "hermitian")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
-        if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
-            raise NotPSD("state has a negative eigenvalue", magnitude=-lam_min)
-        tr = float(np.trace(m).real)
+        super().__post_init__()
+        _psd(self.matrix[None], lambda k: "state has a negative eigenvalue")
+        tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > tol.TRACE_ATOL:
             raise TraceNotOne("state trace differs from 1", magnitude=abs(tr - 1.0))
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -195,10 +188,7 @@ class EigenSystem:
     multiplicities: tuple = ()
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out = out + lam * proj
-        return out
+        return sum(lam * proj for lam, proj in zip(self.eigenvalues, self.projectors))
 
 
 def validate_operator(matrix, kind: str):
@@ -208,15 +198,10 @@ def validate_operator(matrix, kind: str):
     violated invariant and its magnitude.
     """
     _option(kind, ("hermitian", "psd", "density"), "operator kind")
-    if kind == "hermitian":
-        return HermitianOperator(matrix)
+    op = (DensityOperator if kind == "density" else HermitianOperator)(matrix)
     if kind == "psd":
-        h = HermitianOperator(matrix)
-        lam_min = float(np.linalg.eigvalsh(h.matrix)[0])
-        if lam_min < -tol.PSD_EIGENVALUE_FLOOR:
-            raise NotPSD("matrix has a negative eigenvalue", magnitude=-lam_min)
-        return h
-    return DensityOperator(matrix)
+        _psd(op.matrix[None], lambda k: "matrix has a negative eigenvalue")
+    return op
 
 
 def _levels(lam: np.ndarray, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> list:
@@ -247,7 +232,8 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     map to 0 for every exponent s, including negative s. Hence
     op_power(A, s) @ op_power(A, -s) is the projector onto supp(A). A may
     also be a (..., d, d) stack; each matrix is then powered on its own,
-    with its own lambda_max.
+    with its own lambda_max. A matrix that breaks the PSD rule of _psd
+    raises NotPSD.
     """
     m = as_matrix(A)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -261,16 +247,38 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
 
 
 def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
-    """eigh of a PSD matrix or (..., d, d) stack, with eigenvalues <=
-    support_rtol * lambda_max of their matrix set to exact zeros. A negative
-    eigenvalue beyond the PSD floor raises NotPSD."""
+    """eigh of a PSD matrix or (..., d, d) stack, checked by _psd_rule, with
+    eigenvalues <= support_rtol * lambda_max of their matrix set to 0."""
     lam, vec = np.linalg.eigh(m)
-    lam_max = lam[..., -1:]
-    neg = -lam[..., :1]
-    bad = neg > tol.PSD_EIGENVALUE_FLOOR * np.maximum(lam_max, 1.0)
-    if np.any(bad):
-        raise NotPSD("expected a PSD matrix", magnitude=float(neg[bad][0]))
-    return np.where(lam > support_rtol * lam_max, lam, 0.0), vec
+    _psd_rule(lam, lambda k: "expected a PSD matrix")
+    return np.where(lam > support_rtol * lam[..., -1:], lam, 0.0), vec
+
+
+def _psd_rule(lam: np.ndarray, message) -> None:
+    """The PSD rule (see _psd) on the ascending eigenvalues of a matrix or
+    stack: the first matrix k that breaks it raises NotPSD(message(k))."""
+    low = lam[..., :1] < -tol.PSD_EIGENVALUE_FLOOR * np.maximum(lam[..., -1:], 1.0)
+    if low.any():
+        k = int(np.flatnonzero(low)[0])
+        raise NotPSD(message(k), magnitude=-float(lam[..., 0].flat[k]))
+
+
+def _psd(stack: np.ndarray, message) -> None:
+    """The PSD gate on an (n, d, d) Hermitian stack. The rule: no eigenvalue
+    below -PSD_EIGENVALUE_FLOOR * max(lambda_max, 1), a floor that scales
+    as eigendecomposition rounding does. One Cholesky per _PSD_CHUNK_BYTES
+    of matrices shifted by PSD_EIGENVALUE_FLOOR * max(largest diagonal
+    entry, 1) decides it: that is at most the rule's shift, so a success is
+    a pass, and only a chunk that fails is eigendecomposed (_psd_rule)."""
+    step = max(1, _PSD_CHUNK_BYTES // max(stack[:1].nbytes, 1))
+    for start in range(0, len(stack), step):
+        chunk = stack[start : start + step]
+        top = np.max(chunk.diagonal(axis1=1, axis2=2).real, axis=1, initial=1.0)
+        shift = tol.PSD_EIGENVALUE_FLOOR * top[:, None, None] * np.eye(chunk.shape[-1])
+        try:
+            np.linalg.cholesky(chunk + shift)
+        except np.linalg.LinAlgError:  # some matrix of the chunk is not positive definite
+            _psd_rule(np.linalg.eigvalsh(chunk), lambda k: message(start + k))
 
 
 def _per_dim(fn, *stacks) -> list:

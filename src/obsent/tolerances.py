@@ -26,7 +26,7 @@ def scaled(x: float) -> float:
 #: Max-abs deviation from the conjugate transpose, relative to max-abs entry.
 HERMITICITY_RTOL = scaled(1e-9)
 
-#: Eigenvalues below this (absolute) are still accepted for PSD / density checks.
+#: PSD rule: no eigenvalue below -PSD_EIGENVALUE_FLOOR * max(lambda_max, 1).
 PSD_EIGENVALUE_FLOOR = scaled(1e-9)
 
 #: |trace - 1| bound for density operators.

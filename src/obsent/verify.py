@@ -129,10 +129,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "n": self.n,
-            "dim_max": self.dim_max,
+            **vars(self),
             "hard_failures": self.hard_failures,
             "exit_code": self.exit_code,
             "properties": [p.to_json() for p in self.properties],

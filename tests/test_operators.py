@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsent import (
+    CoarseGraining,
     DensityOperator,
     HermitianOperator,
     op_power,
@@ -18,8 +19,9 @@ from obsent.errors import (
     TraceNotOne,
     ValidationError,
 )
+from obsent import operators, tolerances as tol
 from obsent.generators import random_density, random_unitary
-from obsent.operators import _evolve, _populations
+from obsent.operators import _evolve, _populations, _psd
 
 from conftest import PAULI_X, bell_state, proj, KET0
 
@@ -51,6 +53,78 @@ class TestValidation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(Exception, match="Hermitian"):
             validate_operator(np.array([[0, 1], [0, 0]]), "hermitian")
+
+
+class TestPSDGate:
+    # the one PSD rule: no eigenvalue below -PSD_EIGENVALUE_FLOOR * max(lambda_max, 1)
+
+    @staticmethod
+    def _rejected(lam: np.ndarray) -> bool:
+        return lam[0] < -tol.PSD_EIGENVALUE_FLOOR * max(lam[-1], 1.0)
+
+    @pytest.mark.parametrize("top", [0.5, 1.0, 1e6])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_gate_decides_as_the_eigenvalue_rule(self, rng, top, factor):
+        # lambda_min at factor times the floor; at lambda_max = 1e6 the floor
+        # is 1e-3, where an absolute 1e-9 floor would reject both factors
+        floor = tol.PSD_EIGENVALUE_FLOOR * max(top, 1.0)
+        lam = np.array([-factor * floor, 0.25 * top, top])
+        u = random_unitary(rng, 3)
+        # the diagonal matrix shifts by the rule's floor; the rotated one by
+        # less, as its largest diagonal entry is below lambda_max
+        for m in (np.diag(lam).astype(complex), (u * lam) @ u.conj().T):
+            assert self._rejected(np.linalg.eigvalsh(m)) == (factor > 1)
+            if factor > 1:
+                with pytest.raises(NotPSD, match="matrix has a negative") as err:
+                    validate_operator(m, "psd")
+                assert err.value.magnitude == pytest.approx(factor * floor, rel=1e-5)
+            else:
+                validate_operator(m, "psd")
+        if top <= 1.0:
+            # an effect of a two-outcome POVM goes through construction's gate
+            effect = (u * lam) @ u.conj().T
+            pair = [effect, np.eye(3) - effect]
+            if factor > 1:
+                with pytest.raises(NotPSD, match="effect 'a' is not PSD"):
+                    CoarseGraining(("a", "b"), pair)
+            else:
+                assert len(CoarseGraining(("a", "b"), pair)) == 2
+
+    def test_only_a_failing_chunk_is_eigendecomposed(self, rng, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        d = 16
+        per_chunk = operators._PSD_CHUNK_BYTES // (16 * d * d)
+        n = 2 * per_chunk + 5
+        vecs = random_unitary(rng, d)[:, rng.integers(0, d, size=n)]
+        stack = np.einsum("ik,jk->kij", vecs, vecs.conj()) / n
+        labels = tuple(f"e{k}" for k in range(n))
+        _psd(stack, str)
+        assert calls == []
+        # the one bad matrix is in the last chunk, which holds 5
+        u = random_unitary(rng, d)
+        stack[n - 2] = (u * np.r_[-1e-3, np.zeros(d - 2), 0.5]) @ u.conj().T
+        with pytest.raises(NotPSD, match=f"effect 'e{n - 2}' is not PSD") as err:
+            CoarseGraining(labels, stack)
+        assert err.value.magnitude == pytest.approx(1e-3, rel=1e-9)
+        assert calls == [(5, d, d)]
+
+    def test_projectors_and_zero_matrices_pass(self, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a factorization decides
+        d = 5
+        u = random_unitary(rng, d)
+        projectors = [u[:, :r] @ u[:, :r].conj().T for r in range(d + 1)]
+        _psd(np.stack(projectors + [np.zeros((d, d))]), str)
+        for m in projectors + [np.zeros((d, d))]:
+            validate_operator(m, "psd")
+        # a zero effect passes the gate and is dropped for its zero trace
+        cg = CoarseGraining(("a", "b", "z"), [projectors[2], np.eye(d) - projectors[2], 0 * u])
+        assert cg.labels == ("a", "b")
 
 
 class TestSpectral:

@@ -71,7 +71,19 @@ from obsent import (
 )
 from obsent import divergences, generators
 from obsent.divergences import _ragged
-from obsent.errors import InvalidAlpha, NotHermitian, ObsentError
+from obsent.errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    InvalidPartition,
+    InvalidTemperature,
+    NotARefinement,
+    NotHermitian,
+    NotPSD,
+    NotSquare,
+    ObsentError,
+    SchemaError,
+    ValidationError,
+)
 from obsent.serialize import coarse_graining_from_json, dump_json
 from obsent.verify import run_suite
 from obsent.generators import (
@@ -257,100 +269,149 @@ _NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 # malformed input -> call; each returned a value (nan, a truncated or a
 # one-triangle result) or raised a raw exception before the input gates
 _MALFORMED_CALLS = {
-    "effect that is a number": lambda: CoarseGraining(("a",), [5]),
-    "effect with a nan entry": lambda: CoarseGraining(("a", "b"), [np.eye(2), _NAN]),
-    "rectangular Hamiltonian": lambda: gibbs_state(np.ones((2, 3)), 1.0),
-    "state of another dimension": lambda: effective_beta(np.diag([0, 1, 2]), _STATE),
-    "rectangular state": lambda: outcomes(_QUBIT, np.ones((2, 3))),
-    "complex weight list": lambda: classical_petz_renyi([1 + 1j, 1], [1, 1], 2.0),
+    "effect that is a number": (NotSquare, lambda: CoarseGraining(("a",), [5])),
+    # 0 x 0 effects have no least eigenvalue to index, but zero trace
+    "effects of dimension 0": (
+        ValidationError, lambda: CoarseGraining(("a",), np.zeros((1, 0, 0)))
+    ),
+    "effect with a nan entry": (
+        ValidationError, lambda: CoarseGraining(("a", "b"), [np.eye(2), _NAN])
+    ),
+    "rectangular Hamiltonian": (NotSquare, lambda: gibbs_state(np.ones((2, 3)), 1.0)),
+    "state of another dimension": (
+        DimensionMismatch, lambda: effective_beta(np.diag([0, 1, 2]), _STATE)
+    ),
+    "rectangular state": (NotSquare, lambda: outcomes(_QUBIT, np.ones((2, 3)))),
+    "complex weight list": (
+        ValidationError, lambda: classical_petz_renyi([1 + 1j, 1], [1, 1], 2.0)
+    ),
     "complex weight array": (
-        lambda: classical_petz_renyi(np.array([1 + 1j, 1]), [1, 1], 2.0)
+        ValidationError, lambda: classical_petz_renyi(np.array([1 + 1j, 1]), [1, 1], 2.0)
     ),
-    "string window width": lambda: EnergyWindowing("a"),
-    "array window width": lambda: EnergyWindowing(np.array([1.0, 2.0])),
-    "string duration": lambda: DrivingProtocol(((np.eye(2), "a"),)),
-    "string temperature": lambda: free_energy(LevelSystem([0, 1]), "x"),
-    "nan density": lambda: validate_operator(_NAN, "density"),
-    "nan hermitian": lambda: validate_operator(_NAN, "hermitian"),
-    "unknown operator kind": lambda: validate_operator(np.eye(2), "foo"),
-    "nan spectral": lambda: spectral(_NAN),
-    "nan probability": lambda: OutcomeDistribution(("a",), [np.nan], [1.0]),
+    "string window width": (ValidationError, lambda: EnergyWindowing("a")),
+    "array window width": (ValidationError, lambda: EnergyWindowing(np.array([1.0, 2.0]))),
+    "string duration": (ValidationError, lambda: DrivingProtocol(((np.eye(2), "a"),))),
+    "string temperature": (InvalidTemperature, lambda: free_energy(LevelSystem([0, 1]), "x")),
+    "nan density": (ValidationError, lambda: validate_operator(_NAN, "density")),
+    "nan hermitian": (ValidationError, lambda: validate_operator(_NAN, "hermitian")),
+    "unknown operator kind": (ValidationError, lambda: validate_operator(np.eye(2), "foo")),
+    "nan spectral": (ValidationError, lambda: spectral(_NAN)),
+    "nan probability": (ValidationError, lambda: OutcomeDistribution(("a",), [np.nan], [1.0])),
     "complex probability": (
-        lambda: OutcomeDistribution(("a",), np.array([0.5 + 0.5j]), [1.0])
+        ValidationError, lambda: OutcomeDistribution(("a",), np.array([0.5 + 0.5j]), [1.0])
     ),
-    "non-Hermitian gibbs_state": lambda: gibbs_state(_NOT_HERMITIAN, 1.0),
+    "non-Hermitian gibbs_state": (NotHermitian, lambda: gibbs_state(_NOT_HERMITIAN, 1.0)),
     "non-Hermitian effective_beta": (
-        lambda: effective_beta(np.array([[0.0, 5.0], [0.0, 1.0]]), _STATE)
+        NotHermitian, lambda: effective_beta(np.array([[0.0, 5.0], [0.0, 1.0]]), _STATE)
     ),
-    "non-Hermitian propagate": lambda: propagate(_STATE, _NOT_HERMITIAN, 1.0),
-    "nan op_power": lambda: op_power(_NAN, 0.5),
-    "nan gibbs_state": lambda: gibbs_state(_NAN, 1.0),
-    "nan coarse_grained_state": lambda: coarse_grained_state(_QUBIT, _NAN),
-    "nan post_measurement_state": lambda: post_measurement_state(_QUBIT, _NAN),
-    "nan measurement_channel": lambda: measurement_channel(_QUBIT, _NAN),
-    "nan refinement map": lambda: RefinementMap([[np.nan]]),
-    "tensor of one operator": lambda: tensor(np.eye(2) / 2),
-    "unknown partial_trace side": lambda: partial_trace(np.eye(4) / 4, (2, 2), "C"),
-    "one dims entry": lambda: renyi_mutual_info(np.eye(4) / 4, (4,), 2.0),
-    "unknown suite": lambda: run_suite("nope"),
-    "unhashable label": lambda: merge_outcomes(_QUBIT, [[["0"]], ["1"]]),
+    "non-Hermitian propagate": (NotHermitian, lambda: propagate(_STATE, _NOT_HERMITIAN, 1.0)),
+    "nan op_power": (ValidationError, lambda: op_power(_NAN, 0.5)),
+    "nan gibbs_state": (ValidationError, lambda: gibbs_state(_NAN, 1.0)),
+    "nan coarse_grained_state": (ValidationError, lambda: coarse_grained_state(_QUBIT, _NAN)),
+    "nan post_measurement_state": (ValidationError, lambda: post_measurement_state(_QUBIT, _NAN)),
+    "nan measurement_channel": (ValidationError, lambda: measurement_channel(_QUBIT, _NAN)),
+    "nan refinement map": (NotARefinement, lambda: RefinementMap([[np.nan]])),
+    "tensor of one operator": (ValidationError, lambda: tensor(np.eye(2) / 2)),
+    "unknown partial_trace side": (
+        ValidationError, lambda: partial_trace(np.eye(4) / 4, (2, 2), "C")
+    ),
+    "one dims entry": (ValidationError, lambda: renyi_mutual_info(np.eye(4) / 4, (4,), 2.0)),
+    "unknown suite": (ValidationError, lambda: run_suite("nope")),
+    "unhashable label": (InvalidPartition, lambda: merge_outcomes(_QUBIT, [[["0"]], ["1"]])),
     # an object of the wrong type where a structured argument is expected
-    "coarse-graining that is a number": lambda: alpha_oe(float("nan"), _STATE, 2.0),
-    "windowing that is None": lambda: energy_cg(np.eye(2), None),
-    "dimension that is nan": lambda: identity_cg(float("nan")),
-    "protocol of a number": lambda: DrivingProtocol(5),
-    "alphas that are a number": lambda: closed_run(
-        DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), 2.0, [0.5]
+    "coarse-graining that is a number": (
+        ValidationError, lambda: alpha_oe(float("nan"), _STATE, 2.0)
+    ),
+    "windowing that is None": (ValidationError, lambda: energy_cg(np.eye(2), None)),
+    "dimension that is nan": (ValidationError, lambda: identity_cg(float("nan"))),
+    "protocol of a number": (ValidationError, lambda: DrivingProtocol(5)),
+    "alphas that are a number": (
+        ValidationError,
+        lambda: closed_run(
+            DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), 2.0, [0.5]
+        ),
     ),
     "refinement map that is a list": (
-        lambda: check_refinement(_QUBIT, identity_cg(2), [[1.0], [1.0]])
+        ValidationError, lambda: check_refinement(_QUBIT, identity_cg(2), [[1.0], [1.0]])
     ),
-    "levels that are a list": lambda: free_energy([0.0, 1.0], 1.0),
-    "part that is a number": lambda: tensor_cg([_QUBIT, 5]),
+    "levels that are a list": (ValidationError, lambda: free_energy([0.0, 1.0], 1.0)),
+    "part that is a number": (ValidationError, lambda: tensor_cg([_QUBIT, 5])),
     # real arrays go through one gate
-    "complex refinement map": lambda: RefinementMap(np.array([[1.0 + 1j]])),
-    "string energies": lambda: LevelSystem("ab", 1.0),
-    "complex volume": lambda: OutcomeDistribution(("a",), [1.0], np.array([1.0 + 1j])),
+    "complex refinement map": (NotARefinement, lambda: RefinementMap(np.array([[1.0 + 1j]]))),
+    "string energies": (ValidationError, lambda: LevelSystem("ab", 1.0)),
+    "complex volume": (
+        ValidationError, lambda: OutcomeDistribution(("a",), [1.0], np.array([1.0 + 1j]))
+    ),
     # an option that is not a string
     "array partial_trace side": (
-        lambda: partial_trace(np.eye(4) / 4, (2, 2), np.array([1, 2]))
+        ValidationError, lambda: partial_trace(np.eye(4) / 4, (2, 2), np.array([1, 2]))
     ),
-    "array operator kind": lambda: validate_operator(np.eye(2), np.array([1, 2])),
-    "array suite": lambda: run_suite(np.array([1, 2])),
+    "array operator kind": (
+        ValidationError, lambda: validate_operator(np.eye(2), np.array([1, 2]))
+    ),
+    "array suite": (ValidationError, lambda: run_suite(np.array([1, 2]))),
     # a tolerance keyword is one finite real number >= 0
-    "string is_projective atol": lambda: _QUBIT.is_projective("x"),
-    "negative is_projective atol": lambda: _QUBIT.is_projective(-1.0),
-    "None is_coarse_grained atol": lambda: is_coarse_grained(_QUBIT, _STATE, 2.0, atol=None),
-    "string op_power support_rtol": lambda: op_power(_STATE, 0.5, support_rtol="x"),
-    "nan op_power support_rtol": lambda: op_power(np.eye(2) / 2, 0.5, support_rtol=np.nan),
-    "None spectral degeneracy_tol": lambda: spectral(_STATE, degeneracy_tol=None),
-    "negative spectral degeneracy_tol": lambda: spectral(np.eye(2), degeneracy_tol=-1.0),
+    "string is_projective atol": (ValidationError, lambda: _QUBIT.is_projective("x")),
+    "negative is_projective atol": (ValidationError, lambda: _QUBIT.is_projective(-1.0)),
+    "None is_coarse_grained atol": (
+        ValidationError, lambda: is_coarse_grained(_QUBIT, _STATE, 2.0, atol=None)
+    ),
+    "string op_power support_rtol": (
+        ValidationError, lambda: op_power(_STATE, 0.5, support_rtol="x")
+    ),
+    "nan op_power support_rtol": (
+        ValidationError, lambda: op_power(np.eye(2) / 2, 0.5, support_rtol=np.nan)
+    ),
+    "None spectral degeneracy_tol": (
+        ValidationError, lambda: spectral(_STATE, degeneracy_tol=None)
+    ),
+    "negative spectral degeneracy_tol": (
+        ValidationError, lambda: spectral(np.eye(2), degeneracy_tol=-1.0)
+    ),
     # error paths no other test reaches
-    "refinement map with a negative entry": lambda: RefinementMap([[1.5, -0.5]]),
-    "sequential of two dimensions": lambda: sequential(_QUBIT, projective_cg(np.eye(3))),
-    "check_refinement of two dimensions": lambda: check_refinement(
-        _QUBIT, projective_cg(np.eye(3)), RefinementMap([[1.0], [1.0]])
+    "refinement map with a negative entry": (NotARefinement, lambda: RefinementMap([[1.5, -0.5]])),
+    "sequential of two dimensions": (
+        DimensionMismatch, lambda: sequential(_QUBIT, projective_cg(np.eye(3)))
     ),
-    "merge that repeats a label": lambda: merge_outcomes(_QUBIT, [["0"], ["0", "1"]]),
-    "map that does not reproduce the coarser": lambda: refinement_divergence_bound(
-        _QUBIT, _QUBIT, RefinementMap([[0, 1], [1, 0]]), _STATE, 2.0
+    "check_refinement of two dimensions": (
+        DimensionMismatch,
+        lambda: check_refinement(
+            _QUBIT, projective_cg(np.eye(3)), RefinementMap([[1.0], [1.0]])
+        ),
     ),
-    "density with a negative eigenvalue": lambda: DensityOperator(np.diag([1.5, -0.5])),
-    "coarse-graining JSON without effects": lambda: coarse_graining_from_json({"dim": 2}),
+    "merge that repeats a label": (
+        InvalidPartition, lambda: merge_outcomes(_QUBIT, [["0"], ["0", "1"]])
+    ),
+    "map that does not reproduce the coarser": (
+        NotARefinement,
+        lambda: refinement_divergence_bound(
+            _QUBIT, _QUBIT, RefinementMap([[0, 1], [1, 0]]), _STATE, 2.0
+        ),
+    ),
+    "density with a negative eigenvalue": (NotPSD, lambda: DensityOperator(np.diag([1.5, -0.5]))),
+    "coarse-graining JSON without effects": (
+        SchemaError, lambda: coarse_graining_from_json({"dim": 2})
+    ),
     "effect JSON without a matrix": (
-        lambda: coarse_graining_from_json({"effects": [{"label": "a"}]})
+        SchemaError, lambda: coarse_graining_from_json({"effects": [{"label": "a"}]})
     ),
-    "nan written as JSON": lambda: dump_json({"x": np.nan}, os.devnull),
-    "negative sample time": lambda: closed_run(
-        DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), (2.0,), [-1.0]
+    "nan written as JSON": (SchemaError, lambda: dump_json({"x": np.nan}, os.devnull)),
+    "negative sample time": (
+        ValidationError,
+        lambda: closed_run(
+            DrivingProtocol(((np.eye(2), 1.0),)), _STATE, EnergyWindowing(0.5), (2.0,), [-1.0]
+        ),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED_CALLS))
 def test_malformed_input_raises_obsent_error(name):
-    with pytest.raises(ObsentError):
-        _MALFORMED_CALLS[name]()
+    # the exact class, so that a call raising another ObsentError fails
+    error, call = _MALFORMED_CALLS[name]
+    with pytest.raises(ObsentError) as err:
+        call()
+    assert type(err.value) is error
 
 
 def test_non_hermitian_hamiltonian_raises_not_hermitian():
