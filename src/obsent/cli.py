@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -146,9 +147,8 @@ def cmd_entropy(args) -> int:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -169,37 +169,67 @@ def _print_report(report: VerificationReport) -> None:
     )
 
 
+def _forked(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] from workers forked children. A child
+    takes indices from a task pipe of one byte per item, pickles {index:
+    result, or the exception that stopped it} into its own pipe and ends
+    in os._exit, 0 once all is sent. The parent reaps every child before
+    it returns or raises: the first failed item raises its exception, one
+    that no child finished (one ended otherwise) ObsentError."""
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(items))))
+    os.close(feed)
+    pids, pipes, done = [], [], {}
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pipes.append(read)
+            if not (pid := os.fork()):
+                code, out = 1, {}
+                try:
+                    while task := os.read(tasks, 1):
+                        try:
+                            out[task[0]] = fn(items[task[0]])
+                        except Exception as exc:
+                            out[task[0]] = exc
+                            break
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids.append(pid)
+        data = [b"".join(iter(functools.partial(os.read, fd, 1 << 16), b"")) for fd in pipes]
+    finally:
+        for fd in (tasks, *pipes):
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, payload in zip(codes, data):
+        done |= pickle.loads(payload) if code == 0 else {}
+    for i, item in enumerate(items):
+        if i not in done:
+            raise ObsentError(f"no worker finished {item!r}; their exit codes: {codes}")
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(len(items))]
+
+
 def cmd_verify(args) -> int:
     """Run the named suite, or every suite for `all`, and print its report.
 
-    `all` runs its suites in up to one forked worker process per usable
-    CPU. The suites share no state and draw from their own random streams,
-    and their results are assembled in the fixed suite order, so the
-    report, the printout and the exit code are those of the Python
-    `run_suite("all", ...)`, which itself stays in-process. A worker that
-    dies exits 1 with one line.
+    `all` runs its suites in up to one forked child per usable CPU
+    (_forked). The suites share no state and draw from their own random
+    streams, and their results are assembled in suite order, so the
+    report, the printout, the exit code and a failing suite's error line
+    are those of the in-process Python `run_suite("all", ...)`. A worker
+    that ends without its results exits 1 with one line.
     """
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    suite_report = functools.partial(
-        run_suite, seed=args.seed, n=args.n, dim_max=args.dim,
-        inject_invalid=args.inject_invalid,
-    )
+    suite_report = functools.partial(run_suite, seed=args.seed, n=args.n, dim_max=args.dim,
+                                     inject_invalid=args.inject_invalid)
     workers = min(len(names), _usable_cpus()) if hasattr(os, "fork") else 1
-    if workers < 2:
-        parts = list(map(suite_report, names))
-    else:
-        # imported here: at module level they add about 20 ms to every command
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                parts = list(pool.map(suite_report, names))
-        except BrokenProcessPool as exc:
-            print(f"obsent: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+    parts = _forked(suite_report, names, workers) if workers > 1 else [*map(suite_report, names)]
     props = [prop for part in parts for prop in part.properties]
     report = VerificationReport(args.suite, args.seed, args.n, args.dim, props)
     _print_report(report)

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    _instance, _integer, _items, _matrix, _per_dim, _psd, _real, _reals, op_power
+    _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals
 )
 
 # max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
@@ -379,11 +379,11 @@ def _sequential(roots: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def _lueders_roots(stacks: list) -> list:
     """sqrt(Pi_i) for every effect of each stack: a projective stack (as
-    is_projective) is its own root, and the others take one op_power per
+    is_projective) is its own root, and the others take one _power per
     dimension."""
     errors = _per_dim(lambda e: np.abs(e @ e - e).max(axis=(1, 2)), stacks)
     rooted = [float(err.max()) > _PROJECTIVE_ATOL for err in errors]
-    roots = iter(_per_dim(lambda e: op_power(e, 0.5), [*itertools.compress(stacks, rooted)]))
+    roots = iter(_per_dim(lambda e: _power(e, 0.5), [*itertools.compress(stacks, rooted)]))
     return [next(roots) if r else s for s, r in zip(stacks, rooted)]
 
 

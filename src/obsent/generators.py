@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coarse_graining import CoarseGraining, merge_outcomes
-from .operators import _each, _instance, _integer, _items, op_power
+from .operators import _each, _instance, _integer, _items, _power
 from .state_analysis import _coarse_grained
 
 
@@ -87,12 +87,12 @@ def _draw_cg(rng: np.random.Generator, dim: int) -> tuple:
 def _effect_stacks(draws: list) -> list:
     """The (n, d, d) effect stack of each draw, unchecked: the frames of
     the projective draws from one qr per dimension, the inverse roots of
-    the POVM totals (each summed in draw order) from one op_power per
+    the POVM totals (each summed in draw order) from one _power per
     dimension."""
     frames = iter(_each(_unitaries, [g for ranks, g, _ in draws if ranks is not None]))
     raws = [(g @ g.conj().swapaxes(1, 2)) * w[:, None, None]
             for ranks, g, w in draws if ranks is None]
-    roots = _each(lambda total: op_power(total, -0.5), [sum(raw) for raw in raws])
+    roots = _each(lambda total: _power(total, -0.5), [sum(raw) for raw in raws])
     povms = iter(root @ raw @ root for root, raw in zip(roots, raws))
 
     def stack(ranks):

@@ -8,16 +8,17 @@ functions are pure; validated operators are immutable value objects.
 Input gates: each public function of the package checks each input once,
 through one gate per kind of value, and its private helpers trust what
 they are given. A matrix goes through _matrix here (one finite square
-matrix; kind 'state' adds a positive trace, kind 'hermitian' the
-Hermiticity check and symmetrization), PSD operators through _psd here
-(one rule, shared by _psd_eigh), a real number through _real here (one
-finite real, with an optional lower bound; other range tests stay with
-the caller), an integer with a lower bound through _integer here, an
-array of real numbers through _reals here (a weight vector through
-divergences._nonneg_vector, which adds the shape and sign tests), an
-object such as a CoarseGraining through _instance here, a sequence
-through _items here and an option string through _option here. Each
-raises a ValidationError subclass (or the error type its caller names).
+matrix; kind 'state' adds a positive trace and the Hermiticity test of
+_hermitian, kind 'hermitian' that test and the Hermitian part), PSD
+operators through _psd here (one rule, shared by _psd_eigh), a real
+number through _real here (one finite real, with an optional lower
+bound; other range tests stay with the caller), an integer with a lower
+bound through _integer here, an array of real numbers through _reals
+here (a weight vector through divergences._nonneg_vector, which adds the
+shape and sign tests), an object such as a CoarseGraining through
+_instance here, a sequence through _items here and an option string
+through _option here. Each raises a ValidationError subclass (or the
+error type its caller names).
 
 Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 """
@@ -57,9 +58,9 @@ def _matrix(
 ) -> np.ndarray:
     """The matrix gate: x as one complex square matrix with finite entries,
     of dimension dim when given. Kind 'state' also requires a positive
-    trace. Kind 'hermitian' requires Hermiticity within HERMITICITY_RTOL
-    and returns the Hermitian part (m + m^H) / 2, which is m itself, bit
-    for bit, when m is exactly Hermitian. name starts the error messages."""
+    trace, and kinds 'state' and 'hermitian' Hermiticity (_hermitian);
+    'hermitian' returns a new array holding the Hermitian part. name
+    starts the error messages."""
     m = as_matrix(x)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise NotSquare(f"{name} has shape {m.shape}, expected a square matrix")
@@ -70,13 +71,21 @@ def _matrix(
             raise ValidationError(f"{name} needs finite entries and a positive trace")
     elif not np.isfinite(m).all():
         raise ValidationError(f"{name} needs finite entries")
-    if kind == "hermitian":
-        adjoint = m.conj().T
-        defect = float(np.max(np.abs(m - adjoint)))
-        if defect > tol.HERMITICITY_RTOL * max(float(np.max(np.abs(m))), 1.0):
-            raise NotHermitian(f"{name} is not Hermitian", magnitude=defect)
-        m = 0.5 * (m + adjoint)
-    return m
+    return _hermitian(m, name, kind == "hermitian") if kind in ("state", "hermitian") else m
+
+
+def _hermitian(m: np.ndarray, name: str, part: bool = False) -> np.ndarray:
+    """m, a finite matrix or (..., d, d) stack, when each matrix is within
+    HERMITICITY_RTOL * max(largest |entry|, 1) of its adjoint, else
+    NotHermitian (an overflowing defect too, with no warning). With part,
+    a new array of the Hermitian parts: m's bits, signed zeros included,
+    when m is exactly Hermitian, else m / 2 + m^H / 2, which cannot overflow."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        defect = np.max(np.abs(m - adjoint), axis=(-2, -1), initial=0.0)
+    if (defect > tol.HERMITICITY_RTOL * np.max(np.abs(m), axis=(-2, -1), initial=1.0)).any():
+        raise NotHermitian(f"{name} is not Hermitian", magnitude=float(np.max(defect)))
+    return (0.5 * m + 0.5 * adjoint if defect.any() else m.copy()) if part else m
 
 
 def _real(x, error=ValidationError, name: str = "value", least: float = -math.inf) -> float:
@@ -232,17 +241,23 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     map to 0 for every exponent s, including negative s. Hence
     op_power(A, s) @ op_power(A, -s) is the projector onto supp(A). A may
     also be a (..., d, d) stack; each matrix is then powered on its own,
-    with its own lambda_max. A matrix that breaks the PSD rule of _psd
-    raises NotPSD.
+    with its own lambda_max. A matrix that is not Hermitian (_hermitian)
+    raises NotHermitian, and one that breaks the PSD rule of _psd NotPSD.
     """
     m = as_matrix(A)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrices need finite entries")
-    lam, vec = _psd_eigh(m, _real(support_rtol, name="support_rtol", least=0.0))
+    rtol = _real(support_rtol, name="support_rtol", least=0.0)
+    return _power(_hermitian(m, "matrix"), _real(s, name="s"), rtol)
+
+
+def _power(m: np.ndarray, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
+    """op_power of a Hermitian matrix or stack m, with no input gate."""
+    lam, vec = _psd_eigh(m, support_rtol)
     keep = lam > 0
-    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), _real(s, name="s")), 0.0)
+    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
     return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -361,11 +362,15 @@ class TestVerifyCommand:
 
 class TestVerifyWorkers:
     # the suites of `verify --suite all` run in forked workers, two here on
-    # any host, so the pool path is the one under test
+    # any host, so the forked path is the one under test; after each case
+    # no child is left to reap
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_report_and_printout_equal_in_process_run(self, tmp_path, capsys, seed):
@@ -379,6 +384,17 @@ class TestVerifyWorkers:
         assert out.read_bytes() == expected.read_bytes()
         assert printed == capsys.readouterr().out
 
+    def test_workers_need_no_multiprocessing(self):
+        code = (
+            "import sys; from obsent import cli; cli._usable_cpus = lambda: 2; "
+            "code = cli.main(['verify', '--suite', 'all', '--n', '2', '--dim', '3']); "
+            "print(code, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
     def test_worker_error_gives_the_in_process_line(self, capsys, monkeypatch):
         def fail(seed, n, dim_max):
             raise ValidationError(f"suite failed at seed {seed}", magnitude=2.0)
@@ -390,11 +406,22 @@ class TestVerifyWorkers:
         assert main(["verify", "--seed", "3", "--n", "2", "--dim", "3"]) == 1
         assert capsys.readouterr().err == line
 
+    def test_first_failing_suite_in_order_is_reported(self, capsys, monkeypatch):
+        # the later suite may fail first, in the child whose pipe is read first
+        for name in ("oe-core", "decomposition"):
+            monkeypatch.setitem(_SUITES, name, functools.partial(_fail_suite, name))
+        assert main(["verify", "--n", "2", "--dim", "3"]) == 1
+        assert capsys.readouterr().err == "obsent: ValidationError: oe-core failed\n"
+
     def test_killed_worker_exits_one_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setitem(_SUITES, "thermo", lambda *args: os._exit(3))
         assert main(["verify", "--n", "2", "--dim", "3"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("obsent: BrokenProcessPool: ") and err.count("\n") == 1
+        assert err.startswith("obsent: ObsentError: no worker finished ") and err.count("\n") == 1
+
+
+def _fail_suite(name, seed, n, dim_max):
+    raise ValidationError(f"{name} failed")
 
 
 def _closed_config(tmp_path, **overrides):

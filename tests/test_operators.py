@@ -14,6 +14,7 @@ from obsent import (
 )
 from obsent.errors import (
     DimensionMismatch,
+    NotHermitian,
     NotPSD,
     NotSquare,
     TraceNotOne,
@@ -53,6 +54,19 @@ class TestValidation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(Exception, match="Hermitian"):
             validate_operator(np.array([[0, 1], [0, 0]]), "hermitian")
+
+    def test_hermitian_part_near_the_float_range(self):
+        # an exactly Hermitian matrix keeps its bits, signed zeros included
+        exact = np.array([[1e308, -0.0], [-0.0, complex(1.0, -0.0)]])
+        op = validate_operator(exact, "psd")
+        assert op.matrix.tobytes() == exact.tobytes() and op.matrix is not exact
+        # a near-Hermitian one is averaged as halves, without overflow
+        near = np.array([[1.7e308, 1e308], [1e308 * (1 + 1e-12), 1.7e308]])
+        part = validate_operator(near, "hermitian").matrix
+        assert np.isfinite(part).all() and np.array_equal(part, part.conj().T)
+        # an overflowing defect reads as NotHermitian, with no warning
+        with pytest.raises(NotHermitian):
+            validate_operator([[0.0, 1e308], [-1e308, 0.0]], "hermitian")
 
 
 class TestPSDGate:
@@ -173,6 +187,14 @@ class TestOpPower:
         np.testing.assert_allclose(
             op_power(np.diag([0.25, 0.75]), 2.0), np.diag([0.0625, 0.5625])
         )
+
+    def test_rejects_non_hermitian_members(self):
+        # eigh would read one triangle of each; the stack is checked per matrix
+        with pytest.raises(NotHermitian):
+            op_power(np.stack([np.eye(2), [[0.5, 1.0], [0.0, 0.5]]]), 0.5)
+        # the test is relative: a defect of 1e-4 is rounding beside 1e6
+        lopsided = np.array([[1e6, 0.0], [1e-4, 1.0]])
+        np.testing.assert_allclose(op_power(lopsided, 1.0), lopsided, atol=1e-3)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):

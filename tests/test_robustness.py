@@ -306,6 +306,20 @@ _MALFORMED_CALLS = {
     ),
     "non-Hermitian propagate": (NotHermitian, lambda: propagate(_STATE, _NOT_HERMITIAN, 1.0)),
     "nan op_power": (ValidationError, lambda: op_power(_NAN, 0.5)),
+    # a state or op_power argument is checked as Hamiltonians are, not read
+    # by one triangle
+    "non-Hermitian op_power": (
+        NotHermitian, lambda: op_power(np.array([[0.5, 1.0], [0.0, 0.5]]), 1.0)
+    ),
+    "non-Hermitian renyi_entropy": (
+        NotHermitian, lambda: renyi_entropy(np.array([[0.5, 0.4], [0.0, 0.5]]), 2.0)
+    ),
+    "non-Hermitian petz_renyi": (
+        NotHermitian, lambda: petz_renyi(np.array([[0.5, 0.4], [0.0, 0.5]]), _STATE, 2.0)
+    ),
+    "non-Hermitian alpha_oe": (
+        NotHermitian, lambda: alpha_oe(_QUBIT, np.array([[0.5, 0.4], [0.0, 0.5]]), 2.0)
+    ),
     "nan gibbs_state": (ValidationError, lambda: gibbs_state(_NAN, 1.0)),
     "nan coarse_grained_state": (ValidationError, lambda: coarse_grained_state(_QUBIT, _NAN)),
     "nan post_measurement_state": (ValidationError, lambda: post_measurement_state(_QUBIT, _NAN)),
