@@ -27,8 +27,8 @@ from .coarse_graining import (
 from .divergences import renyi_entropy
 from .errors import ObsentError, SchemaError
 from .operators import validate_operator
+from .report import SUITES, VerificationReport, _marked
 from .serialize import (
-    _finite,
     _floats,
     coarse_graining_from_json,
     dump_json,
@@ -46,7 +46,6 @@ from .thermo import (
     jackson_check,
     open_run,
 )
-from .verify import _SUITES, VerificationReport, run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +71,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument(
         "--suite",
         default="all",
-        choices=[*_SUITES, "all"],
+        choices=[*SUITES, "all"],
     )
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--n", type=int, default=200)
@@ -154,7 +153,7 @@ def _usable_cpus() -> int:
 def _print_report(report: VerificationReport) -> None:
     for prop in report.properties:
         worst = prop.worst_margin
-        worst_s = _finite(worst) if math.isinf(worst) else format_float(worst)
+        worst_s = format_float(worst) if math.isfinite(worst) else _marked(worst)
         status = "PASS" if prop.fails == 0 else "FAIL"
         if prop.mode == "survey":
             status = "SURVEY"
@@ -215,6 +214,14 @@ def _forked(fn, items: list, workers: int) -> list:
     return [done[i] for i in range(len(items))]
 
 
+def _suite_report(name: str, args) -> VerificationReport:
+    """run_suite of one suite; verify and its generators are compiled here,
+    in the process that runs the suite."""
+    from .verify import run_suite
+
+    return run_suite(name, args.seed, args.n, args.dim, args.inject_invalid)
+
+
 def cmd_verify(args) -> int:
     """Run the named suite, or every suite for `all`, and print its report.
 
@@ -223,11 +230,13 @@ def cmd_verify(args) -> int:
     streams, and their results are assembled in suite order, so the
     report, the printout, the exit code and a failing suite's error line
     are those of the in-process Python `run_suite("all", ...)`. A worker
-    that ends without its results exits 1 with one line.
+    that ends without its results exits 1 with one line. Each worker
+    imports verify itself (_suite_report), so the parent, which only
+    forks, unpickles and prints, compiles the report types alone. One
+    suite, one CPU or no os.fork runs the suites in-process.
     """
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    suite_report = functools.partial(run_suite, seed=args.seed, n=args.n, dim_max=args.dim,
-                                     inject_invalid=args.inject_invalid)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    suite_report = functools.partial(_suite_report, args=args)
     workers = min(len(names), _usable_cpus()) if hasattr(os, "fork") else 1
     parts = _forked(suite_report, names, workers) if workers > 1 else [*map(suite_report, names)]
     props = [prop for part in parts for prop in part.properties]

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals
+    _hermitian, _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals
 )
 
 # max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
@@ -200,8 +200,9 @@ class RefinementMap:
 
 
 def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
-    """Outcome probabilities and volumes of a state under a coarse-graining."""
-    m = _state(cg, rho, "square")
+    """Outcome probabilities and volumes of a state under a coarse-graining.
+    rho is any finite Hermitian matrix (NotHermitian otherwise), of any trace."""
+    m = _hermitian(_state(cg, rho, "square"), "state")
     return OutcomeDistribution(cg.labels, _traces([cg.effects], [m])[0], cg.volumes())
 
 

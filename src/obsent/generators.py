@@ -1,25 +1,26 @@
-"""Seeded random instances: states, coarse-grainings, refinements.
+"""Seeded random draws for sweeps: states, coarse-grainings, merges.
 
 Density operators come from Wishart-style products G G^dag (full rank by
 default, rank-deficient on request). Projective coarse-grainings draw a
 Haar-distributed orthonormal frame and a random rank partition; POVMs
 normalize a batch of random PSD matrices by the inverse square root of
 their sum. All draws take an explicit numpy Generator so sweeps are
-reproducible. A coarse-graining generator is a draw (random numbers only)
-and _effect_stacks, which builds the effects of many draws with one qr and
-one op_power per dimension, bit for bit as one draw alone. A generator
-that is not a numpy Generator, a dimension, rank or effect count that is
-not a positive integer, and a cg that is not a CoarseGraining raise
-ValidationError.
+reproducible. A coarse-graining is a draw (random numbers only) and
+_effect_stacks, which builds the effects of many draws with one qr and
+one op_power per dimension, bit for bit as one draw alone. The
+one-instance generators made of them (random_projective_cg, random_povm,
+random_merge and their kin) serve only the tests and live in
+tests/random_instances.py. A generator that is not a numpy Generator,
+and a dimension, rank or effect count that is not a positive integer
+raise ValidationError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coarse_graining import CoarseGraining, merge_outcomes
+from .coarse_graining import CoarseGraining
 from .operators import _each, _instance, _integer, _items, _power
-from .state_analysis import _coarse_grained
 
 
 def _dim(rng, dim) -> int:
@@ -36,11 +37,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None):
     g = _gaussian(rng, _dim(rng, dim), _integer(rank or dim, 1, "rank"))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    d = _dim(rng, dim)
-    return _unitaries(_gaussian(rng, d, d))
 
 
 def _unitaries(g: np.ndarray) -> np.ndarray:
@@ -109,26 +105,6 @@ def _coarse_graining(stack: np.ndarray) -> CoarseGraining:
     return CoarseGraining(tuple(str(i) for i in range(len(stack))), stack)
 
 
-def random_projective_cg(
-    rng: np.random.Generator, dim: int, ranks=None
-) -> CoarseGraining:
-    return _coarse_graining(_effect_stacks([_draw_projective(rng, dim, ranks)])[0])
-
-
-def random_rank1_projective_cg(rng: np.random.Generator, dim: int) -> CoarseGraining:
-    return random_projective_cg(rng, dim, ranks=[1] * _dim(rng, dim))
-
-
-def random_povm(
-    rng: np.random.Generator, dim: int, n_effects: int | None = None
-) -> CoarseGraining:
-    return _coarse_graining(_effect_stacks([_draw_povm(rng, dim, n_effects)])[0])
-
-
-def random_coarse_graining(rng: np.random.Generator, dim: int) -> CoarseGraining:
-    return _coarse_graining(_effect_stacks([_draw_cg(rng, dim)])[0])
-
-
 def _draw_merge(rng: np.random.Generator, n: int) -> np.ndarray:
     """The draws of random_merge for n outcomes, as the 0/1 refinement
     matrix (outcomes x non-empty groups, groups in index order)."""
@@ -137,19 +113,4 @@ def _draw_merge(rng: np.random.Generator, n: int) -> np.ndarray:
     for g in range(n_groups):  # keep every group non-empty
         if not np.any(assignment == g):
             assignment[rng.integers(0, n)] = g
-    return (assignment[:, None] == np.unique(assignment)).astype(float)
-
-
-def random_merge(rng: np.random.Generator, cg: CoarseGraining):
-    """Random outcome merge; returns (coarser, refinement_map)."""
-    m = _draw_merge(rng, _dim(rng, len(_instance(cg, CoarseGraining, "cg"))))
-    groups = [[cg.labels[i] for i in np.flatnonzero(column)] for column in m.T]
-    return merge_outcomes(cg, groups)
-
-
-def random_coarse_grained_state(
-    rng: np.random.Generator, cg: CoarseGraining
-) -> np.ndarray:
-    """A state that equals its own coarse-grained state (projective cg)."""
-    n = _dim(rng, len(_instance(cg, CoarseGraining, "cg")))
-    return _coarse_grained(cg.effects, cg.volumes(), rng.dirichlet(np.ones(n)))
+    return (assignment[:, None] == np.flatnonzero(np.bincount(assignment))).astype(float)

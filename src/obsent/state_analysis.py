@@ -12,10 +12,11 @@ exponential means of the conditional entropies and divergences where these
 formulas take p_i-weighted averages (see renyi_post_measurement and
 decompose_alpha_oe). A Luders sum needs no probabilities, so the
 post-measurement state is defined for any finite square operator. The
-conditional ensemble also needs non-negative outcome traces Tr(Pi_i rho)
-(ValidationError), and renyi_post_measurement and decompose_alpha_oe also
-a finite state of positive trace; all three are one-case wrappers of the
-stack form _measured, which verify calls on many cases at once.
+conditional ensemble also needs a Hermitian matrix (NotHermitian) with
+non-negative outcome traces Tr(Pi_i rho) (ValidationError), and
+renyi_post_measurement and decompose_alpha_oe also a finite state of
+positive trace; all three are one-case wrappers of the stack form
+_measured, which verify calls on many cases at once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .coarse_graining import (
 )
 from .divergences import _check_alpha, _entropies, _nonneg_vector, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
-from .operators import _each, _per_dim, _real
+from .operators import _each, _hermitian, _per_dim, _real
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ def _blocks(ps: list, values: np.ndarray) -> list:
 
 
 def conditional_ensemble(cg: CoarseGraining, rho) -> ConditionalEnsemble:
-    """Conditional states and flat references per outcome."""
-    m = _state(cg, rho, "square")
+    """Conditional states and flat references per outcome. rho is any finite
+    Hermitian matrix (NotHermitian otherwise), of any trace."""
+    m = _hermitian(_state(cg, rho, "square"), "state")
     [(p, keep, states, flats, _)] = _measured([(cg.effects, cg.volumes(), m)])
     labels = tuple(lab for lab, k in zip(cg.labels, keep) if k)
     return ConditionalEnsemble(labels, tuple(p[keep].tolist()), tuple(states), tuple(flats))

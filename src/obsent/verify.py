@@ -14,13 +14,15 @@ divergences; the general-rank split with escort weights) are asserted by
 acceptance criteria 8b and 9b.
 
 Margins are signed slack: a property instance passes iff margin >= -tol.
-Reports are deterministic functions of (suite, seed, n, dim bound).
+Reports are deterministic functions of (suite, seed, n, dim bound). Their
+types (PropertyResult, VerificationReport) and the suite names live in
+report, which the CLI imports alone: this module and its generators are
+compiled only by the process that runs a suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +52,9 @@ from .generators import (
     _draw_projective,
     _effect_stacks,
     random_density,
-    random_projective_cg,
 )
 from .operators import _each, _integer, _option, tensor
-from .serialize import _finite, operator_to_json
+from .report import SUITES, PropertyResult, VerificationReport
 from .state_analysis import (
     _coarse_grained, _measured, _mixtures, _report_parts, _reports, _splits
 )
@@ -71,69 +72,6 @@ from .thermo import (
 ALPHA_GRID = (0.3, 0.7, 1.5, 2.0, 3.0)
 ALPHA_GT1 = (1.5, 2.0, 3.0)
 ALPHA_LT1 = (0.3, 0.7)
-
-_MAX_RECORDED_VIOLATIONS = 3
-
-
-@dataclass
-class PropertyResult:
-    """Aggregated outcome of one property over a sweep."""
-
-    name: str
-    mode: str  # "hard" | "survey"
-    tolerance: float
-    instances: int = 0
-    passes: int = 0
-    fails: int = 0
-    worst_margin: float = math.inf
-    violations: list = field(default_factory=list)
-
-    def record(self, margins, instance=None):
-        """Fold one margin, or an array of margins read in row-major order.
-        instance(k) is the instance of the k-th margin; it is called only
-        for the violations kept."""
-        values = np.ravel(margins).tolist()
-        self.instances += len(values)
-        # as a fold of two-value mins, a list's min keeps the first zero and skips nans
-        self.worst_margin = min([self.worst_margin, *values])
-        failed = [k for k, margin in enumerate(values) if not margin >= -self.tolerance]
-        self.fails += len(failed)
-        self.passes += len(values) - len(failed)
-        if instance is not None:
-            for k in failed[: _MAX_RECORDED_VIOLATIONS - len(self.violations)]:
-                # matrices are serialized only for the violations kept
-                self.violations.append(
-                    {key: operator_to_json(v) if isinstance(v, np.ndarray) else v
-                     for key, v in dict(instance(k), margin=values[k]).items()}
-                )
-
-    def to_json(self) -> dict:
-        return {**vars(self), "worst_margin": _finite(self.worst_margin)}
-
-
-@dataclass
-class VerificationReport:
-    suite: str
-    seed: int
-    n: int
-    dim_max: int
-    properties: list
-
-    @property
-    def hard_failures(self) -> int:
-        return sum(p.fails for p in self.properties if p.mode == "hard")
-
-    @property
-    def exit_code(self) -> int:
-        return 2 if self.hard_failures else 0
-
-    def to_json(self) -> dict:
-        return {
-            **vars(self),
-            "hard_failures": self.hard_failures,
-            "exit_code": self.exit_code,
-            "properties": [p.to_json() for p in self.properties],
-        }
 
 
 def _at(states, alphas=(), mask=None, **per_state):
@@ -408,7 +346,7 @@ def suite_refinement(seed: int, n: int, dim_max: int, inject_invalid=False) -> l
     if inject_invalid:
         injected = PropertyResult("injected_invalid_map", "hard", 0.0)
         d = 3
-        cg = random_projective_cg(_rng(seed, 5), d, ranks=[1, 1, 1])
+        cg = _coarse_graining(_effect_stacks([_draw_projective(_rng(seed, 5), d, [1, 1, 1])])[0])
         bad = np.array([[0.5, 0.2], [1.0, 0.0], [0.0, 1.0]])
         try:
             rmap = RefinementMap(bad)
@@ -584,14 +522,8 @@ def suite_thermo(seed: int, n: int, dim_max: int) -> list:
     return [second_law, monitor, clausius, xi1, facto, xi2, mi, jackson, beta_fix]
 
 
-_SUITES = {
-    "divergences": suite_divergences,
-    "oe-core": suite_oe_core,
-    "sequential": suite_sequential,
-    "refinement": suite_refinement,
-    "decomposition": suite_decomposition,
-    "thermo": suite_thermo,
-}
+_SUITES = dict(zip(SUITES, (suite_divergences, suite_oe_core, suite_sequential,
+                            suite_refinement, suite_decomposition, suite_thermo)))
 
 
 def run_suite(

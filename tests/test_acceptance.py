@@ -46,14 +46,7 @@ from obsent import (
     projective_cg,
 )
 from obsent.cli import main as cli_main
-from obsent.generators import (
-    random_coarse_grained_state,
-    random_coarse_graining,
-    random_density,
-    random_merge,
-    random_projective_cg,
-    random_rank1_projective_cg,
-)
+from obsent.generators import random_density
 from obsent.state_analysis import (
     coarse_grained_state,
     conditional_ensemble,
@@ -70,6 +63,13 @@ from obsent.thermo import (
     gibbs_state,
     jackson_check,
     open_run,
+)
+from random_instances import (
+    random_coarse_grained_state,
+    random_coarse_graining,
+    random_merge,
+    random_projective_cg,
+    random_rank1_projective_cg,
 )
 
 ALPHA_GRID = (0.3, 0.7, 1.5, 2.0, 3.0)

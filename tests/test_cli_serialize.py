@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from obsent import cli, projective_cg
 from obsent.cli import _build_parser, _sample_times, main
 from obsent.errors import ObsentError, SchemaError, ValidationError
-from obsent.generators import random_density, random_povm
+from obsent.generators import random_density
 from obsent.serialize import (
     CSV_COLUMNS,
     coarse_graining_from_json,
@@ -28,7 +28,9 @@ from obsent.serialize import (
     operator_from_json,
     operator_to_json,
 )
-from obsent.verify import _SUITES, PropertyResult, VerificationReport, _at, run_suite
+from obsent.report import SUITES, PropertyResult, VerificationReport
+from obsent.verify import _SUITES, _at, run_suite
+from random_instances import random_povm
 
 from conftest import KET_PLUS, proj
 
@@ -287,7 +289,7 @@ class TestVerifyCommand:
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         ).choices["verify"]
         suite = next(a for a in verify_cmd._actions if a.dest == "suite")
-        assert suite.choices == list(_SUITES) + ["all"]
+        assert suite.choices == list(SUITES) + ["all"] == list(_SUITES) + ["all"]
         expected = []
         for name in _SUITES:
             expected += [p.name for p in run_suite(name, n=1, dim_max=2).properties]
@@ -316,14 +318,16 @@ class TestVerifyCommand:
         table = np.array(table)
         mask = None if mask is None else np.array(mask)
         # the reference: one scalar record per margin in row-major order,
-        # folded as a sequence of two-value mins
+        # folded as a sequence of two-value mins, except that a nan, once
+        # met, is the worst margin (min(nan, x) keeps the nan)
         instances = passes = fails = 0
         worst, violations = math.inf, []
         for (i, j), margin in np.ndenumerate(table):
             if mask is not None and not mask[i, j]:
                 continue
             margin = float(margin)
-            instances, worst = instances + 1, min(worst, margin)
+            instances = instances + 1
+            worst = margin if math.isnan(margin) else min(worst, margin)
             if margin >= 0.0:
                 passes += 1
                 continue
@@ -350,6 +354,19 @@ class TestVerifyCommand:
         cli._print_report(VerificationReport("s", 0, 1, 2, [prop]))
         assert "fails=1     worst_margin=-INFINITE\n" in capsys.readouterr().out
         assert PropertyResult("q", "hard", 0.0).to_json()["worst_margin"] == "INFINITE"
+
+    def test_nan_margin_is_the_worst_and_written_nan(self, tmp_path, capsys):
+        prop = PropertyResult("p", "hard", 0.0)
+        prop.record([1.0, math.nan, -2.0], lambda k: {"k": k})
+        prop.record(-3.0)
+        assert (prop.fails, math.isnan(prop.worst_margin)) == (3, True)
+        report = VerificationReport("s", 0, 1, 2, [prop])
+        dump_json(report.to_json(), tmp_path / "report.json")
+        written = json.loads((tmp_path / "report.json").read_text())["properties"][0]
+        assert written["worst_margin"] == "NAN"
+        assert [v["margin"] for v in written["violations"]] == ["NAN", -2.0]
+        cli._print_report(report)
+        assert "fails=3     worst_margin=NAN\n" in capsys.readouterr().out
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -385,15 +402,15 @@ class TestVerifyWorkers:
         assert printed == capsys.readouterr().out
 
     def test_workers_need_no_multiprocessing(self):
+        # the suites are compiled, and their draws made, in the workers only
+        unloaded = ("multiprocessing", "concurrent.futures", "obsent.verify",
+                    "obsent.generators", "numpy.ma")
         code = (
             "import sys; from obsent import cli; cli._usable_cpus = lambda: 2; "
             "code = cli.main(['verify', '--suite', 'all', '--n', '2', '--dim', '3']); "
-            "print(code, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+            f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=120)
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert _fresh(code) == "0 []"
 
     def test_worker_error_gives_the_in_process_line(self, capsys, monkeypatch):
         def fail(seed, n, dim_max):
@@ -422,6 +439,31 @@ class TestVerifyWorkers:
 
 def _fail_suite(name, seed, n, dim_max):
     raise ValidationError(f"{name} failed")
+
+
+def _fresh(code: str) -> str:
+    """The last stdout line of code run by a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_the_suites_uncompiled():
+    code = (
+        "import sys, obsent, obsent.cli; "
+        "print(sorted({'obsent.verify', 'obsent.generators'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == "[]"
+
+
+def test_refinement_draws_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call
+    code = (
+        "import sys; from obsent.verify import run_suite; "
+        "run_suite('refinement', 0, 2, 3); print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
 
 
 def _closed_config(tmp_path, **overrides):

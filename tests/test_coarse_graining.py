@@ -35,16 +35,16 @@ from obsent.errors import (
     ObsentError,
     ValidationError,
 )
-from obsent.generators import (
+from obsent.generators import random_density
+from obsent.operators import op_power
+from random_instances import (
     random_coarse_graining,
-    random_density,
     random_merge,
     random_povm,
     random_projective_cg,
     random_rank1_projective_cg,
     random_unitary,
 )
-from obsent.operators import op_power
 
 from conftest import HADAMARD, KET_PLUS, proj
 

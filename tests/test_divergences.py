@@ -25,8 +25,9 @@ from obsent.errors import (
     ObsentError,
     ValidationError,
 )
-from obsent.generators import random_coarse_graining, random_density, random_unitary
+from obsent.generators import random_density
 from obsent.coarse_graining import outcomes
+from random_instances import random_coarse_graining, random_unitary
 
 from conftest import bell_state, proj, KET_PLUS
 

@@ -21,8 +21,9 @@ from obsent.errors import (
     ValidationError,
 )
 from obsent import operators, tolerances as tol
-from obsent.generators import random_density, random_unitary
+from obsent.generators import random_density
 from obsent.operators import _evolve, _populations, _psd
+from random_instances import random_unitary
 
 from conftest import PAULI_X, bell_state, proj, KET0
 

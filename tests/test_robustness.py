@@ -86,7 +86,8 @@ from obsent.errors import (
 )
 from obsent.serialize import coarse_graining_from_json, dump_json
 from obsent.verify import run_suite
-from obsent.generators import (
+import random_instances
+from random_instances import (
     random_coarse_graining,
     random_merge,
     random_projective_cg,
@@ -264,6 +265,7 @@ def test_public_functions_return_python_floats(name):
 
 _NAN = np.full((2, 2), np.nan)
 _QUBIT = projective_cg(np.eye(2))
+_X_BASIS = projective_cg(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
 _STATE = np.diag([0.7, 0.3])
 _NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
 # malformed input -> call; each returned a value (nan, a truncated or a
@@ -319,6 +321,13 @@ _MALFORMED_CALLS = {
     ),
     "non-Hermitian alpha_oe": (
         NotHermitian, lambda: alpha_oe(_QUBIT, np.array([[0.5, 0.4], [0.0, 0.5]]), 2.0)
+    ),
+    # the X basis reads the off-diagonal entries, each triangle differently
+    "non-Hermitian outcomes": (
+        NotHermitian, lambda: outcomes(_X_BASIS, [[0.5, 0.4], [0.0, 0.5]])
+    ),
+    "non-Hermitian conditional_ensemble": (
+        NotHermitian, lambda: conditional_ensemble(_X_BASIS, [[0.5, 0.4], [0.0, 0.5]])
     ),
     "nan gibbs_state": (ValidationError, lambda: gibbs_state(_NAN, 1.0)),
     "nan coarse_grained_state": (ValidationError, lambda: coarse_grained_state(_QUBIT, _NAN)),
@@ -584,9 +593,11 @@ _VALID_CALLS = {
     "run_suite": (run_suite, ["divergences", 0, 2, 3]),
 }
 _GENERATOR_RNG = np.random.default_rng(0)
-# the seeded generators behind verify, which share one stream here
+# the seeded generators, verify's and the tests' one-instance ones, which
+# share one stream here
 _VALID_CALLS.update({
-    name: (getattr(generators, name), [_GENERATOR_RNG, *args])
+    name: (getattr(generators, name, None) or getattr(random_instances, name),
+           [_GENERATOR_RNG, *args])
     for name, args in {
         "random_density": [3],
         "random_unitary": [3],

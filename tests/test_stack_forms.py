@@ -25,17 +25,19 @@ from obsent.generators import (
     _draw_povm,
     _draw_projective,
     _effect_stacks,
-    random_coarse_graining,
     random_density,
-    random_merge,
-    random_povm,
-    random_projective_cg,
-    random_rank1_projective_cg,
     random_rank_partition,
 )
 from obsent.operators import op_power
 from obsent.state_analysis import _measured
 from obsent.verify import _composed
+from random_instances import (
+    random_coarse_graining,
+    random_merge,
+    random_povm,
+    random_projective_cg,
+    random_rank1_projective_cg,
+)
 
 DIMS = (2, 3, 4, 5, 6, 8)
 

@@ -18,14 +18,14 @@ from obsent import (
     renyi_post_measurement,
 )
 from obsent.errors import NonProjectiveCoarseGraining, ObsentError, ValidationError
-from obsent.generators import (
+from obsent.generators import random_density
+from obsent.state_analysis import _measured
+from random_instances import (
     random_coarse_grained_state,
-    random_density,
     random_povm,
     random_projective_cg,
     random_rank1_projective_cg,
 )
-from obsent.state_analysis import _measured
 
 from conftest import KET_PLUS, proj
 

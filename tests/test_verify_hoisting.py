@@ -36,21 +36,17 @@ from obsent import (
 from obsent import coarse_graining, divergences
 from obsent.coarse_graining import _alpha_derivatives, _alpha_oes, _refinement_bounds
 from obsent.divergences import _mutual_infos, _petz, _ragged
-from obsent.generators import (
-    random_coarse_graining,
-    random_density,
-    random_merge,
-    random_projective_cg,
-)
+from obsent.generators import random_density
+from obsent.report import PropertyResult
 from obsent.state_analysis import _measured, _mixtures, _report_parts, _reports, _splits
 from obsent.thermo import _jackson
 from obsent.verify import (
     ALPHA_GRID,
     _canonical_closed_runs,
     _canonical_open_runs,
-    PropertyResult,
     run_suite,
 )
+from random_instances import random_coarse_graining, random_merge, random_projective_cg
 
 # the grid, the alpha -> 1 neighbours and finite-difference points verify uses
 ALPHAS = ALPHA_GRID + (0.5, 1.0, 1 + 1e-7, 1 - 1e-7, 2.0 + 1e-5, 0.3 - 1e-5)
