@@ -117,26 +117,13 @@ def cmd_entropy(args) -> int:
     print(f"dim = {cg.dim}, outcomes = {len(cg)}, units = {_unit(args.bits)}")
     oe = observational_entropy(cg, rho)
     print(f"observational entropy        {k * oe:.12g}")
-    header = f"{'alpha':>8}  {'alpha_oe':>18}  {'divergence_form':>18}  {'renyi':>18}  {'gap':>18}"
-    print(header)
+    columns = ("alpha_oe", "divergence_form", "renyi", "gap")
+    print(f"{'alpha':>8}" + "".join(f"  {c:>18}" for c in columns))
     for a in alphas:
-        s = alpha_oe(cg, rho, a)
-        s_div = alpha_oe_divergence_form(cg, rho, a)
-        s_r = renyi_entropy(rho, a)
-        gap = alpha_oe_gap(cg, rho, a)
-        print(
-            f"{a:>8g}  {k * s:>18.12g}  {k * s_div:>18.12g}"
-            f"  {k * s_r:>18.12g}  {k * gap:>18.12g}"
-        )
-        rows.append(
-            {
-                "alpha": a,
-                "alpha_oe": k * s,
-                "divergence_form": k * s_div,
-                "renyi": k * s_r,
-                "gap": k * gap,
-            }
-        )
+        values = (alpha_oe(cg, rho, a), alpha_oe_divergence_form(cg, rho, a),
+                  renyi_entropy(rho, a), alpha_oe_gap(cg, rho, a))
+        rows.append({"alpha": a, **{c: k * v for c, v in zip(columns, values)}})
+        print(f"{a:>8g}" + "".join(f"  {rows[-1][c]:>18.12g}" for c in columns))
     if args.out:
         dump_json(
             {"units": _unit(args.bits), "observational_entropy": k * oe, "rows": rows},
@@ -183,21 +170,22 @@ def _forked(fn, items: list, workers: int) -> list:
         for _ in range(workers):
             read, write = os.pipe()
             pipes.append(read)
-            if not (pid := os.fork()):
-                code, out = 1, {}
-                try:
-                    while task := os.read(tasks, 1):
-                        try:
-                            out[task[0]] = fn(items[task[0]])
-                        except Exception as exc:
-                            out[task[0]] = exc
-                            break
-                    with open(write, "wb") as pipe:
+            # the parent's write end closes here, also when os.fork fails
+            with open(write, "wb") as pipe:
+                if not (pid := os.fork()):
+                    code, out = 1, {}
+                    try:
+                        while task := os.read(tasks, 1):
+                            try:
+                                out[task[0]] = fn(items[task[0]])
+                            except Exception as exc:
+                                out[task[0]] = exc
+                                break
                         pipe.write(pickle.dumps(out))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
+                        pipe.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
             pids.append(pid)
         data = [b"".join(iter(functools.partial(os.read, fd, 1 << 16), b"")) for fd in pipes]
     finally:

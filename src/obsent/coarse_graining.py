@@ -9,8 +9,9 @@ log-mean with a power mean. Sequential composition uses the Luders update,
 so the composed effects of a parent outcome always sum back to the parent
 effect. Construction, outcomes, sequential, merge_outcomes and tensor_cg
 are validated one-instance wrappers over private stack forms (_checked,
-_traces, _sequential with _lueders_roots, _merged, _tensor), which verify
-calls on many instances at once.
+_outcomes, _sequential with _lueders_roots, _merged, _tensor), which verify
+calls on many instances at once; _outcomes is also how every entropy of
+this module and of state_analysis reads p.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .divergences import _check_alpha, _near_one, _nonneg_vector, _petz, _ragged, _support
+from .divergences import _check_alpha, _near_one, _nonneg_vector, _petz, _ragged
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -32,7 +33,8 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    _hermitian, _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals
+    _hermitian, _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals,
+    _support,
 )
 
 # max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
@@ -203,22 +205,27 @@ def outcomes(cg: CoarseGraining, rho) -> OutcomeDistribution:
     """Outcome probabilities and volumes of a state under a coarse-graining.
     rho is any finite Hermitian matrix (NotHermitian otherwise), of any trace."""
     m = _hermitian(_state(cg, rho, "square"), "state")
-    return OutcomeDistribution(cg.labels, _traces([cg.effects], [m])[0], cg.volumes())
+    [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
+    return OutcomeDistribution(cg.labels, p, v)
 
 
 def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
-    """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i."""
-    cg = _instance(cg, CoarseGraining, "coarse-graining")
-    [w] = _traces([cg.effects], [_matrix(x, dim=cg.dim)])
-    return ClassicalState(cg.labels, w)
+    """Apply the quantum-to-classical channel: X -> (Tr(Pi_i X))_i. X is any
+    finite Hermitian matrix (NotHermitian otherwise), so the weights are real."""
+    e = _instance(cg, CoarseGraining, "coarse-graining").effects
+    m = _hermitian(_matrix(x, dim=cg.dim), "operator")
+    return ClassicalState(cg.labels, np.einsum("kij,kji->k", e, np.broadcast_to(m, e.shape)).real)
 
 
-def _traces(stacks: list, ms: list, gate=np.asarray) -> list:
-    """gate(Tr(Pi_i M)) for the effects Pi_i of each stack and the matrix M
-    at its position in ms, as real vectors, from one einsum per dimension;
-    each Pi_i meets a stride-0 view of M, which sums as a one-M einsum."""
-    views = [np.broadcast_to(m, s.shape) for s, m in zip(stacks, ms)]
-    return _per_dim(lambda e, m: gate(np.einsum("kij,kji->k", e, m).real), stacks, views)
+def _outcomes(cases: list) -> list:
+    """(p, V) of each ((effects, volumes, ...), m) case: p_i = Tr(Pi_i m)
+    through the weight gate (divergences._nonneg_vector), from one einsum
+    per dimension, and the case's volumes V. Each Pi_i meets a stride-0
+    view of m, which sums as a one-m einsum, as in measurement_channel."""
+    stacks = [cg[0] for cg, _ in cases]
+    views = [np.broadcast_to(m, e.shape) for e, (_, m) in zip(stacks, cases)]
+    ps = _per_dim(lambda e, m: _nonneg_vector(np.einsum("kij,kji->k", e, m).real), stacks, views)
+    return [(p, cg[1]) for (cg, _), p in zip(cases, ps)]
 
 
 def _state(cg: CoarseGraining, rho, kind: str = "state") -> np.ndarray:
@@ -239,15 +246,15 @@ def alpha_oe(cg: CoarseGraining, rho, alpha: float) -> float:
     -(1/(alpha-1)) log sum_i p_i^alpha V_i^(1-alpha), the negated
     classical Renyi divergence of (p_i) from (V_i). Outcomes with
     p_i <= SUPPORT_RTOL * max p count as zero-probability and contribute 0,
-    the cut renyi_entropy applies to eigenvalues. |alpha - 1| < 1e-6
-    evaluates the plain observational entropy (the alpha -> 1 limit). A
-    state with a non-finite entry or a trace that is not positive raises
-    ValidationError, here and in every function of this module that reads
-    entropies of rho.
+    the cut renyi_entropy applies to eigenvalues. |alpha - 1| <
+    ALPHA_NEAR_ONE evaluates the plain observational entropy (the alpha ->
+    1 limit). A state with a non-finite entry or a trace that is not
+    positive raises ValidationError, here and in every function of this
+    module that reads entropies of rho.
     """
     a = _check_alpha(alpha)
-    dist = outcomes(cg, _state(cg, rho))
-    return float(_alpha_oes([(dist.probabilities, dist.volumes)], a)[0])
+    m = _state(cg, rho)
+    return float(_alpha_oes(_outcomes([((cg.effects, cg.volumes()), m)]), a)[0])
 
 
 def _alpha_oes(pairs: list, alpha) -> np.ndarray:
@@ -263,8 +270,9 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     floating-point error.
     """
     a = _check_alpha(alpha)
-    p = outcomes(cg, _state(cg, rho)).probabilities
-    return math.log(cg.dim) - float(_ragged([p], [cg.volumes() / cg.dim], a)[0])
+    m = _state(cg, rho)
+    [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
+    return math.log(cg.dim) - float(_ragged([p], [v / cg.dim], a)[0])
 
 
 def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -277,8 +285,8 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     a = _check_alpha(alpha)
     m, d = _state(cg, rho), cg.dim
     quantum = _petz([m], [np.eye(d) / d], a)[0]
-    p = outcomes(cg, m).probabilities
-    return float(quantum - _ragged([p], [cg.volumes() / d], a)[0])
+    [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
+    return float(quantum - _ragged([p], [v / d], a)[0])
 
 
 def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -291,8 +299,8 @@ def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:
     alpha_oe non-increasing in alpha.
     """
     _check_alpha(alpha)
-    dist = outcomes(cg, _state(cg, rho))
-    [[deriv]] = _alpha_derivatives([(dist.probabilities, dist.volumes)], [alpha]).tolist()
+    m = _state(cg, rho)
+    [[deriv]] = _alpha_derivatives(_outcomes([((cg.effects, cg.volumes()), m)]), [alpha]).tolist()
     return deriv
 
 
@@ -307,7 +315,7 @@ def _alpha_derivatives(pairs: list, alphas) -> np.ndarray:
     does, the derivative is -0.0."""
     orders = np.asarray(alphas, dtype=float).tolist()
     if any(_near_one(a) for a in orders):
-        raise InvalidAlpha("derivative formula needs |alpha - 1| >= 1e-6")
+        raise InvalidAlpha(f"derivative formula needs |alpha - 1| >= {tol.ALPHA_NEAR_ONE:g}")
     xs, ps = [], []
     for p, v in pairs:
         mask = _support(p)
@@ -469,16 +477,15 @@ def refinement_divergence_bound(
     """
     a = _check_alpha(alpha)
     if a <= 1.0 or _near_one(a):
-        raise InvalidAlpha("refinement bound is defined for alpha > 1")
+        raise InvalidAlpha(f"refinement bound needs alpha - 1 >= {tol.ALPHA_NEAR_ONE:g}")
     holds, residual = check_refinement(finer, coarser, m)
     if not holds:
         raise NotARefinement(
             "map does not reproduce the coarser effects", magnitude=residual
         )
     state = _state(finer, rho)
-    fine, coarse = (outcomes(cg, state) for cg in (finer, coarser))
-    case = ((fine.probabilities, fine.volumes), (coarse.probabilities, coarse.volumes))
-    return float(_refinement_bounds([(*case, m.matrix)], a)[0])
+    fine, coarse = _outcomes([((cg.effects, cg.volumes()), state) for cg in (finer, coarser)])
+    return float(_refinement_bounds([(fine, coarse, m.matrix)], a)[0])
 
 
 @np.errstate(divide="ignore")

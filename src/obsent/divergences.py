@@ -5,14 +5,15 @@ INFINITE value) on support violations rather than raising; callers are
 expected to propagate it. Every entropy and divergence, alpha-OE and the
 quantum ones (by their Nussbaum-Szkola pair) included, is one order-alpha
 kernel over weights: entries at most SUPPORT_RTOL times the largest are
-exact zeros, |alpha - 1| < ALPHA_NEAR_ONE (_near_one) takes the alpha -> 1
-limit, and a power sum that leaves the normal float range is redone in
-log space. The kernel has one input form, a same-length table whose rows
-are weight vectors and a 1-d grid of orders, and gives a value per (row,
-order). Its entry is _ragged, which stacks a list of vectors of any
-lengths into one table per length; each quantity has one table form over
-it (_entropies, _petz, _mutual_infos, coarse_graining._alpha_oes), and a
-public function is that form with one case and one order.
+exact zeros (operators._support, op_power's rule too), |alpha - 1| <
+ALPHA_NEAR_ONE (_near_one) takes the alpha -> 1 limit, and a power sum
+that leaves the normal float range is redone in log space. The kernel
+has one input form, a same-length table whose rows are weight vectors
+and a 1-d grid of orders, and gives a value per (row, order). Its entry
+is _ragged, which stacks a list of vectors of any lengths into one table
+per length; each quantity has one table form over it (_entropies, _petz,
+_mutual_infos, coarse_graining._alpha_oes), and a public function is
+that form with one case and one order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .operators import (
     _psd_eigh,
     _real,
     _reals,
+    _support,
     as_matrix,
     partial_trace,
     tensor,
@@ -61,12 +63,6 @@ def _nonneg_vector(x) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _support(x: np.ndarray) -> np.ndarray:
-    """Mask of entries above SUPPORT_RTOL times the largest; the rest are zeros."""
-    x_max = float(x.max()) if x.size else 0.0
-    return x > tol.SUPPORT_RTOL * max(x_max, 1e-300)
-
-
 def _near_one(alpha: float) -> bool:
     """The alpha -> 1 rule: |alpha - 1| < ALPHA_NEAR_ONE. Where it holds,
     the kernel and jackson_check take the alpha -> 1 limit, and
@@ -81,7 +77,7 @@ def _renyi_divergence(xs: np.ndarray, q, alphas: np.ndarray) -> np.ndarray:
     alphas: a (rows, orders) array. q is one float or a table of the shape
     of xs. Its one caller is _ragged.
 
-    In each row, entries x_i <= SUPPORT_RTOL * max x count as exact zeros;
+    In each row, the entries operators._support cuts count as exact zeros;
     the support and q > 0 cuts are made once for all orders. Where
     _near_one(alpha), the entry is the limit sum_i x_i log(x_i / q_i).
     INFINITE when a kept x_i has q_i = 0 (alpha > 1 and the limit) or no
@@ -92,12 +88,10 @@ def _renyi_divergence(xs: np.ndarray, q, alphas: np.ndarray) -> np.ndarray:
     alphas = alphas.tolist()
     xs = np.asarray(xs, dtype=float)
     qs = np.asarray(q, dtype=float)
-    # the row maxima (at least 1e-300) by the ufunc, and the test that no
-    # entry is cut by a count: both skip the ndarray method wrappers, as
-    # this runs once per call of every entropy
-    top = np.maximum.reduce(xs, 1, None, None, True, 1e-300)
-    keep = xs > tol.SUPPORT_RTOL * top
+    keep = _support(xs)
     use = keep & (qs > 0) if qs.ndim or not float(qs) > 0 else keep
+    # the test that no entry is cut by a count, which skips the ndarray
+    # method wrappers, as this runs once per call of every entropy
     full = np.count_nonzero(use) == use.size
     if full:
         gap, empty = [False] * len(xs), [not xs.size] * len(xs)
@@ -231,9 +225,10 @@ def _spectral_pair(rho, sigma) -> tuple:
 def renyi_entropy(rho, alpha: float) -> float:
     """Renyi entropy (1/(1-alpha)) log Tr rho^alpha in nats.
 
-    |alpha - 1| < 1e-6 is evaluated as the von Neumann limit. Eigenvalues
-    <= SUPPORT_RTOL * lambda_max count as exact zeros. A matrix with a
-    non-finite entry or a trace that is not positive raises ValidationError.
+    |alpha - 1| < ALPHA_NEAR_ONE is evaluated as the von Neumann limit.
+    Eigenvalues <= SUPPORT_RTOL * lambda_max count as exact zeros. A matrix
+    with a non-finite entry or a trace that is not positive raises
+    ValidationError.
     """
     a = _check_alpha(alpha)
     return float(_entropies([_matrix(rho, "state")], a)[0])
@@ -255,7 +250,7 @@ def petz_renyi(rho, sigma, alpha: float) -> float:
     The classical order-alpha divergence of the Nussbaum-Szkola pair
     P_jk = lam_j |<u_j|v_k>|^2, Q_jk = mu_k |<u_j|v_k>|^2, with rho =
     sum_j lam_j |u_j><u_j| and sigma = sum_k mu_k |v_k><v_k|; |alpha - 1|
-    < 1e-6 gives the umegaki limit. Support rule: eigenvalues <=
+    < ALPHA_NEAR_ONE gives the umegaki limit. Support rule: eigenvalues <=
     SUPPORT_RTOL times the largest of their matrix, and entries P_jk <=
     SUPPORT_RTOL * max P, are exact zeros. A kept P_jk over a zero mu_k
     gives INFINITE for alpha >= 1; for alpha < 1 the value is INFINITE only

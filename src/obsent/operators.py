@@ -18,7 +18,9 @@ here (a weight vector through divergences._nonneg_vector, which adds the
 shape and sign tests), an object such as a CoarseGraining through
 _instance here, a sequence through _items here and an option string
 through _option here. Each raises a ValidationError subclass (or the
-error type its caller names).
+error type its caller names). One rule, _support here, decides which
+weights and eigenvalues count as exact zeros, for op_power, the entropy
+kernel and alpha_derivative alike.
 
 Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 """
@@ -237,8 +239,8 @@ def spectral(H, degeneracy_tol: float = tol.DEGENERACY_ATOL) -> EigenSystem:
 def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     """PSD matrix power with the pseudo-power support convention.
 
-    Eigenvalues <= support_rtol * lambda_max are treated as exact zeros and
-    map to 0 for every exponent s, including negative s. Hence
+    Eigenvalues <= support_rtol * lambda_max (_support) are treated as exact
+    zeros and map to 0 for every exponent s, including negative s. Hence
     op_power(A, s) @ op_power(A, -s) is the projector onto supp(A). A may
     also be a (..., d, d) stack; each matrix is then powered on its own,
     with its own lambda_max. A matrix that is not Hermitian (_hermitian)
@@ -263,10 +265,19 @@ def _power(m: np.ndarray, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> n
 
 def _psd_eigh(m: np.ndarray, support_rtol: float = tol.SUPPORT_RTOL) -> tuple:
     """eigh of a PSD matrix or (..., d, d) stack, checked by _psd_rule, with
-    eigenvalues <= support_rtol * lambda_max of their matrix set to 0."""
+    the eigenvalues _support(., support_rtol) cuts set to 0."""
     lam, vec = np.linalg.eigh(m)
     _psd_rule(lam, lambda k: "expected a PSD matrix")
-    return np.where(lam > support_rtol * lam[..., -1:], lam, 0.0), vec
+    return np.where(_support(lam, support_rtol), lam, 0.0), vec
+
+
+def _support(x: np.ndarray, rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
+    """The support rule: the mask of the entries of x above rtol times the
+    largest entry of their last axis, or times 1e-300 where that is
+    smaller; the others count as exact zeros."""
+    # the maxima by the ufunc, which skips the ndarray method wrappers, as
+    # this runs once per call of every entropy
+    return x > rtol * np.maximum.reduce(x, -1, None, None, True, 1e-300)
 
 
 def _psd_rule(lam: np.ndarray, message) -> None:

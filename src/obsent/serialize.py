@@ -5,8 +5,10 @@ Coarse-graining JSON: {"dim": n, "effects": [{"label": str, "matrix": ...}]}
 with the operator encoding in "matrix". Readers reject non-finite values.
 
 Run CSV: one row per (t, alpha) with the fixed header
-t,alpha,S_oe,dS,beta_eff,xi1,xi2,xi3,mi,heat_over_T; absent quantities are
-left empty; floats carry 17 significant digits, locale-independent.
+t,alpha,S_oe,dS,beta_eff,xi1,xi2,xi3,mi,heat_over_T; one table,
+_CSV_FIELDS, names the sample field behind each column of each record
+type, and a column a record type does not fill is left empty; floats carry
+17 significant digits, locale-independent.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ CSV_COLUMNS = (
     "mi",
     "heat_over_T",
 )
+
+# per run record type, the sample field that fills each CSV column it writes
+_CSV_FIELDS = {
+    ClosedRunRecord: {"t": "t", "alpha": "alpha", "S_oe": "entropy", "dS": "delta_entropy",
+                      "beta_eff": "beta_eff", "xi3": "xi3", "heat_over_T": "heat_over_t"},
+    OpenRunRecord: {"t": "t", "alpha": "alpha", "S_oe": "joint_entropy", "dS": "xi1",
+                    "xi1": "xi1", "xi2": "xi2", "mi": "mutual_info"},
+}
 
 
 def format_float(x: float) -> str:
@@ -144,46 +154,13 @@ def resolve_operator(node, base_dir: Path) -> np.ndarray:
     return operator_from_json(node)
 
 
-def closed_record_rows(record: ClosedRunRecord):
-    for s in record.samples:
-        yield {
-            "t": s.t,
-            "alpha": s.alpha,
-            "S_oe": s.entropy,
-            "dS": s.delta_entropy,
-            "beta_eff": s.beta_eff,
-            "xi3": s.xi3,
-            "heat_over_T": s.heat_over_t,
-        }
-
-
-def open_record_rows(record: OpenRunRecord):
-    for s in record.samples:
-        yield {
-            "t": s.t,
-            "alpha": s.alpha,
-            "S_oe": s.joint_entropy,
-            "dS": s.xi1,
-            "xi1": s.xi1,
-            "xi2": s.xi2,
-            "mi": s.mutual_info,
-        }
-
-
-def rows_to_csv(rows) -> str:
+def run_to_csv(record) -> str:
+    """The run CSV of a closed or an open run record, from _CSV_FIELDS."""
+    fields = _CSV_FIELDS.get(type(record))
+    if fields is None:
+        raise TypeError(f"not a run record: {type(record)!r}")
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row.get(col)
-            cells.append("" if value is None else format_float(value))
+    for s in record.samples:
+        cells = (format_float(getattr(s, fields[c])) if c in fields else "" for c in CSV_COLUMNS)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def run_to_csv(record) -> str:
-    if isinstance(record, ClosedRunRecord):
-        return rows_to_csv(closed_record_rows(record))
-    if isinstance(record, OpenRunRecord):
-        return rows_to_csv(open_record_rows(record))
-    raise TypeError(f"not a run record: {type(record)!r}")

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import (
-    CoarseGraining, _alpha_oes, _lueders_roots, _sequential, _state, _traces, outcomes
+    CoarseGraining, _alpha_oes, _lueders_roots, _outcomes, _sequential, _state, outcomes
 )
-from .divergences import _check_alpha, _entropies, _nonneg_vector, _ragged, _spectral_pair
+from .divergences import _check_alpha, _entropies, _ragged, _spectral_pair
 from .errors import NonProjectiveCoarseGraining
 from .operators import _each, _hermitian, _per_dim, _real
 
@@ -74,14 +74,13 @@ def _measured(cases: list) -> list:
     """The alpha-independent data of measuring the complex matrix m with
     the effects of each (effects, volumes, m) case: (p_i, mask of the
     outcomes with p_i above PROB_FLOOR, stack of their rho_i, stack of
-    their omega_i, post-measurement state). The traces (through the weight
-    gate) come from one einsum and the roots from one _lueders_roots call
-    per dimension; _mixtures and _splits evaluate these tuples, one or
+    their omega_i, post-measurement state). The p_i come from one
+    coarse_graining._outcomes call and the roots from one _lueders_roots
+    call per dimension; _mixtures and _splits evaluate these tuples, one or
     many at once, for one order or a 1-d array of orders."""
-    stacks = [e for e, _, _ in cases]
-    ps = _traces(stacks, [m for _, _, m in cases], _nonneg_vector)
+    dists = _outcomes([((e, v), m) for e, v, m in cases])
     out = []
-    for (e, v, m), p, roots in zip(cases, ps, _lueders_roots(stacks)):
+    for (e, v, m), (p, _), roots in zip(cases, dists, _lueders_roots([e for e, _, _ in cases])):
         lueders, keep = _sequential(roots, m[None]), p > tol.PROB_FLOOR
         states = lueders[keep] / p[keep][:, None, None]
         out.append((p, keep, states, e[keep] / v[keep][:, None, None], lueders.sum(axis=0)))
@@ -202,11 +201,11 @@ def is_coarse_grained(
 def _report_parts(cases: list) -> list:
     """(matrix residual, (p, V) of the outcomes, m) of each (effects,
     volumes, m) case: what the reports of m under those effects read. The
-    outcome probabilities come from one einsum per dimension."""
-    ps = _traces([e for e, _, _ in cases], [m for _, _, m in cases], _nonneg_vector)
+    outcome probabilities come from one coarse_graining._outcomes call."""
+    dists = _outcomes([((e, v), m) for e, v, m in cases])
     return [
         (float(np.max(np.abs(m - _coarse_grained(e, v, p)))), (p, v), m)
-        for (e, v, m), p in zip(cases, ps)
+        for (e, v, m), (p, _) in zip(cases, dists)
     ]
 
 

@@ -33,17 +33,17 @@ from .coarse_graining import (
     _checked,
     _lueders_roots,
     _merged,
+    _outcomes,
     _refinement_bounds,
     _sequential,
     _tensor,
-    _traces,
     alpha_oe,
     identity_cg,
     projective_cg,
     refinement_divergence_bound,
     sequential,
 )
-from .divergences import _entropies, _mutual_infos, _nonneg_vector, _petz, _ragged
+from .divergences import _entropies, _mutual_infos, _petz, _ragged
 from .errors import NotARefinement
 from .generators import (
     _coarse_graining,
@@ -88,13 +88,6 @@ def _at(states, alphas=(), mask=None, **per_state):
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
-
-
-def _outcomes(cases: list) -> list:
-    """(p, V) of each ((effects, volumes, ...), rho) case, as outcomes gives
-    them, from one einsum per dimension."""
-    effects, states = [cg[0] for cg, _ in cases], [m for _, m in cases]
-    return [(p, cg[1]) for (cg, _), p in zip(cases, _traces(effects, states, _nonneg_vector))]
 
 
 # ----------------------------------------------------------------- suites

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -430,6 +431,25 @@ class TestVerifyWorkers:
         assert main(["verify", "--n", "2", "--dim", "3"]) == 1
         assert capsys.readouterr().err == "obsent: ValidationError: oe-core failed\n"
 
+    def test_failed_fork_closes_its_pipe(self, capsys, monkeypatch):
+        # the second fork fails; the first child is reaped (fixture) and the
+        # failed worker's result pipe leaves no descriptor open
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        has_fds = os.path.isdir("/proc/self/fd")
+        before = len(os.listdir("/proc/self/fd")) if has_fds else 0
+        assert main(["verify", "--suite", "all", "--n", "2", "--dim", "3"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        if has_fds:
+            assert len(os.listdir("/proc/self/fd")) == before
+
     def test_killed_worker_exits_one_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setitem(_SUITES, "thermo", lambda *args: os._exit(3))
         assert main(["verify", "--n", "2", "--dim", "3"]) == 1
@@ -731,6 +751,26 @@ def test_obsent_tol_must_be_positive_and_finite(value):
     )
     assert proc.returncode != 0
     assert "OBSENT_TOL must be a positive finite float" in proc.stderr
+
+
+def test_alpha_near_one_messages_state_the_scaled_threshold():
+    # OBSENT_TOL = 10 scales ALPHA_NEAR_ONE to 1e-5; both orders are inside it
+    code = (
+        "import numpy as np; from obsent import *; from obsent.errors import InvalidAlpha\n"
+        "cg, rho = projective_cg(np.eye(2)), np.diag([0.7, 0.3])\n"
+        "coarse, m = merge_outcomes(cg, [['0', '1']])\n"
+        "for call in (lambda: alpha_derivative(cg, rho, 1 + 5e-6),\n"
+        "             lambda: refinement_divergence_bound(cg, coarse, m, rho, 1 + 5e-7)):\n"
+        "    try: call()\n"
+        "    except InvalidAlpha as exc: print(exc)\n"
+    )
+    env = {**os.environ, "OBSENT_TOL": "10", "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines() == [
+        "derivative formula needs |alpha - 1| >= 1e-05",
+        "refinement bound needs alpha - 1 >= 1e-05",
+    ]
 
 
 # Field values a config may hold: numbers, non-finite numbers, strings,

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from obsent.errors import (
     ValidationError,
 )
 from obsent.generators import random_density
+from obsent import operators
 from obsent.operators import op_power
 from random_instances import (
     random_coarse_graining,
@@ -598,3 +600,33 @@ def test_state_entry_points_reject_zero_traceless_and_non_finite(entry):
     for rho in (np.zeros((2, 2)), np.diag([1.0, -1.0]), np.diag([np.nan, 1.0])):
         with pytest.raises(ValidationError, match="positive trace"):
             entry(rho)
+
+
+# one call of each public reader of p on the state diag(0.7, 0.3)
+_ONE_GATE_CALLS = {
+    "outcomes": lambda rho: outcomes(Z_BASIS, rho),
+    "observational_entropy": lambda rho: observational_entropy(Z_BASIS, rho),
+    "alpha_oe": lambda rho: alpha_oe(Z_BASIS, rho, 2.0),
+    "alpha_oe_divergence_form": lambda rho: alpha_oe_divergence_form(Z_BASIS, rho, 2.0),
+    "alpha_oe_gap": lambda rho: alpha_oe_gap(Z_BASIS, rho, 2.0),
+    "alpha_derivative": lambda rho: alpha_derivative(Z_BASIS, rho, 2.0),
+    "refinement_divergence_bound": lambda rho: refinement_divergence_bound(
+        projective_cg(np.eye(2)), *_TWO, rho, 2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_GATE_CALLS))
+def test_each_reader_gates_its_state_once(monkeypatch, name):
+    # the Hermiticity test, under every name an obsent module holds it by
+    gate, calls = operators._hermitian, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gate(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("obsent") and getattr(module, "_hermitian", None) is gate:
+            monkeypatch.setattr(module, "_hermitian", counting)
+    _ONE_GATE_CALLS[name](np.diag([0.7, 0.3]))
+    assert len(calls) == 1

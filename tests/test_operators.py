@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from obsent.errors import (
     TraceNotOne,
     ValidationError,
 )
-from obsent import operators, tolerances as tol
+from obsent import alpha_derivative, projective_cg, renyi_entropy
+from obsent import coarse_graining, operators, tolerances as tol
 from obsent.generators import random_density
 from obsent.operators import _evolve, _populations, _psd
 from random_instances import random_unitary
@@ -226,6 +229,44 @@ class TestOpPower:
             kept = vec[:, lam > 1e-12 * lam[-1]]
             prod = op_power(a, 0.7) @ op_power(a, -0.7)
             assert np.max(np.abs(prod - kept @ kept.conj().T)) <= 1e-8
+
+
+_R = tol.SUPPORT_RTOL
+# (spectrum, support_rtol, the entries operators._support keeps): entries
+# 1e-3 above and below the cut, no positive entry, support_rtol = 0, and a
+# largest entry below 1e-300, where the cut is support_rtol * 1e-300, so
+# 5e-313 is an exact zero (the cut support_rtol * lambda_max kept it)
+_SUPPORT_CASES = {
+    "near the cut": ([1.0, (1 + 1e-3) * _R, (1 - 1e-3) * _R, 0.5], _R, [1, 1, 0, 1]),
+    "all zero": ([0.0, 0.0, 0.0], _R, [0, 0, 0]),
+    "tiny negative maximum": ([-2e-20, -1e-20], _R, [0, 0]),
+    "support_rtol 0": ([0.5, 1e-20, 0.0], 0.0, [1, 1, 0]),
+    "largest below 1e-300": ([1e-301, 5e-313], _R, [1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORT_CASES))
+def test_one_support_rule(monkeypatch, name):
+    spectrum, rtol, expected = _SUPPORT_CASES[name]
+    lam, kept = np.array(spectrum), np.array(expected, dtype=bool)
+    assert operators._support(lam, rtol).tolist() == kept.tolist()
+    # op_power's support projector
+    assert (np.diag(op_power(np.diag(lam), 0.0, rtol)).real > 0.5).tolist() == kept.tolist()
+    if rtol != _R or not lam.sum() > 0:
+        return  # the entropies take the default cut and need a positive trace
+    # at alpha = 1/2 every kept eigenvalue shows: 2 log sum sqrt(lambda)
+    expected_s = 2 * math.log(np.sqrt(lam[kept]).sum())
+    assert renyi_entropy(np.diag(lam), 0.5) == pytest.approx(expected_s, rel=1e-12)
+    # the outcomes of the basis that diagonalizes the state have p = lambda
+    seen, ragged = [], coarse_graining._ragged
+
+    def spy(xs, ps, alpha):
+        seen.extend(ps)
+        return ragged(xs, ps, alpha)
+
+    monkeypatch.setattr(coarse_graining, "_ragged", spy)
+    alpha_derivative(projective_cg(np.eye(len(lam))), np.diag(lam), 0.5)
+    assert [p.tolist() for p in seen] == [lam[kept].tolist()]
 
 
 class TestTensorAndPartialTrace:

@@ -329,6 +329,10 @@ _MALFORMED_CALLS = {
     "non-Hermitian conditional_ensemble": (
         NotHermitian, lambda: conditional_ensemble(_X_BASIS, [[0.5, 0.4], [0.0, 0.5]])
     ),
+    # Tr(Pi_i X) = +-0.5j; the real part alone reads [0, 0]
+    "non-Hermitian measurement_channel": (
+        NotHermitian, lambda: measurement_channel(_X_BASIS, [[0.0, 1j], [0.0, 0.0]])
+    ),
     "nan gibbs_state": (ValidationError, lambda: gibbs_state(_NAN, 1.0)),
     "nan coarse_grained_state": (ValidationError, lambda: coarse_grained_state(_QUBIT, _NAN)),
     "nan post_measurement_state": (ValidationError, lambda: post_measurement_state(_QUBIT, _NAN)),

@@ -18,7 +18,7 @@ from obsent import (
     sequential,
     tensor_cg,
 )
-from obsent.coarse_graining import _checked, _lueders_roots, _merged, _tensor, _traces
+from obsent.coarse_graining import _checked, _lueders_roots, _merged, _outcomes, _tensor
 from obsent.generators import (
     _draw_cg,
     _draw_merge,
@@ -141,10 +141,10 @@ def test_batched_stack_forms_equal_public_operations():
         cgs += [random_coarse_graining(rng, d), random_coarse_graining(rng, d)]
         rhos.append(random_density(rng, d))
     firsts, seconds = cgs[0::2], cgs[1::2]
-    # outcome traces of all instances from one einsum per dimension
-    traces = _traces([c.effects for c in firsts], rhos)
-    for cg, rho, p in zip(firsts, rhos, traces):
-        assert _same(outcomes(cg, rho).probabilities, np.maximum(p, 0.0))
+    # outcome probabilities of all instances from one einsum per dimension
+    dists = _outcomes([((c.effects, c.volumes()), rho) for c, rho in zip(firsts, rhos)])
+    for cg, rho, (p, _) in zip(firsts, rhos, dists):
+        assert _same(outcomes(cg, rho).probabilities, p)
     # Luders roots of all instances from one op_power per dimension
     roots = _lueders_roots([c.effects for c in firsts])
     for cg, root in zip(firsts, roots):

@@ -22,6 +22,7 @@ from obsent import (
     alpha_oe_gap,
     classical_petz_renyi,
     decompose_alpha_oe,
+    identity_cg,
     is_coarse_grained,
     jackson_check,
     LevelSystem,
@@ -66,9 +67,9 @@ EIG_CALL_CEILING = 199
 # effect stacks of all instances afterwards, so it constructs only the
 # coarse-grainings it reads through public paths (oe-core's alpha_oe at
 # alpha = 1, the MUB case and the thermo runs' bases) and one qr per
-# dimension and suite
+# dimension and suite; every path reads p through coarse_graining._outcomes,
+# so no OutcomeDistribution is built
 CONSTRUCTION_CEILING = 17
-OUTCOME_DISTRIBUTION_CEILING = 12
 QR_CALL_CEILING = 25
 
 # _lueders_roots calls of the same run: one per level of the sequential
@@ -189,8 +190,11 @@ def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
     qrs = _count(monkeypatch, np.linalg, "qr")
     run_suite("all", 5, 12, 6)
     assert 0 < len(constructions) <= CONSTRUCTION_CEILING
-    assert 0 < len(distributions) <= OUTCOME_DISTRIBUTION_CEILING
+    assert not distributions
     assert 0 < len(qrs) <= QR_CALL_CEILING
+    # the counter counts: a direct outcomes call builds one
+    outcomes(identity_cg(2), np.eye(2) / 2)
+    assert len(distributions) == 1
 
 
 def test_record_calls_stay_under_ceiling_at_any_n(monkeypatch):
