@@ -14,17 +14,13 @@ import math
 import os
 import pickle
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .coarse_graining import (
-    alpha_oe,
-    alpha_oe_divergence_form,
-    alpha_oe_gap,
-    observational_entropy,
-)
-from .divergences import renyi_entropy
+from .coarse_graining import _oe_table, _state, alpha_oe
+from .divergences import _check_alphas
 from .errors import ObsentError, SchemaError
 from .operators import validate_operator
 from .report import SUITES, VerificationReport, _marked
@@ -41,9 +37,10 @@ from .thermo import (
     DrivingProtocol,
     EnergyWindowing,
     LevelSystem,
+    _jackson,
+    _temperature,
     closed_run,
     free_energy,
-    jackson_check,
     open_run,
 )
 
@@ -111,19 +108,20 @@ def cmd_entropy(args) -> int:
         resolve_operator(load_json(args.state), Path(args.state).parent), "density"
     )
     cg = coarse_graining_from_json(load_json(args.coarse_graining))
-    alphas = args.alpha or [2.0]
+    alphas = _check_alphas(args.alpha or [2.0])
+    m = _state(cg, rho)
     k = _scale(args.bits)
-    rows = []
-    print(f"dim = {cg.dim}, outcomes = {len(cg)}, units = {_unit(args.bits)}")
-    oe = observational_entropy(cg, rho)
-    print(f"observational entropy        {k * oe:.12g}")
+    oe = alpha_oe(cg, m, 1.0)
     columns = ("alpha_oe", "divergence_form", "renyi", "gap")
+    rows = [
+        {"alpha": a, **{c: k * x for c, x in zip(columns, xs)}}
+        for a, xs in zip(alphas, _oe_table(cg, m, alphas).T.tolist())
+    ]
+    print(f"dim = {cg.dim}, outcomes = {len(cg)}, units = {_unit(args.bits)}")
+    print(f"observational entropy        {k * oe:.12g}")
     print(f"{'alpha':>8}" + "".join(f"  {c:>18}" for c in columns))
-    for a in alphas:
-        values = (alpha_oe(cg, rho, a), alpha_oe_divergence_form(cg, rho, a),
-                  renyi_entropy(rho, a), alpha_oe_gap(cg, rho, a))
-        rows.append({"alpha": a, **{c: k * v for c, v in zip(columns, values)}})
-        print(f"{a:>8g}" + "".join(f"  {rows[-1][c]:>18.12g}" for c in columns))
+    for row in rows:
+        print(f"{row['alpha']:>8g}" + "".join(f"  {row[c]:>18.12g}" for c in columns))
     if args.out:
         dump_json(
             {"units": _unit(args.bits), "observational_entropy": k * oe, "rows": rows},
@@ -337,28 +335,27 @@ def cmd_open_sim(args) -> int:
 def cmd_free_energy(args) -> int:
     obj = load_json(args.levels)
     levels = LevelSystem(_numbers(obj, "energies"), _number(obj, "volume", 1.0))
-    alphas = args.alpha or [2.0]
     k = _scale(args.bits)
-    fe = free_energy(levels, args.t0)
+    t0 = _temperature(args.t0)
+    fe = free_energy(levels, t0)
+    alphas = _check_alphas(args.alpha or [2.0])
+    rows = [
+        {"alpha": a, "lhs": k * lhs, "rhs": k * rhs, "gap": k * gap}
+        for a, (lhs, rhs, gap) in zip(alphas, _jackson(levels, t0, alphas))
+    ]
     print(
         f"T0={args.t0:g}  Z={fe.partition:.12g}  Z_scaled={fe.partition_scaled:.12g}"
         f"  A={fe.helmholtz:.12g}  A_scaled={fe.helmholtz_scaled:.12g}"
     )
     print(f"{'alpha':>8}  {'lhs':>18}  {'rhs':>18}  {'gap':>12}  units={_unit(args.bits)}")
-    rows = []
-    for a in alphas:
-        lhs, rhs, gap = jackson_check(levels, args.t0, a)
-        print(f"{a:>8g}  {k * lhs:>18.12g}  {k * rhs:>18.12g}  {k * gap:>12.3e}")
-        rows.append({"alpha": a, "lhs": k * lhs, "rhs": k * rhs, "gap": k * gap})
+    for r in rows:
+        print(f"{r['alpha']:>8g}  {r['lhs']:>18.12g}  {r['rhs']:>18.12g}  {r['gap']:>12.3e}")
     if args.out:
         dump_json(
             {
                 "t0": args.t0,
                 "units": _unit(args.bits),
-                "partition": fe.partition,
-                "partition_scaled": fe.partition_scaled,
-                "helmholtz": fe.helmholtz,
-                "helmholtz_scaled": fe.helmholtz_scaled,
+                **asdict(fe),
                 "rows": rows,
             },
             args.out,

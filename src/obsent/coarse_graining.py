@@ -11,7 +11,8 @@ effect. Construction, outcomes, sequential, merge_outcomes and tensor_cg
 are validated one-instance wrappers over private stack forms (_checked,
 _outcomes, _sequential with _lueders_roots, _merged, _tensor), which verify
 calls on many instances at once; _outcomes is also how every entropy of
-this module and of state_analysis reads p.
+this module and of state_analysis reads p. _oe_table is the entropy table
+of one state over an alpha grid, which obsent entropy prints.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .divergences import _check_alpha, _near_one, _nonneg_vector, _petz, _ragged
+from .divergences import _check_alpha, _entropies, _near_one, _nonneg_vector, _petz, _ragged
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -270,9 +271,7 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     floating-point error.
     """
     a = _check_alpha(alpha)
-    m = _state(cg, rho)
-    [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
-    return math.log(cg.dim) - float(_ragged([p], [v / cg.dim], a)[0])
+    return float(_oe_table(cg, _state(cg, rho), [a])[1, 0])
 
 
 def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -283,10 +282,22 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     data-processing inequality for measurement channels.
     """
     a = _check_alpha(alpha)
-    m, d = _state(cg, rho), cg.dim
-    quantum = _petz([m], [np.eye(d) / d], a)[0]
+    return float(_oe_table(cg, _state(cg, rho), [a])[3, 0])
+
+
+def _oe_table(cg: CoarseGraining, m: np.ndarray, alphas: list) -> np.ndarray:
+    """alpha_oe, alpha_oe_divergence_form, renyi_entropy and alpha_oe_gap of
+    the gated state m at each checked order of alphas, as the rows of one
+    (4, len(alphas)) array: m is measured once, and each row is one call of
+    its table form over the whole grid. alpha_oe_divergence_form and
+    alpha_oe_gap are its one-order case, so both reject a state that is not
+    PSD: ValidationError for a negative outcome weight, else NotPSD."""
+    d = cg.dim
     [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
-    return float(quantum - _ragged([p], [v / d], a)[0])
+    flat = _ragged([p], [v / d], alphas)[0]
+    quantum = _petz([m], [np.eye(d) / d], alphas)[0]
+    return np.stack([_alpha_oes([(p, v)], alphas)[0], math.log(d) - flat,
+                     _entropies([m], alphas)[0], quantum - flat])
 
 
 def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:

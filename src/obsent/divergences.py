@@ -13,7 +13,8 @@ and a 1-d grid of orders, and gives a value per (row, order). Its entry
 is _ragged, which stacks a list of vectors of any lengths into one table
 per length; each quantity has one table form over it (_entropies, _petz,
 _mutual_infos, coarse_graining._alpha_oes), and a public function is
-that form with one case and one order.
+that form with one case and one order. One order passes _check_alpha,
+and a grid of orders _check_alphas, before any of it is evaluated.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import tolerances as tol
 from .errors import InvalidAlpha, LengthMismatch, ValidationError
 from .operators import (
     _each,
+    _items,
     _matrix,
     _psd_eigh,
     _real,
@@ -49,6 +51,14 @@ def _check_alpha(alpha) -> float:
     if not a > 0:
         raise InvalidAlpha(f"alpha must be positive, got {alpha!r}")
     return a
+
+
+def _check_alphas(alphas) -> list:
+    """The alpha-grid gate: a non-empty sequence of orders, each through _check_alpha."""
+    alphas = [_check_alpha(a) for a in _items(alphas, "alphas")]
+    if not alphas:
+        raise ValidationError("at least one alpha is required")
+    return alphas
 
 
 def _nonneg_vector(x) -> np.ndarray:

@@ -15,12 +15,13 @@ number through _real here (one finite real, with an optional lower
 bound; other range tests stay with the caller), an integer with a lower
 bound through _integer here, an array of real numbers through _reals
 here (a weight vector through divergences._nonneg_vector, which adds the
-shape and sign tests), an object such as a CoarseGraining through
-_instance here, a sequence through _items here and an option string
-through _option here. Each raises a ValidationError subclass (or the
-error type its caller names). One rule, _support here, decides which
-weights and eigenvalues count as exact zeros, for op_power, the entropy
-kernel and alpha_derivative alike.
+shape and sign tests, and a JSON number through serialize._floats), an
+object such as a CoarseGraining through _instance here, a sequence
+through _items here, an alpha grid through divergences._check_alphas and
+an option string through _option here. Each raises a ValidationError
+subclass (or the error type its caller names). One rule, _support here,
+decides which weights and eigenvalues count as exact zeros, for
+op_power, the entropy kernel and alpha_derivative alike.
 
 Conventions: hbar = 1, Boltzmann constant = 1, natural logarithms.
 """

@@ -2,7 +2,8 @@
 
 Operator JSON: {"dim": n, "entries": [[[re, im], ...], ...]} row-major.
 Coarse-graining JSON: {"dim": n, "effects": [{"label": str, "matrix": ...}]}
-with the operator encoding in "matrix". Readers reject non-finite values.
+with the operator encoding in "matrix". Readers reject non-finite values
+by the finite rule of operators._reals, through which every number is read.
 
 Run CSV: one row per (t, alpha) with the fixed header
 t,alpha,S_oe,dS,beta_eff,xi1,xi2,xi3,mi,heat_over_T; one table,
@@ -21,7 +22,7 @@ import numpy as np
 
 from .coarse_graining import CoarseGraining
 from .errors import SchemaError
-from .operators import as_matrix
+from .operators import _reals, as_matrix
 from .thermo import ClosedRunRecord, OpenRunRecord
 
 CSV_COLUMNS = (
@@ -58,15 +59,12 @@ def operator_to_json(matrix) -> dict:
 
 def _floats(value, name: str, ndim: int) -> np.ndarray:
     """A JSON number (ndim 0) or ndim-deep nested lists of numbers as a float
-    array; JSON booleans read as 0 and 1."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "biuf":
+    array, through the real-array gate as SchemaError (booleans read as 0, 1)."""
+    arr = _reals(value, SchemaError, repr(name))
+    if arr.ndim != ndim:
         what = {0: "a number", 1: "a list of numbers"}.get(ndim, f"{ndim}-deep lists")
         raise SchemaError(f"{name!r} must be {what}, got {value!r:.40}")
-    return arr.astype(float, copy=False)
+    return arr
 
 
 def operator_from_json(obj) -> np.ndarray:
@@ -78,8 +76,6 @@ def operator_from_json(obj) -> np.ndarray:
     grid = _floats(obj["entries"], "entries", 3)
     if grid.shape != (dim, dim, 2):
         raise SchemaError(f"'entries' is not a {dim} x {dim} grid of [re, im] pairs")
-    if not np.all(np.isfinite(grid)):
-        raise SchemaError("'entries' holds a value that is not finite")
     # the view keeps each part's bits, signed zeros included
     return grid.view(complex)[..., 0]
 

@@ -17,7 +17,8 @@ max-abs matrix distance.
 Heat over temperature is accumulated through the defining relation
 T dS = dQ for the fictitious Gibbs state matched to the instantaneous mean
 energy, i.e. as a Renyi-entropy difference of those Gibbs states; no
-quadrature is involved. Units: hbar = 1, Boltzmann constant = 1, nats.
+quadrature is involved. jackson_check is the one-order case of _jackson,
+which holds its alpha = 1 rule. Units: hbar = 1, Boltzmann constant = 1, nats.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import CoarseGraining, _alpha_oes, projective_cg
-from .divergences import INFINITE, _check_alpha, _near_one, _nonneg_vector, _ragged
+from .divergences import INFINITE, _check_alpha, _check_alphas, _near_one, _nonneg_vector, _ragged
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -322,13 +323,6 @@ def _exp(x: float) -> float:
         return INFINITE
 
 
-def gibbs_distribution(levels: LevelSystem, temperature: float) -> np.ndarray:
-    """Boltzmann weights exp(-E_i / T) / Z for a level system."""
-    temperature = _temperature(temperature)
-    w = _boltzmann(_instance(levels, LevelSystem, "levels").energies, temperature)
-    return w / w.sum()
-
-
 def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     """Compare alpha-OE of a thermal level population with the Jackson
     difference quotient of the rescaled Helmholtz free energy.
@@ -344,16 +338,14 @@ def jackson_check(levels: LevelSystem, t0: float, alpha: float) -> tuple:
     the two agree to rounding instead of dividing it by alpha - 1.
     """
     a = _check_alpha(alpha)
-    if a == 1.0:
-        raise InvalidAlpha("the difference quotient needs alpha != 1")
     [row] = _jackson(_instance(levels, LevelSystem, "levels"), _temperature(t0), [a])
     return row
 
 
 def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
-    """jackson_check for each order of alphas, as (lhs, rhs, gap) tuples:
-    the thermal population and L(T0) are computed once, and every lhs in
-    one kernel call.
+    """jackson_check for each checked order of alphas, as (lhs, rhs, gap)
+    tuples, or InvalidAlpha for an order of 1: p and L(T0) come from one
+    set of Boltzmann weights, and every lhs from one kernel call.
 
     With A~(T) = E_min - T L(T) - T log V and L = _log_sum, the quotient
     is rhs = (L(T0 / alpha) - alpha L(T0)) / (1 - alpha) + log V, in which
@@ -363,8 +355,11 @@ def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
     L(T0) + sum_i p_i (E_i - E_min) / T0 + log V, summed over the levels
     with p_i > 0, whose (E_i - E_min) / T0 is below about 745.
     """
-    e, p = levels.energies, gibbs_distribution(levels, t0)
-    log_v, l_old = math.log(levels.volume), _log_sum(e, t0)
+    if 1.0 in alphas:
+        raise InvalidAlpha("the difference quotient needs alpha != 1")
+    e, w = levels.energies, _boltzmann(levels.energies, t0)
+    total = w.sum()
+    p, log_v, l_old = w / total, math.log(levels.volume), math.log(float(total))
     lhs = -_ragged([p], float(levels.volume), alphas)[0]
     live = p > 0
     limit = l_old + float(p[live] @ ((e[live] - e.min()) / t0)) + log_v
@@ -417,13 +412,6 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
             f"sample time {ts[-1]} exceeds protocol duration {horizon}"
         )
     return ts
-
-
-def _check_alphas(alphas) -> list:
-    alphas = [_check_alpha(a) for a in _items(alphas, "alphas")]
-    if not alphas:
-        raise ValidationError("at least one alpha is required")
-    return alphas
 
 
 def closed_run(

@@ -16,7 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsent import cli, projective_cg
+from obsent import (
+    LevelSystem,
+    alpha_oe,
+    alpha_oe_divergence_form,
+    alpha_oe_gap,
+    cli,
+    coarse_graining,
+    jackson_check,
+    observational_entropy,
+    operators,
+    projective_cg,
+    renyi_entropy,
+    validate_operator,
+)
 from obsent.cli import _build_parser, _sample_times, main
 from obsent.errors import ObsentError, SchemaError, ValidationError
 from obsent.generators import random_density
@@ -31,6 +44,7 @@ from obsent.serialize import (
 )
 from obsent.report import SUITES, PropertyResult, VerificationReport
 from obsent.verify import _SUITES, _at, run_suite
+from call_counts import count_imported
 from random_instances import random_povm
 
 from conftest import KET_PLUS, proj
@@ -833,3 +847,110 @@ def test_fuzzed_configs_exit_zero_or_one(replacements):
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("obsent: ")
+
+
+# The entropy and free-energy tables: each alpha grid passes one gate before
+# any output, and each column is one table-form pass over the whole grid.
+
+# the orders of the bit-identity tests: both ends, the alpha -> 1 band, 2
+_TABLE_ORDERS = (1e-3, 0.3, 1.0, 1 + 1e-7, 1 - 1e-7, 2.0, 1e4)
+
+
+def _alpha_argv(orders) -> list:
+    return [arg for a in orders for arg in ("--alpha", repr(a))]
+
+
+def _entropy_argv(tmp_path, dim: int = 4, cg_dim: int | None = None) -> list:
+    """entropy argv over a random full-rank state and a 5-effect POVM."""
+    rng = np.random.default_rng(11)
+    _write_state(tmp_path / "rho.json", random_density(rng, dim))
+    _write_cg(tmp_path / "cg.json", random_povm(rng, cg_dim or dim, 5))
+    return ["entropy", str(tmp_path / "rho.json"), str(tmp_path / "cg.json")]
+
+
+def _levels_argv(tmp_path) -> list:
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps({"energies": [-0.4, 0.0, 0.3, 1.1, 2.5], "volume": 1.7}))
+    return ["free-energy", str(path), "--t0", "0.8"]
+
+
+def test_entropy_rows_equal_one_order_functions(tmp_path):
+    out = tmp_path / "table.json"
+    argv = _entropy_argv(tmp_path)
+    assert main([*argv, *_alpha_argv(_TABLE_ORDERS), "--out", str(out)]) == 0
+    rho = validate_operator(operator_from_json(json.loads(Path(argv[1]).read_text())), "density")
+    cg = coarse_graining_from_json(json.loads(Path(argv[2]).read_text()))
+    table = json.loads(out.read_text())
+    assert table["observational_entropy"] == observational_entropy(cg, rho)
+    assert [row["alpha"] for row in table["rows"]] == list(_TABLE_ORDERS)
+    for a, row in zip(_TABLE_ORDERS, table["rows"]):
+        assert row["alpha_oe"] == alpha_oe(cg, rho, a)
+        assert row["divergence_form"] == alpha_oe_divergence_form(cg, rho, a)
+        assert row["renyi"] == renyi_entropy(rho, a)
+        assert row["gap"] == alpha_oe_gap(cg, rho, a)
+
+
+def test_free_energy_rows_equal_jackson_check(tmp_path):
+    # the difference quotient needs alpha != 1
+    orders = [a for a in _TABLE_ORDERS if a != 1.0]
+    out = tmp_path / "fe.json"
+    assert main([*_levels_argv(tmp_path), *_alpha_argv(orders), "--out", str(out)]) == 0
+    levels = LevelSystem(np.array([-0.4, 0.0, 0.3, 1.1, 2.5]), 1.7)
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["alpha"] for row in rows] == orders
+    for a, row in zip(orders, rows):
+        lhs, rhs, gap = jackson_check(levels, 0.8, a)
+        assert (row["lhs"], row["rhs"], row["gap"]) == (lhs, rhs, gap)
+
+
+@pytest.mark.parametrize("orders", [(2.0,), (0.3, 0.5, 0.7, 1.5, 2.0, 3.0, 5.0, 10.0)])
+def test_entropy_table_reads_the_state_once_per_grid(tmp_path, monkeypatch, capsys, orders):
+    argv = [*_entropy_argv(tmp_path), *_alpha_argv(orders)]
+    owners = {"_hermitian": operators, "_outcomes": coarse_graining}
+    owners |= {"eigvalsh": np.linalg, "eigh": np.linalg}
+    calls = {name: count_imported(monkeypatch, owner, name) for name, owner in owners.items()}
+    assert main(argv) == 0
+    # the gated state, its p, its spectrum and its Nussbaum-Szkola pair
+    # serve the whole grid
+    assert len(calls["_hermitian"]) <= 3 and len(calls["_outcomes"]) <= 2
+    assert (len(calls["eigvalsh"]), len(calls["eigh"])) == (1, 2)
+
+
+# argv tail -> error type of a table whose grid or inputs fail
+_FAILING_TABLES = {
+    "entropy-negative-alpha": ("entropy", ["--alpha", "2", "--alpha", "-1"], "InvalidAlpha"),
+    "entropy-nan-alpha": ("entropy", ["--alpha", "2", "--alpha", "nan"], "InvalidAlpha"),
+    "entropy-dimension": ("entropy-3", ["--alpha", "2"], "DimensionMismatch"),
+    "free-energy-alpha-one": ("free-energy", ["--alpha", "2", "--alpha", "1"], "InvalidAlpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_TABLES))
+def test_failing_table_prints_no_partial_output(tmp_path, capsys, case):
+    command, tail, error = _FAILING_TABLES[case]
+    if command == "free-energy":
+        argv = _levels_argv(tmp_path)
+    else:
+        argv = _entropy_argv(tmp_path, 2, 3 if command == "entropy-3" else None)
+    out = tmp_path / "table.json"
+    assert main([*argv, *tail, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"obsent: {error}: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"energies": [0, 1], "volume": NaN}', "'volume' must be finite"),
+        ('{"energies": [0, Infinity]}', "'energies' must be finite"),
+        ('{"energies": [0, 1], "volume": -Infinity}', "'volume' must be finite"),
+    ],
+)
+def test_json_non_finite_literals_are_schema_errors(tmp_path, capsys, text, message):
+    # Python's json reads these literals; the real-array gate refuses them
+    path = tmp_path / "levels.json"
+    path.write_text(text)
+    assert main(["free-energy", str(path), "--t0", "1"]) == 1
+    assert capsys.readouterr().err == f"obsent: SchemaError: {message}\n"

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -39,6 +38,7 @@ from obsent.errors import (
 from obsent.generators import random_density
 from obsent import operators
 from obsent.operators import op_power
+from call_counts import count_imported
 from random_instances import (
     random_coarse_graining,
     random_merge,
@@ -619,14 +619,6 @@ _ONE_GATE_CALLS = {
 @pytest.mark.parametrize("name", sorted(_ONE_GATE_CALLS))
 def test_each_reader_gates_its_state_once(monkeypatch, name):
     # the Hermiticity test, under every name an obsent module holds it by
-    gate, calls = operators._hermitian, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return gate(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("obsent") and getattr(module, "_hermitian", None) is gate:
-            monkeypatch.setattr(module, "_hermitian", counting)
+    calls = count_imported(monkeypatch, operators, "_hermitian")
     _ONE_GATE_CALLS[name](np.diag([0.7, 0.3]))
     assert len(calls) == 1

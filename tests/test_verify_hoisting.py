@@ -8,7 +8,6 @@ instances at once, whose rows equal their one-case calls bit for bit (see
 the table tests in test_robustness.py)."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -47,6 +46,7 @@ from obsent.verify import (
     _canonical_open_runs,
     run_suite,
 )
+from call_counts import count_calls, count_imported
 from random_instances import random_coarse_graining, random_merge, random_projective_cg
 
 # the grid, the alpha -> 1 neighbours and finite-difference points verify uses
@@ -149,45 +149,22 @@ def test_run_rows_equal_single_alpha_runs():
                 assert grid_run.samples[k :: len(alphas)] == run.samples
 
 
-def _count(monkeypatch, owner, name: str) -> list:
-    """The list that records each call of owner.name from now on."""
-    fn, calls = getattr(owner, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def _count_imported(monkeypatch, owner, name: str) -> list:
-    """_count for a private helper that obsent modules import by name: each
-    obsent module that holds owner.name calls it by that name."""
-    fn = getattr(owner, name)
-    calls = _count(monkeypatch, owner, name)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("obsent") and getattr(module, name, None) is fn:
-            monkeypatch.setattr(module, name, getattr(owner, name))
-    return calls
-
-
 def test_kernel_calls_stay_under_ceiling(monkeypatch):
-    calls = _count_imported(monkeypatch, divergences, "_renyi_divergence")
+    calls = count_imported(monkeypatch, divergences, "_renyi_divergence")
     run_suite("all", 5, 12, 6)
     assert 0 < len(calls) <= KERNEL_CALL_CEILING
 
 
 def test_lueders_root_calls_stay_under_ceiling(monkeypatch):
-    calls = _count_imported(monkeypatch, coarse_graining, "_lueders_roots")
+    calls = count_imported(monkeypatch, coarse_graining, "_lueders_roots")
     run_suite("all", 5, 12, 6)
     assert 0 < len(calls) <= LUEDERS_ROOTS_CALL_CEILING
 
 
 def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
-    constructions = _count(monkeypatch, CoarseGraining, "__post_init__")
-    distributions = _count(monkeypatch, OutcomeDistribution, "__post_init__")
-    qrs = _count(monkeypatch, np.linalg, "qr")
+    constructions = count_calls(monkeypatch, CoarseGraining, "__post_init__")
+    distributions = count_calls(monkeypatch, OutcomeDistribution, "__post_init__")
+    qrs = count_calls(monkeypatch, np.linalg, "qr")
     run_suite("all", 5, 12, 6)
     assert 0 < len(constructions) <= CONSTRUCTION_CEILING
     assert not distributions
@@ -198,7 +175,7 @@ def test_objects_and_qr_calls_stay_under_ceilings(monkeypatch):
 
 
 def test_record_calls_stay_under_ceiling_at_any_n(monkeypatch):
-    calls = _count(monkeypatch, PropertyResult, "record")
+    calls = count_calls(monkeypatch, PropertyResult, "record")
     for n in (12, 24):
         calls.clear()
         run_suite("all", 5, n, 6)
@@ -206,7 +183,7 @@ def test_record_calls_stay_under_ceiling_at_any_n(monkeypatch):
 
 
 def test_eig_calls_stay_under_ceiling(monkeypatch):
-    eighs = _count(monkeypatch, np.linalg, "eigh")
-    eigvalshs = _count(monkeypatch, np.linalg, "eigvalsh")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    eigvalshs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run_suite("all", 5, 12, 6)
     assert 0 < len(eighs) + len(eigvalshs) <= EIG_CALL_CEILING
