@@ -109,7 +109,7 @@ def cmd_entropy(args) -> int:
     )
     cg = coarse_graining_from_json(load_json(args.coarse_graining))
     alphas = _check_alphas(args.alpha or [2.0])
-    m = _state(cg, rho)
+    m = _state(cg, rho, "square")  # the density gate above tested Hermiticity
     k = _scale(args.bits)
     oe = alpha_oe(cg, m, 1.0)
     columns = ("alpha_oe", "divergence_form", "renyi", "gap")

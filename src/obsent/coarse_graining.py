@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .divergences import _check_alpha, _entropies, _near_one, _nonneg_vector, _petz, _ragged
+from .divergences import _check_alpha, _entropies, _near_one, _petz, _ragged
 from .errors import (
     DimensionMismatch,
     InvalidAlpha,
@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .operators import (
-    _hermitian, _instance, _integer, _items, _matrix, _per_dim, _power, _psd, _real, _reals,
-    _support,
+    _hermitian, _instance, _integer, _items, _matrix, _nonneg_vector, _per_dim, _power, _psd,
+    _real, _reals, _support,
 )
 
 # max |Pi_i^2 - Pi_i| up to which an effect stack is projective and its own root
@@ -220,7 +220,7 @@ def measurement_channel(cg: CoarseGraining, x) -> ClassicalState:
 
 def _outcomes(cases: list) -> list:
     """(p, V) of each ((effects, volumes, ...), m) case: p_i = Tr(Pi_i m)
-    through the weight gate (divergences._nonneg_vector), from one einsum
+    through the weight gate (operators._nonneg_vector), from one einsum
     per dimension, and the case's volumes V. Each Pi_i meets a stride-0
     view of m, which sums as a one-m einsum, as in measurement_channel."""
     stacks = [cg[0] for cg, _ in cases]

@@ -30,9 +30,9 @@ from .operators import (
     _each,
     _items,
     _matrix,
+    _nonneg_vector,
     _psd_eigh,
     _real,
-    _reals,
     _support,
     as_matrix,
     partial_trace,
@@ -59,18 +59,6 @@ def _check_alphas(alphas) -> list:
     if not alphas:
         raise ValidationError("at least one alpha is required")
     return alphas
-
-
-def _nonneg_vector(x) -> np.ndarray:
-    """The weight-vector gate: x through the real-array gate as a 1-d float
-    array of non-negative numbers; entries down to -1e-12 are rounding and
-    read as 0."""
-    v = _reals(x, name="weights")
-    if v.ndim != 1:
-        raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
-    if v.size and float(v.min()) < -1e-12:
-        raise ValidationError("negative weight", magnitude=-float(v.min()))
-    return np.maximum(v, 0.0)
 
 
 def _near_one(alpha: float) -> bool:

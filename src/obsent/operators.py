@@ -14,7 +14,7 @@ operators through _psd here (one rule, shared by _psd_eigh), a real
 number through _real here (one finite real, with an optional lower
 bound; other range tests stay with the caller), an integer with a lower
 bound through _integer here, an array of real numbers through _reals
-here (a weight vector through divergences._nonneg_vector, which adds the
+here (a weight vector through _nonneg_vector here, which adds the
 shape and sign tests, and a JSON number through serialize._floats), an
 object such as a CoarseGraining through _instance here, a sequence
 through _items here, an alpha grid through divergences._check_alphas and
@@ -38,6 +38,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
+    LengthMismatch,
     NotHermitian,
     NotPSD,
     NotSquare,
@@ -131,6 +132,18 @@ def _reals(x, error=ValidationError, name: str = "values") -> np.ndarray:
     if not np.isfinite(v).all():
         raise error(f"{name} must be finite")
     return v
+
+
+def _nonneg_vector(x) -> np.ndarray:
+    """The weight-vector gate: x through the real-array gate as a 1-d float
+    array of non-negative numbers; entries down to -1e-12 are rounding and
+    read as 0."""
+    v = _reals(x, name="weights")
+    if v.ndim != 1:
+        raise LengthMismatch(f"expected a 1-d weight vector, got shape {v.shape}")
+    if v.size and float(v.min()) < -1e-12:
+        raise ValidationError("negative weight", magnitude=-float(v.min()))
+    return np.maximum(v, 0.0)
 
 
 def _instance(x, kind: type, name: str):
@@ -392,6 +405,35 @@ def _populations(lam: np.ndarray, m: np.ndarray, tilde: np.ndarray, times) -> np
         a = m * _phases(lam, t)
         out[k] = np.einsum("ij,ij->i", (a @ tilde).view(float), a.view(float))
     return out
+
+
+def _window_probabilities(
+    lam: np.ndarray, m: np.ndarray, tilde: np.ndarray, times, bins: np.ndarray, n: int
+) -> np.ndarray:
+    """The (len(times), n) table of the populations of _populations(lam,
+    m, tilde, times) summed over the rows j of m in each window bins[j],
+    through the weight gate (_nonneg_vector). For r rows of m, T times and
+    d = len(lam), in d^2 multiply-adds, it takes the per-window form, r +
+    n T, where 3 (r + n T) < 2 T r, else the per-time form, T r: one
+    _populations product per time, then one bincount. The per-window form
+    is window w's Re phi^T h_w conj(phi) with phi = e^(-i lam t) and h_w =
+    tilde * (m_w^T conj(m_w)) over its rows m_w: one (T x d)(d x d) product
+    for all times. With one row per window the two tie on multiply-adds,
+    and the per-window form took 1.5 times as long (d = 128, T = 51, one
+    OpenBLAS thread on a Xeon)."""
+    n_t, r = len(times), len(m)
+    if 3 * (r + n * n_t) < 2 * n_t * r:
+        phi = np.array([_phases(lam, t) for t in times])
+        out = np.empty((n_t, n))
+        for w in range(n):
+            m_w = m[bins == w]
+            h = m_w.T @ m_w.conj()
+            h *= tilde
+            out[:, w] = np.einsum("ij,ij->i", (phi @ h).view(float), phi.view(float))
+    else:
+        index = (np.arange(n_t)[:, None] * n + bins).ravel()
+        out = np.bincount(index, _populations(lam, m, tilde, times).ravel(), n_t * n)
+    return _nonneg_vector(out.ravel()).reshape(n_t, n)
 
 
 def propagate(rho, H, t: float) -> np.ndarray:

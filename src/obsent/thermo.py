@@ -7,12 +7,15 @@ each eigendecomposed once; its samples share the segment's window
 probabilities and effective temperature. Open runs evolve a system-bath
 product state under a static joint Hamiltonian; every joint window is
 diagonal in system_basis x (bath eigenbasis), so a sample needs only the
-populations along those columns, which operators._populations computes
-with one matrix product per sample, never forming the evolved state. All
-samples are binned into one (time, joint window) table, whose row and
-column sums per time are the system and bath outcome probabilities. A
-run's premise, that its start state equals its coarse-grained state, is a
-max-abs matrix distance.
+populations along those columns, summed per joint window, never the
+evolved state. For r columns, n joint windows, T times (the start
+included) and joint dimension d, operators._window_probabilities gives
+them as one (time, joint window) table: by one Hermitian form per window
+over all times (r d^2 + n T d^2 multiply-adds) where 3 (r + n T) < 2 T r,
+else by one product per time (operators._populations, T r d^2). Its row
+and column sums per time are the system and bath outcome probabilities.
+A run's premise, that its start state equals its coarse-grained state, is
+a max-abs matrix distance.
 
 Heat over temperature is accumulated through the defining relation
 T dS = dQ for the fictitious Gibbs state matched to the instantaneous mean
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .coarse_graining import CoarseGraining, _alpha_oes, projective_cg
-from .divergences import INFINITE, _check_alpha, _check_alphas, _near_one, _nonneg_vector, _ragged
+from .divergences import INFINITE, _check_alpha, _check_alphas, _near_one, _ragged
 from .errors import (
     DimensionMismatch,
     EnergyOutOfRange,
@@ -46,9 +49,10 @@ from .operators import (
     _items,
     _levels,
     _matrix,
-    _populations,
+    _nonneg_vector,
     _real,
     _reals,
+    _window_probabilities,
     as_matrix,
     tensor,
     validate_operator,
@@ -217,7 +221,9 @@ def effective_beta(H, rho) -> float:
     safeguarded Newton steps whose bracket, step floor and energy
     tolerance all scale with the spectral span, so the solve works alike
     at every spectral scale. Negative results (population inversion) are
-    returned, not rejected.
+    returned, not rejected. A spectrum of one level, up to rounding, gives
+    0.0: every beta gives the Gibbs state I / d there. A mean energy at or
+    beyond a spectral endpoint of a wider spectrum raises EnergyOutOfRange.
     """
     hm = _matrix(H, "hermitian", name="Hamiltonian")
     rm = _matrix(rho, "state", len(hm), "state")
@@ -231,9 +237,13 @@ def _beta_for_energy(lam: np.ndarray, target: float) -> float:
     Every scale is the spectral span: a bracket doubles from [-1, 1] / span
     until it holds the root, Newton steps that leave it are replaced by
     bisection until the step is at rounding level, and |E - target| must
-    then be within BETA_ENERGY_RTOL * span.
+    then be within BETA_ENERGY_RTOL * span. A span within 8 d eps of the
+    largest |lam| is eigendecomposition rounding of one level (about d eps
+    times the norm), and gives 0.0.
     """
     span = float(lam[-1] - lam[0])
+    if span <= 8 * len(lam) * sys.float_info.epsilon * max(-lam[0], lam[-1]):
+        return 0.0
     slack = tol.ENERGY_ENDPOINT_RTOL * span
     if not lam[0] + slack < target < lam[-1] - slack:
         raise EnergyOutOfRange(
@@ -549,10 +559,11 @@ def open_run(
     The bath is measured in energy windows of h_b. Every joint outcome is a
     set of columns of B = system_basis x (h_b eigenvectors), so the joint
     table bins the evolved populations diag(B^H rho(t) B), and its row and
-    column sums are the system and bath outcome probabilities. Each
-    sample's populations take one matrix product (operators._populations);
-    the evolved state rho(t) is never formed, and the start and all samples
-    are binned in one bincount over (time, joint window). Per sample
+    column sums are the system and bath outcome probabilities. The start
+    and all samples form one (time, joint window) table, and rho(t) is
+    never formed: as in the module docstring, one Hermitian form per
+    window over all times where 3 (r + n T) < 2 T r, else one product per
+    time for all r columns of B, binned per window. Per sample
     the record carries the joint alpha-OE, both marginal alpha-OEs, the
     outcome mutual information, xi1 (joint production), and xi2 (sum of
     marginal productions). The factorization joint = sys + bath - MI is
@@ -587,13 +598,10 @@ def open_run(
     lam, vec = np.linalg.eigh(tensor(hs, np.eye(db)) + tensor(np.eye(ds), hb) + v)
     rho0 = tensor(rho_s, _gibbs_state(lam_b, vec_b, bath_beta))
     tilde0 = vec.conj().T @ rho0 @ vec
-    # populations along b of the start (row 0) and each sample, binned in
-    # one bincount over (time, joint window): joints[k] holds the joint
-    # probabilities at time k, row-major in (system outcome, bath window)
-    pops = _populations(lam, b.conj().T @ vec, tilde0, [0.0, *ts])
-    n_t, n_j = len(pops), len(vol_joint)
-    index = (np.arange(n_t)[:, None] * n_j + joint_bins).ravel()
-    joints = _nonneg_vector(np.bincount(index, pops.ravel(), n_t * n_j)).reshape(n_t, n_j)
+    # joints[k] holds the joint probabilities of the start (k = 0) and of
+    # each sample, row-major in (system outcome, bath window)
+    n_t, n_j = len(ts) + 1, len(vol_joint)
+    joints = _window_probabilities(lam, b.conj().T @ vec, tilde0, [0.0, *ts], joint_bins, n_j)
     guarantee_void = not _is_coarse_grained(rho0, b, joint_bins, joints[0], vol_joint)
     # the joint, system and bath probabilities of the start and each sample,
     # each against its volumes and, for the mutual information, against 1

@@ -911,8 +911,9 @@ def test_entropy_table_reads_the_state_once_per_grid(tmp_path, monkeypatch, caps
     calls = {name: count_imported(monkeypatch, owner, name) for name, owner in owners.items()}
     assert main(argv) == 0
     # the gated state, its p, its spectrum and its Nussbaum-Szkola pair
-    # serve the whole grid
-    assert len(calls["_hermitian"]) <= 3 and len(calls["_outcomes"]) <= 2
+    # serve the whole grid; the density gate and the public alpha_oe of the
+    # alpha = 1 line each test Hermiticity once
+    assert len(calls["_hermitian"]) == 2 and len(calls["_outcomes"]) <= 2
     assert (len(calls["eigvalsh"]), len(calls["eigh"])) == (1, 2)
 
 

@@ -137,6 +137,22 @@ class TestGibbsAndBeta:
         with pytest.raises(EnergyOutOfRange):
             effective_beta(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [-1e8, 1e-8, 1.0, 1e8])
+    def test_one_level_spectrum_gives_zero(self, rng, scale):
+        # every beta gives the Gibbs state I / d; a rotated multiple of I is
+        # one level split only by rounding, and the split is relative
+        rho = np.diag([0.5, 0.3, 0.2])
+        assert effective_beta(scale * np.eye(3), np.eye(3) / 3) == 0.0
+        assert effective_beta(np.zeros((3, 3)), rho) == 0.0
+        splits = 0
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            h = (q * scale) @ q.conj().T
+            lam = np.linalg.eigvalsh(0.5 * h + 0.5 * h.conj().T)
+            splits += lam[-1] > lam[0]
+            assert effective_beta(h, rho) == 0.0
+        assert splits
+
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_effective_beta_at_small_and_large_spectral_scales(self, scale):
         # the energy 0.1 * scale of diag(0, scale) pins beta = log 9 / scale
@@ -404,6 +420,18 @@ class TestClosedRunSegments:
             assert got["gibbs_monitor_ok"] == row["gibbs_monitor_ok"]
             for name in set(row) - {"gibbs_monitor_ok"}:
                 assert got[name] == pytest.approx(row[name], abs=1e-12), name
+
+    def test_segment_proportional_to_identity_runs(self, rng):
+        # one level: beta_eff is 0, and the one window holds the whole state
+        protocol, rho0 = self._protocol(rng)
+        segments = protocol.segments[:1] + ((0.7 * np.eye(5), 1.0),)
+        record = closed_run(
+            DrivingProtocol(segments), rho0, EnergyWindowing(0.5), ALPHAS, [0.5, 1.5]
+        )
+        flat = record.samples[len(ALPHAS) :]
+        assert [s.beta_eff for s in flat] == [0.0] * len(ALPHAS)
+        for s in flat:
+            assert s.entropy == pytest.approx(math.log(5), abs=1e-12)
 
     def test_non_hermitian_segment_raises(self, rng):
         protocol, rho0 = self._protocol(rng)
