@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarse_graining import _oe_table, _state, alpha_oe
+from .coarse_graining import _oe_table, _outcomes, _state, alpha_oe
 from .divergences import _check_alphas
 from .errors import ObsentError, SchemaError
 from .operators import validate_operator
@@ -113,9 +113,10 @@ def cmd_entropy(args) -> int:
     k = _scale(args.bits)
     oe = alpha_oe(cg, m, 1.0)
     columns = ("alpha_oe", "divergence_form", "renyi", "gap")
+    table = _oe_table(_outcomes([((cg.effects, cg.volumes()), m)]), [m], alphas)[:, 0]
     rows = [
         {"alpha": a, **{c: k * x for c, x in zip(columns, xs)}}
-        for a, xs in zip(alphas, _oe_table(cg, m, alphas).T.tolist())
+        for a, xs in zip(alphas, table.T.tolist())
     ]
     print(f"dim = {cg.dim}, outcomes = {len(cg)}, units = {_unit(args.bits)}")
     print(f"observational entropy        {k * oe:.12g}")

@@ -12,7 +12,7 @@ are validated one-instance wrappers over private stack forms (_checked,
 _outcomes, _sequential with _lueders_roots, _merged, _tensor), which verify
 calls on many instances at once; _outcomes is also how every entropy of
 this module and of state_analysis reads p. _oe_table is the entropy table
-of one state over an alpha grid, which obsent entropy prints.
+of many states over an alpha grid; obsent entropy prints one state's.
 """
 
 from __future__ import annotations
@@ -106,15 +106,19 @@ class CoarseGraining:
 def _checked(raws: list, labels: tuple = ()) -> list:
     """Construction's checks of raw (n, d, d) effect stacks, with one PSD
     gate call (operators._psd) per dimension: the Hermitian parts
-    (E + E^H) / 2 must be PSD (NotPSD names the effect by its label, else
-    by its position among the stacks of its dimension), effects of trace
-    below ZERO_EFFECT_TRACE are dropped, and each stack's kept effects must
-    sum to I. (effects, volumes, mask of the kept effects) per stack."""
+    (E + E^H) / 2 must be finite and PSD (NotPSD names the effect by its
+    label, else by its position among the stacks of its dimension), effects
+    of trace below ZERO_EFFECT_TRACE are dropped, and each stack's kept
+    effects must sum to I. (effects, volumes, kept-effect mask) per stack."""
 
     def hermitian_parts(raw):
         stack = np.empty(raw.shape, dtype=complex)
         np.conjugate(raw.swapaxes(1, 2), out=stack)
-        stack += raw
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack += raw
+            # inf or nan if E + E^H or its sum overflows; makes no temporary
+            if not np.isfinite(stack.sum()):
+                raise ValidationError("effect entries leave the float range")
         stack *= 0.5
         _psd(stack, lambda k: f"effect {(labels or range(len(raw)))[k]!r} is not PSD")
         volumes = stack.trace(axis1=1, axis2=2).real
@@ -271,7 +275,8 @@ def alpha_oe_divergence_form(cg: CoarseGraining, rho, alpha: float) -> float:
     floating-point error.
     """
     a = _check_alpha(alpha)
-    return float(_oe_table(cg, _state(cg, rho), [a])[1, 0])
+    m = _state(cg, rho)
+    return float(_oe_table(_outcomes([((cg.effects, cg.volumes()), m)]), [m], [a])[1, 0, 0])
 
 
 def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
@@ -282,22 +287,24 @@ def alpha_oe_gap(cg: CoarseGraining, rho, alpha: float) -> float:
     data-processing inequality for measurement channels.
     """
     a = _check_alpha(alpha)
-    return float(_oe_table(cg, _state(cg, rho), [a])[3, 0])
+    m = _state(cg, rho)
+    return float(_oe_table(_outcomes([((cg.effects, cg.volumes()), m)]), [m], [a])[3, 0, 0])
 
 
-def _oe_table(cg: CoarseGraining, m: np.ndarray, alphas: list) -> np.ndarray:
+def _oe_table(dists: list, states: list, alphas) -> np.ndarray:
     """alpha_oe, alpha_oe_divergence_form, renyi_entropy and alpha_oe_gap of
-    the gated state m at each checked order of alphas, as the rows of one
-    (4, len(alphas)) array: m is measured once, and each row is one call of
-    its table form over the whole grid. alpha_oe_divergence_form and
-    alpha_oe_gap are its one-order case, so both reject a state that is not
-    PSD: ValidationError for a negative outcome weight, else NotPSD."""
-    d = cg.dim
-    [(p, v)] = _outcomes([((cg.effects, cg.volumes()), m)])
-    flat = _ragged([p], [v / d], alphas)[0]
-    quantum = _petz([m], [np.eye(d) / d], alphas)[0]
-    return np.stack([_alpha_oes([(p, v)], alphas)[0], math.log(d) - flat,
-                     _entropies([m], alphas)[0], quantum - flat])
+    each gated state at each checked order of alphas, from the states' (p,
+    V) pairs of _outcomes: one (4, states, orders) array from one call of
+    each table form, so an entry depends only on its own state and order.
+    alpha_oe_divergence_form and alpha_oe_gap are its one-state, one-order
+    case, so both reject a state that is not PSD: ValidationError for a
+    negative outcome weight, else NotPSD."""
+    dims = [len(m) for m in states]
+    flat = _ragged([p for p, _ in dists], [v / d for (_, v), d in zip(dists, dims)], alphas)
+    quantum = _petz(states, [np.eye(d) / d for d in dims], alphas)
+    log_d = np.array([math.log(d) for d in dims])[:, None]
+    return np.stack([_alpha_oes(dists, alphas), log_d - flat, _entropies(states, alphas),
+                     quantum - flat])
 
 
 def alpha_derivative(cg: CoarseGraining, rho, alpha: float) -> float:

@@ -8,12 +8,9 @@ probabilities and effective temperature. Open runs evolve a system-bath
 product state under a static joint Hamiltonian; every joint window is
 diagonal in system_basis x (bath eigenbasis), so a sample needs only the
 populations along those columns, summed per joint window, never the
-evolved state. For r columns, n joint windows, T times (the start
-included) and joint dimension d, operators._window_probabilities gives
-them as one (time, joint window) table: by one Hermitian form per window
-over all times (r d^2 + n T d^2 multiply-adds) where 3 (r + n T) < 2 T r,
-else by one product per time (operators._populations, T r d^2). Its row
-and column sums per time are the system and bath outcome probabilities.
+evolved state. operators._window_probabilities gives them as one (time,
+joint window) table, in the form its cost rule picks. Its row and column
+sums per time are the system and bath outcome probabilities.
 A run's premise, that its start state equals its coarse-grained state, is
 a max-abs matrix distance.
 
@@ -417,7 +414,8 @@ def _check_sample_times(sample_times, horizon: float | None) -> list:
         raise ValidationError("sample times must be non-negative")
     if any(b - a <= 0 for a, b in zip(ts, ts[1:])):
         raise ValidationError("sample times must be strictly increasing")
-    if horizon is not None and ts[-1] > horizon + 1e-12:
+    # the horizon is a rounded sum of durations: a slack relative to it
+    if horizon is not None and ts[-1] > horizon + 1e-12 * max(horizon, 1.0):
         raise ValidationError(
             f"sample time {ts[-1]} exceeds protocol duration {horizon}"
         )
@@ -561,10 +559,8 @@ def open_run(
     table bins the evolved populations diag(B^H rho(t) B), and its row and
     column sums are the system and bath outcome probabilities. The start
     and all samples form one (time, joint window) table, and rho(t) is
-    never formed: as in the module docstring, one Hermitian form per
-    window over all times where 3 (r + n T) < 2 T r, else one product per
-    time for all r columns of B, binned per window. Per sample
-    the record carries the joint alpha-OE, both marginal alpha-OEs, the
+    never formed (operators._window_probabilities). Per sample the record
+    carries the joint alpha-OE, both marginal alpha-OEs, the
     outcome mutual information, xi1 (joint production), and xi2 (sum of
     marginal productions). The factorization joint = sys + bath - MI is
     exact when all bath windows share one volume; its residual is recorded.

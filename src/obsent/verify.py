@@ -33,6 +33,7 @@ from .coarse_graining import (
     _checked,
     _lueders_roots,
     _merged,
+    _oe_table,
     _outcomes,
     _refinement_bounds,
     _sequential,
@@ -187,20 +188,14 @@ def suite_oe_core(seed: int, n: int, dim_max: int) -> list:
     g = len(ALPHA_GRID)
     # the grid, the alpha -> 1 neighbours and the finite-difference points
     steps = tuple(a + h for a in ALPHA_GRID for h in (1e-5, -1e-5))
-    oe = _alpha_oes(dists, ALPHA_GRID + (1 + 1e-7, 1 - 1e-7) + steps)
+    table = _oe_table(dists, rhos, ALPHA_GRID + (1 + 1e-7, 1 - 1e-7) + steps)
+    oe, (form, s_rho, gap) = table[0], table[1:, :, :g]
     s, (above, below) = oe[:, :g], oe[:, g : g + 2].T
-    # the kernel calls of classical_petz_renyi(p, V / d, a) and
-    # petz_renyi(rho, I / d, a), over the grid
-    flat_p = [v / len(rho) for (_, v), rho in zip(dists, rhos)]
-    c = _ragged([p for p, _ in dists], flat_p, ALPHA_GRID)
-    flats = [np.eye(len(rho)) / len(rho) for rho in rhos]
-    gap = _petz(rhos, flats, ALPHA_GRID) - c
-    s_rho = _entropies(rhos, ALPHA_GRID)
     deriv = _alpha_derivatives(dists, ALPHA_GRID)
     s_prod, s_a, s_b, s_mix, s_2 = _alpha_oes(others, ALPHA_GRID).reshape(n, 5, g).swapaxes(0, 1)
     at_rho = _at(rhos, ALPHA_GRID)
     limit.record(-np.maximum(abs(above - s1), abs(below - s1)), _at(rhos))
-    forms.record(-abs(s - (log_d - c)), at_rho)
+    forms.record(-abs(s - form), at_rho)
     gap_id.record(-abs(gap - (s - s_rho)), at_rho)
     gap_pos.record(gap, at_rho)
     bounds.record(np.minimum(s - s_rho, log_d - s), at_rho)

@@ -240,6 +240,18 @@ class TestEntropyCommand:
             == 1
         )
 
+    def test_effects_beyond_the_float_range_exit_one(self, tmp_path, capsys):
+        _write_state(tmp_path / "rho.json", np.eye(2) / 2)
+        effects = [np.diag([1e308, 0.0]), np.diag([-1e308, 1.0])]
+        cg = {"dim": 2, "effects": [
+            {"label": lab, "matrix": operator_to_json(e)} for lab, e in zip("ab", effects)
+        ]}
+        (tmp_path / "cg.json").write_text(json.dumps(cg))
+        code = main(["entropy", str(tmp_path / "rho.json"), str(tmp_path / "cg.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "obsent: ValidationError: effect entries leave the float range\n"
+
     def test_missing_file_exits_one(self, tmp_path):
         _write_cg(tmp_path / "cg.json", _z_basis())
         assert (

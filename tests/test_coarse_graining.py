@@ -98,6 +98,16 @@ class TestConstruction:
         with pytest.raises(NotPSD, match="effect 'b' is not PSD"):
             CoarseGraining(("a", "b", "c"), np.array([np.diag([0.0, 1.5]), bad, bad]))
 
+    @pytest.mark.parametrize("effects", [
+        [np.diag([1e308, 0.0]), np.diag([-1e308, 1.0])],  # E + E^H overflows
+        [np.array([[0.5, 1e308j], [-1e308j, 0.5]])] * 2,
+        [np.diag([8e307, 0.0])] * 3 + [np.eye(2)],  # each part is finite, their sum is not
+    ])
+    def test_effects_beyond_the_float_range_raise_without_a_warning(self, effects):
+        labels = tuple("abcd"[: len(effects)])
+        with pytest.raises(ValidationError, match="float range"):
+            CoarseGraining(labels, effects)
+
     def test_ragged_list_names_the_bad_label(self):
         with pytest.raises(DimensionMismatch, match=r"effect 'c' has shape \(3, 3\)"):
             CoarseGraining(

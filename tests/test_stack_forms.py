@@ -12,13 +12,19 @@ import pytest
 
 from obsent import (
     CoarseGraining,
+    alpha_oe,
+    alpha_oe_divergence_form,
+    alpha_oe_gap,
     conditional_ensemble,
     outcomes,
     post_measurement_state,
+    renyi_entropy,
     sequential,
     tensor_cg,
 )
-from obsent.coarse_graining import _checked, _lueders_roots, _merged, _outcomes, _tensor
+from obsent.coarse_graining import (
+    _checked, _lueders_roots, _merged, _oe_table, _outcomes, _tensor
+)
 from obsent.generators import (
     _draw_cg,
     _draw_merge,
@@ -145,6 +151,17 @@ def test_batched_stack_forms_equal_public_operations():
     dists = _outcomes([((c.effects, c.volumes()), rho) for c, rho in zip(firsts, rhos)])
     for cg, rho, (p, _) in zip(firsts, rhos, dists):
         assert _same(outcomes(cg, rho).probabilities, p)
+    # the entropy table of all states: each state's column is its one-state
+    # table, and each entry the one-order public function's value
+    grid = [0.3, 1.0, 2.0, 1 + 1e-7]
+    table = _oe_table(dists, rhos, grid)
+    assert table.shape == (4, len(rhos), len(grid))
+    public = (alpha_oe, alpha_oe_divergence_form, lambda _, rho, a: renyi_entropy(rho, a),
+              alpha_oe_gap)
+    for k, (cg, rho, dist) in enumerate(zip(firsts, rhos, dists)):
+        assert _same(table[:, k], _oe_table([dist], [rho], grid)[:, 0])
+        for j, a in enumerate(grid):
+            assert [f(cg, rho, a) for f in public] == table[:, k, j].tolist()
     # Luders roots of all instances from one op_power per dimension
     roots = _lueders_roots([c.effects for c in firsts])
     for cg, root in zip(firsts, roots):

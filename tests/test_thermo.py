@@ -313,6 +313,18 @@ class TestClosedRun:
         with pytest.raises(ValidationError):
             closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), [5.0])
 
+    def test_sample_time_at_a_long_protocols_end(self):
+        # the durations sum to 20685.399999999998; an absolute slack of 1e-12
+        # is below half an ulp there, so the end 20685.4 read as past it
+        h = np.diag([0.0, 1.0]).astype(complex)
+        protocol = DrivingProtocol(((h, 6318.9), (PAULI_X, 8153.7), (h, 6212.8)))
+        assert protocol.total_duration < 20685.4
+        rho0 = gibbs_state(h, 1.0)
+        record = closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), [20685.4])
+        assert [s.t for s in record.samples] == [20685.4]
+        with pytest.raises(ValidationError, match="exceeds protocol duration"):
+            closed_run(protocol, rho0, EnergyWindowing(0.4), (2.0,), [20685.41])
+
     @pytest.mark.parametrize("times", [[math.nan], [0.5, math.nan], [math.inf]])
     def test_non_finite_sample_times_rejected(self, times):
         protocol = _qubit_quench()
