@@ -259,6 +259,7 @@ def op_power(A, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> np.ndarray:
     also be a (..., d, d) stack; each matrix is then powered on its own,
     with its own lambda_max. A matrix that is not Hermitian (_hermitian)
     raises NotHermitian, and one that breaks the PSD rule of _psd NotPSD.
+    A power beyond the float range raises ValidationError; one below it is 0.
     """
     m = as_matrix(A)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -273,7 +274,10 @@ def _power(m: np.ndarray, s: float, support_rtol: float = tol.SUPPORT_RTOL) -> n
     """op_power of a Hermitian matrix or stack m, with no input gate."""
     lam, vec = _psd_eigh(m, support_rtol)
     keep = lam > 0
-    powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
+    with np.errstate(over="ignore"):
+        powered = np.where(keep, np.power(np.where(keep, lam, 1.0), s), 0.0)
+    if not np.isfinite(powered).all():
+        raise ValidationError(f"the power of order {s} leaves the float range")
     return (vec * powered[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 

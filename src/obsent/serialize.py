@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .coarse_graining import CoarseGraining
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .operators import _reals, as_matrix
 from .thermo import ClosedRunRecord, OpenRunRecord
 
@@ -154,7 +154,9 @@ def run_to_csv(record) -> str:
     """The run CSV of a closed or an open run record, from _CSV_FIELDS."""
     fields = _CSV_FIELDS.get(type(record))
     if fields is None:
-        raise TypeError(f"not a run record: {type(record)!r}")
+        raise ValidationError(
+            f"expected a ClosedRunRecord or an OpenRunRecord, got {type(record).__name__}"
+        )
     lines = [",".join(CSV_COLUMNS)]
     for s in record.samples:
         cells = (format_float(getattr(s, fields[c])) if c in fields else "" for c in CSV_COLUMNS)

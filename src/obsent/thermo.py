@@ -197,14 +197,18 @@ def _gibbs_state(lam: np.ndarray, vec: np.ndarray, beta: float) -> np.ndarray:
     return (vec * w) @ vec.conj().T
 
 
+@np.errstate(over="ignore")
 def _gibbs_weights(lam: np.ndarray, beta: float) -> np.ndarray:
-    """Unnormalized exp(-beta lam), shifted so the largest weight is 1."""
+    """Unnormalized exp(-beta lam), shifted so the largest weight is 1; a
+    level whose exponent is beyond the float range weighs 0."""
     ref = lam[0] if beta >= 0 else lam[-1]
     return np.exp(-beta * (lam - ref))
 
 
+@np.errstate(over="ignore")
 def _gibbs_moments(lam: np.ndarray, beta: float) -> tuple:
-    """Mean and variance of the energy in the Gibbs state at beta."""
+    """Mean and variance of the energy in the Gibbs state at beta; a
+    variance beyond the float range is inf."""
     w = _gibbs_weights(lam, beta)
     total = np.sum(w)
     mean = float(np.sum(lam * w) / total)

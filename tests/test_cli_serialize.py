@@ -17,14 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsent import (
+    DrivingProtocol,
+    EnergyWindowing,
     LevelSystem,
     alpha_oe,
     alpha_oe_divergence_form,
     alpha_oe_gap,
     cli,
+    closed_run,
     coarse_graining,
+    gibbs_state,
     jackson_check,
     observational_entropy,
+    open_run,
     operators,
     projective_cg,
     renyi_entropy,
@@ -43,7 +48,9 @@ from obsent.serialize import (
     operator_to_json,
 )
 from obsent.report import SUITES, PropertyResult, VerificationReport
-from obsent.verify import _SUITES, _at, run_suite
+from obsent.verify import (
+    _SUITES, _at, _canonical_closed_runs, _canonical_open_runs, run_suite
+)
 from call_counts import count_imported
 from random_instances import random_povm
 
@@ -310,6 +317,14 @@ class TestVerifyCommand:
         assert injected["fails"] == 1
         assert "NotARefinement" in json.dumps(injected["violations"])
 
+    def test_every_suite_runs_through_the_registry(self, monkeypatch):
+        patched = PropertyResult("patched_refinement", "hard", 0.0)
+        monkeypatch.setitem(_SUITES, "refinement", lambda seed, n, dim_max: [patched])
+        names = [p.name for p in run_suite("all", 3, 2, 3, inject_invalid=True).properties]
+        assert names.count("patched_refinement") == 1
+        # the injected property follows the refinement suite's properties
+        assert names[names.index("patched_refinement") + 1] == "injected_invalid_map"
+
     def test_suite_choices_follow_registry(self):
         parser = _build_parser()
         verify_cmd = next(
@@ -533,7 +548,76 @@ def _closed_config(tmp_path, **overrides):
     return path
 
 
+# verify's thermo-suite orders, and the stderr lines of a run's findings
+_RUN_ALPHAS = (1.0 + 1e-7, 0.5, 2.0, 3.0)
+
+
+def _finding_lines(record) -> list:
+    return [f"finding: {json.dumps(f, sort_keys=True)}" for f in record.findings]
+
+
 class TestSimCommands:
+    def test_closed_sim_prints_each_finding(self, tmp_path, capsys):
+        # verify's canonical qutrit protocol, as a config file
+        h1 = np.diag([0.0, 0.7, 1.9])
+        h2 = np.array([[0.3, 0.4, 0.0], [0.4, 1.1, 0.5], [0.0, 0.5, 1.6]])
+        rho0 = gibbs_state(h1, 0.8)
+        times = np.linspace(0.0, 2.0, 51)[1:]
+        protocol = DrivingProtocol(((h1, 0.9), (h2, 1.1)))
+        record = closed_run(protocol, rho0, EnergyWindowing(0.3), _RUN_ALPHAS, times)
+        assert record.findings == _canonical_closed_runs(_RUN_ALPHAS)[1].findings
+        assert len(record.findings) == 28 and not record.guarantee_void
+        cfg = {
+            "protocol": [{"hamiltonian": operator_to_json(h), "duration": t}
+                         for h, t in protocol.segments],
+            "initial_state": operator_to_json(rho0),
+            "delta": 0.3,
+            "alphas": list(_RUN_ALPHAS),
+            "sample_times": times.tolist(),
+        }
+        path = tmp_path / "closed.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["closed-sim", str(path), "--out", str(tmp_path / "run.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # the findings come first, then one min dS line per order
+        assert err[:28] == _finding_lines(record)
+        assert [line[:6] for line in err[28:]] == ["alpha="] * len(_RUN_ALPHAS)
+
+    def test_open_sim_prints_each_finding(self, tmp_path, capsys):
+        # verify's canonical bath with one level per window, as a config file
+        h_s, pops = np.diag([0.0, 1.0]), np.diag([0.7, 0.3])
+        h_b = np.diag([0.0, 0.35, 0.8, 1.3, 1.95, 2.6])
+        v = 0.15 * np.kron([[0, 1], [1, 0]], np.eye(6, k=1) + np.eye(6, k=-1))
+        times = np.linspace(0.1, 6.0, 50)
+        record = open_run(h_s, h_b, v, pops, 1.0, EnergyWindowing(0.3), _RUN_ALPHAS, times)
+        assert record.findings == _canonical_open_runs(_RUN_ALPHAS)[0].findings
+        assert len(record.findings) == 34 and not record.guarantee_void
+        cfg = {
+            "system_hamiltonian": operator_to_json(h_s),
+            "bath_hamiltonian": operator_to_json(h_b),
+            "coupling": operator_to_json(v),
+            "system_state": operator_to_json(pops),
+            "bath_beta": 1.0,
+            "delta": 0.3,
+            "alphas": list(_RUN_ALPHAS),
+            "sample_times": times.tolist(),
+        }
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["open-sim", str(path), "--out", str(tmp_path / "run.csv")]) == 0
+        assert capsys.readouterr().err.splitlines() == _finding_lines(record)
+
+    def test_closed_sim_warns_once_of_a_void_guarantee(self, tmp_path, capsys):
+        # |+> has coherences between the windows of the levels 0 and 1
+        cfg = _closed_config(tmp_path, initial_state=operator_to_json(proj(KET_PLUS)))
+        assert main(["closed-sim", str(cfg), "--out", str(tmp_path / "run.csv")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert warnings == [
+            "warning: initial state is not coarse-grained for the initial energy windows; "
+            "entropy-production guarantee void"
+        ]
+
     def test_closed_sim_csv(self, tmp_path, capsys):
         cfg = _closed_config(tmp_path)
         out = tmp_path / "run.csv"

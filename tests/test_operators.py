@@ -220,6 +220,13 @@ class TestOpPower:
                 np.testing.assert_allclose(out, op_power(member, s), atol=1e-12)
         np.testing.assert_array_equal(op_power(stack, 0.5)[3], 0.0)
 
+    def test_powers_at_the_edges_of_the_float_range(self):
+        # a power beyond the float range raises, naming its order; one below it is 0
+        for spectrum, s in (([1e-10, 1.0], -40.0), ([0.5, 2.0], 2000.0)):
+            with pytest.raises(ValidationError, match=f"order {s} "):
+                op_power(np.diag(spectrum), s)
+        np.testing.assert_array_equal(op_power(np.diag([0.5, 0.9]), 1e308), 0.0)
+
     def test_power_cancellation_is_support_projector(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 7))

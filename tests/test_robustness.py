@@ -6,7 +6,8 @@ grid of orders gives the kernel's per-order values bit for bit, and each
 row of a table its own vector call's values;
 effective_beta recovers beta at every spectral scale from 1e-6 to 1e6; and
 malformed matrices, arrays, numbers, objects and options raise an
-ObsentError at every public entry."""
+ObsentError at every public entry, and calls at the edges of the float
+range give a value or an ObsentError without a warning."""
 
 import math
 import os
@@ -84,7 +85,7 @@ from obsent.errors import (
     SchemaError,
     ValidationError,
 )
-from obsent.serialize import coarse_graining_from_json, dump_json
+from obsent.serialize import coarse_graining_from_json, dump_json, run_to_csv
 from obsent.verify import run_suite
 import random_instances
 from random_instances import (
@@ -634,6 +635,13 @@ def _holds_nan(value) -> bool:
     return any(_holds_nan(getattr(value, f)) for f in fields if f != "labels")
 
 
+def _assert_a_value(value, *where) -> None:
+    """A finite number, INFINITE, or a result without nan."""
+    assert not _holds_nan(value), (*where, value)
+    if isinstance(value, float):
+        assert math.isfinite(value) or value == INFINITE, (*where, value)
+
+
 @pytest.mark.parametrize("name", sorted(_VALID_CALLS))
 def test_malformed_arguments_give_a_value_or_an_obsent_error(name):
     fn, args = _VALID_CALLS[name]
@@ -644,6 +652,43 @@ def test_malformed_arguments_give_a_value_or_an_obsent_error(name):
                 value = fn(*args[:k], bad, *args[k + 1 :])
             except ObsentError:
                 continue
-            assert not _holds_nan(value), (k, bad, value)
-            if isinstance(value, float):
-                assert math.isfinite(value) or value == INFINITE, (k, bad, value)
+            _assert_a_value(value, k, bad)
+
+
+# public calls at the edges of the float range, as callable -> arguments
+_FLOAT_RANGE_CALLS = {
+    # eigenvalue powers beyond the float range
+    "op_power 1e-10 ** -40": (op_power, [np.diag([1e-10, 1.0]), -40.0]),
+    "op_power 2 ** 2000": (op_power, [np.diag([0.5, 2.0]), 2000.0]),
+    # beta times the level spacing is beyond the float range: weight 0
+    "gibbs_state beta 1e308": (gibbs_state, [np.diag([0.0, 1.0, 2.0]), 1e308]),
+    "gibbs_state beta -1e308": (gibbs_state, [_H2, -1e308]),
+    "open_run bath beta 1e308": (open_run, [
+        _H2, np.diag([0.0, 2.0, 4.0]), 0.15 * np.kron(_SX, np.eye(3, k=1) + np.eye(3, k=-1)),
+        _STATE, 1e308, _WINDOWS, [2.0], [0.5],
+    ]),
+    # the squared deviation of a level 1e300 up is beyond the float range
+    "effective_beta span 1e300": (effective_beta, [np.diag([0.0, 1e300]), np.diag([0.7, 0.3])]),
+    "run_to_csv None": (run_to_csv, [None]),
+    "alpha_oe 5e-324": (alpha_oe, [_FINE, _RHO, 5e-324]),
+    "alpha_oe 1e308": (alpha_oe, [_FINE, _RHO, 1e308]),
+    "renyi_entropy 5e-324": (renyi_entropy, [_RHO, 5e-324]),
+    "renyi_entropy 1e308": (renyi_entropy, [_RHO, 1e308]),
+    "petz_renyi 5e-324": (petz_renyi, [_RHO, np.eye(4) / 4, 5e-324]),
+    "petz_renyi 1e308": (petz_renyi, [_RHO, np.eye(4) / 4, 1e308]),
+    "jackson_check 1e308": (jackson_check, [_LEVELS, 1.0, 1e308]),
+    "free_energy T 5e-324": (free_energy, [_LEVELS, 5e-324]),
+    "propagate t 1e308": (propagate, [_STATE, _H2, 1e308]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_RANGE_CALLS))
+def test_float_range_edges_give_a_value_or_an_obsent_error(name):
+    fn, args = _FLOAT_RANGE_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under -W error
+        try:
+            value = fn(*args)
+        except ObsentError:
+            return
+    _assert_a_value(value)

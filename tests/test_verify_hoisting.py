@@ -143,9 +143,9 @@ def test_hoisted_values_equal_public_functions(seed):
 def test_run_rows_equal_single_alpha_runs():
     alphas = (1.0 + 1e-7, 0.5, 2.0, 3.0)
     for make_runs in (_canonical_closed_runs, _canonical_open_runs):
-        grid_runs = make_runs(alphas, n_samples=6)
+        grid_runs = make_runs(alphas)
         for k, a in enumerate(alphas):
-            for grid_run, run in zip(grid_runs, make_runs((a,), n_samples=6)):
+            for grid_run, run in zip(grid_runs, make_runs((a,))):
                 assert grid_run.samples[k :: len(alphas)] == run.samples
 
 
