@@ -263,9 +263,9 @@ def _sample_times(node, horizon) -> np.ndarray:
         return _floats(node, "sample_times", 1)
     if isinstance(node, dict) and "count" in node:
         count = node["count"]
-        if not isinstance(count, int) or count <= 0:
-            raise SchemaError("sample_times.count must be a positive integer")
-        end = _number(node, "horizon", horizon if horizon is not None else 0.0)
+        if not isinstance(count, int) or not 0 < count < sys.float_info.max:
+            raise SchemaError("sample_times.count must be a positive integer in the float range")
+        end = _number(node, "horizon", _REQUIRED if horizon is None else horizon)
         if end <= 0:
             raise SchemaError("sample_times.horizon must be positive")
         return np.linspace(end / count, end, count)
@@ -382,6 +382,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"obsent: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an array too large to allocate
+        print(f"obsent: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -397,47 +397,25 @@ def _evolve(lam: np.ndarray, vec: np.ndarray, tilde: np.ndarray, t: float):
     return w @ tilde @ w.conj().T
 
 
-def _populations(lam: np.ndarray, m: np.ndarray, tilde: np.ndarray, times) -> np.ndarray:
-    """Re diag(A tilde A^H) with A = m diag(e^(-i lam t)) for each t of
-    times, as a (len(times), rows of m) float array: with m = B^H V, row k
-    holds the populations along the columns of B of the state evolved as
-    in _evolve for times[k]. Each time takes one product x = A tilde; the
-    real row sums of x * conj(A) are dot products of the float views (m
-    must be C-contiguous), so the evolved state is never formed."""
-    out = np.empty((len(times), len(m)))
-    for k, t in enumerate(times):
-        a = m * _phases(lam, t)
-        out[k] = np.einsum("ij,ij->i", (a @ tilde).view(float), a.view(float))
-    return out
-
-
 def _window_probabilities(
     lam: np.ndarray, m: np.ndarray, tilde: np.ndarray, times, bins: np.ndarray, n: int
 ) -> np.ndarray:
-    """The (len(times), n) table of the populations of _populations(lam,
-    m, tilde, times) summed over the rows j of m in each window bins[j],
-    through the weight gate (_nonneg_vector). For r rows of m, T times and
-    d = len(lam), in d^2 multiply-adds, it takes the per-window form, r +
-    n T, where 3 (r + n T) < 2 T r, else the per-time form, T r: one
-    _populations product per time, then one bincount. The per-window form
-    is window w's Re phi^T h_w conj(phi) with phi = e^(-i lam t) and h_w =
-    tilde * (m_w^T conj(m_w)) over its rows m_w: one (T x d)(d x d) product
-    for all times. With one row per window the two tie on multiply-adds and
-    the per-time form runs; at T = 51 (one OpenBLAS thread, a Xeon) the
-    per-window form took 1.5 times as long at d = 128, 0.65 times at d = 12."""
-    n_t, r = len(times), len(m)
-    if 3 * (r + n * n_t) < 2 * n_t * r:
-        phi = np.array([_phases(lam, t) for t in times])
-        out = np.empty((n_t, n))
-        for w in range(n):
-            m_w = m[bins == w]
-            h = m_w.T @ m_w.conj()
-            h *= tilde
-            out[:, w] = np.einsum("ij,ij->i", (phi @ h).view(float), phi.view(float))
-    else:
-        index = (np.arange(n_t)[:, None] * n + bins).ravel()
-        out = np.bincount(index, _populations(lam, m, tilde, times).ravel(), n_t * n)
-    return _nonneg_vector(out.ravel()).reshape(n_t, n)
+    """The (len(times), n) table of Re diag(A tilde A^H), A = m diag(e^(-i
+    lam t)) for each t of times, summed over the rows j of m in each window
+    bins[j], through the weight gate (_nonneg_vector): with m = B^H V, the
+    populations along the columns of B of the state evolved as in _evolve,
+    binned, without forming that state. Window w is Re phi^T h_w conj(phi)
+    with phi = e^(-i lam t) and h_w = tilde * (m_w^T conj(m_w)) over its
+    rows m_w: one (T x d)(d x d) product for all T times. Its real row sums
+    are dot products of the float views."""
+    phi = np.array([_phases(lam, t) for t in times])
+    out = np.empty((len(times), n))
+    for w in range(n):
+        m_w = m[bins == w]
+        h = m_w.T @ m_w.conj()
+        h *= tilde
+        out[:, w] = np.einsum("ij,ij->i", (phi @ h).view(float), phi.view(float))
+    return _nonneg_vector(out.ravel()).reshape(len(times), n)
 
 
 def propagate(rho, H, t: float) -> np.ndarray:

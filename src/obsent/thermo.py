@@ -9,8 +9,9 @@ product state under a static joint Hamiltonian; every joint window is
 diagonal in system_basis x (bath eigenbasis), so a sample needs only the
 populations along those columns, summed per joint window, never the
 evolved state. operators._window_probabilities gives them as one (time,
-joint window) table, in the form its cost rule picks. Its row and column
-sums per time are the system and bath outcome probabilities.
+joint window) table, one Hermitian form per window over all sample times.
+Its row and column sums per time are the system and bath outcome
+probabilities.
 A run's premise, that its start state equals its coarse-grained state, is
 a max-abs matrix distance.
 
@@ -379,7 +380,12 @@ def _jackson(levels: LevelSystem, t0: float, alphas) -> list:
         if _near_one(a):
             rhs = limit
         else:
-            l_new = _log_sum(e, _temperature(t0 / a))
+            t = t0 / a
+            if not (math.isfinite(t) and t > 0):  # T0 / alpha left the float range
+                raise InvalidTemperature(
+                    f"T0 / alpha = {t} is not a finite temperature > 0 (T0 = {t0}, alpha = {a})"
+                )
+            l_new = _log_sum(e, t)
             rhs = (l_new - a * l_old) / (1.0 - a) + log_v
         out.append((left, rhs, left - rhs))
     return out

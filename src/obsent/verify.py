@@ -43,7 +43,7 @@ from .coarse_graining import (
     sequential,
 )
 from .divergences import _entropies, _mutual_infos, _petz, _ragged
-from .errors import NotARefinement
+from .errors import NotARefinement, ValidationError
 from .generators import (
     _coarse_graining,
     _draw_cg,
@@ -505,11 +505,14 @@ def run_suite(
     inject_invalid: bool = False,
 ) -> VerificationReport:
     """Run one named suite (or 'all') and return its report. seed and n are
-    integers >= 0 and dim_max is an integer >= 2 (ValidationError). With
-    inject_invalid, injected_invalid_map follows the refinement properties."""
+    integers >= 0 and dim_max is an integer from 2 to 2^29, where a drawn
+    d x d complex matrix, 16 d^2 bytes, stays below numpy's 2^63-byte array
+    limit (ValidationError). With inject_invalid, injected_invalid_map
+    follows the refinement properties."""
     all_suites = _option(suite, (*_SUITES, "all"), "suite") == "all"
     seed, n = _integer(seed, 0, "seed"), _integer(n, 0, "n")
-    dim_max = _integer(dim_max, 2, "dim_max")
+    if (dim_max := _integer(dim_max, 2, "dim_max")) > 2**29:
+        raise ValidationError(f"dim_max must be at most 2^29, got {dim_max}")
     props = []
     for name in _SUITES if all_suites else [suite]:
         props += _SUITES[name](seed, n, dim_max)

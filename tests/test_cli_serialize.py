@@ -799,6 +799,10 @@ _BAD_INPUTS = {
     "count-string": ("closed-sim", _closed_dict(sample_times={"count": "x"})),
     "count-fraction": ("closed-sim", _closed_dict(sample_times={"count": 2.5})),
     "sample-time-nan": ("closed-sim", _closed_dict(sample_times=[math.nan])),
+    # 8e18 bytes of sample times (beyond 2^57, so never allocated), and a
+    # count beyond the float range
+    "count-oversize": ("closed-sim", _closed_dict(sample_times={"count": 10**18})),
+    "count-beyond-float": ("closed-sim", _closed_dict(sample_times={"count": 10**400})),
     "entries-number": ("closed-sim", _closed_dict(initial_state={"dim": 2, "entries": 5})),
     "path-number": ("closed-sim", _closed_dict(initial_state={"path": 5})),
     "config-not-object": ("closed-sim", [1, 2]),
@@ -829,6 +833,12 @@ _EXIT_CODES = {
     "verify-n-negative": (["verify", "--n", "-1"], 1),
     "verify-dim-1": (["verify", "--dim", "1"], 1),
     "verify-seed-negative": (["verify", "--seed", "-1"], 1),
+    # beyond the draw's int64 range, and beyond dim_max's 2^29
+    "verify-dim-beyond-int64": (["verify", "--n", "1", "--dim", str(10**20)], 1),
+    "verify-dim-beyond-2^29": (["verify", "--n", "1", "--dim", str(2**29 + 1)], 1),
+    # seed 0 draws a matrix of more than 2^57 bytes in every suite, so the
+    # allocation fails at once (MemoryError), in a forked worker too
+    "verify-dim-oversize-draw": (["verify", "--suite", "all", "--n", "1", "--dim", str(2**29)], 1),
     "free-energy-overflow": (["free-energy", "LEVELS", "--t0", "1"], 0),
 }
 
@@ -841,6 +851,12 @@ def test_exit_code_without_traceback(tmp_path, capsys, case):
     assert main([str(levels) if a == "LEVELS" else a for a in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == code
+
+
+def test_open_sim_count_without_horizon_says_it_is_missing(tmp_path, capsys):
+    payload = _open_config(sample_times={"count": 3})
+    assert main(_argv(tmp_path, "open-sim", payload)) == 1
+    assert capsys.readouterr().err == "obsent: SchemaError: missing 'horizon'\n"
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from obsent.errors import (
 from obsent import alpha_derivative, projective_cg, renyi_entropy
 from obsent import coarse_graining, operators, tolerances as tol
 from obsent.generators import random_density
-from obsent.operators import _evolve, _populations, _psd
+from obsent.operators import _evolve, _psd, _window_probabilities
 from random_instances import random_unitary
 
 from conftest import PAULI_X, bell_state, proj, KET0
@@ -343,8 +343,9 @@ class TestPropagate:
 
 class TestPopulations:
     def test_equal_the_evolved_diagonal(self, rng):
-        # m = B^H V for a tight frame B (d rows of an n x n unitary, n >= d)
-        # and the eigenvectors V of a random Hermitian H; the times include 0
+        # the window table with one row per window: m = B^H V for a tight
+        # frame B (d rows of an n x n unitary, n >= d) and the eigenvectors
+        # V of a random Hermitian H; the times include 0
         times = [0.0, 0.3, 1.7, 12.5]
         for _ in range(20):
             d = int(rng.integers(2, 9))
@@ -354,14 +355,9 @@ class TestPopulations:
             frame = random_unitary(rng, n)[:d]
             m = frame.conj().T @ vec
             tilde = vec.conj().T @ random_density(rng, d) @ vec
-            pops = _populations(lam, m, tilde, times)
+            pops = _window_probabilities(lam, m, tilde, times, np.arange(n), n)
             assert pops.shape == (len(times), n)
             for row, t in zip(pops, times):
                 expected = _evolve(lam, m, tilde, t).diagonal().real
                 np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
             assert pops.sum(axis=1) == pytest.approx(np.ones(len(times)), abs=1e-12)
-
-    def test_overflowing_phase_raises(self):
-        lam, m = np.array([-2.0, 2.0]), np.eye(2, dtype=complex)
-        with pytest.raises(ValidationError, match="not finite"):
-            _populations(lam, m, np.eye(2) / 2, [0.0, 1e308])

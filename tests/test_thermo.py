@@ -237,6 +237,17 @@ class TestJackson:
         with pytest.raises(InvalidAlpha):
             jackson_check(LevelSystem(np.array([0.0]), 1.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("t0, a", [(5e-324, 2.0), (1e308, 1e-10)])
+    def test_t0_over_alpha_beyond_the_float_range_is_named(self, tmp_path, capsys, t0, a):
+        # T0 is a valid temperature; T0 / alpha underflows to 0 or overflows
+        levels = LevelSystem(np.array([0.0, 1.0]))
+        with pytest.raises(InvalidTemperature, match=r"T0 / alpha .*T0 = .*alpha = "):
+            jackson_check(levels, t0, a)
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"energies": [0, 1]}))
+        assert main(["free-energy", str(path), "--t0", repr(t0), "--alpha", repr(a)]) == 1
+        assert "T0 / alpha" in capsys.readouterr().err
+
     def test_rhs_stays_finite_far_from_the_origin(self, tmp_path, capsys):
         # A~(T0) leaves the float range at T0 = 1.7e308, and E_min / T0 is
         # far beyond the levels' spread at E_min = -1e300; both sides are

@@ -1,19 +1,19 @@
 """operators._window_probabilities, the joint-window table of open_run.
 
-It has a per-window form (one Hermitian form per window over all sample
-times) and a per-time form (operators._populations, then one bincount),
-and takes the one with fewer multiply-adds, with the measured margin of
-its docstring. Both forms must give the binned diagonal of _evolve within
-the rounding bound below; which form runs is pinned by counting
-_populations calls, not by timing.
+Window w at all sample times is Re phi^T h_w conj(phi) with phi = e^(-i
+lam t) and h_w = tilde * (m_w^T conj(m_w)) over its rows m_w. The table
+must give the binned diagonal of _evolve within the rounding bound below,
+on random draws and on the shapes of the runs that read it: the open-b64
+benchmark, a bath with one level per window, verify's canonical baths
+and cold baths.
 
 Rounding bound. With tilde PSD of unit trace, |tilde_ij|^2 <= tilde_ii
 tilde_jj, so by Cauchy-Schwarz the absolute values of the terms summed
 for window w add up to at most ||m_w||_F^2 (the squared norm of its rows
-m_w), in either form and in the diagonal of _evolve. Each form sums at
-most r + 2 d such terms (r rows of m, d = len(lam)), built by a few
-complex products, so it lies within about (r + 2 d) eps ||m_w||_F^2 of the
-exact value; two computed forms then differ by at most
+m_w), in the table and in the diagonal of _evolve. Each sums at most r +
+2 d such terms (r rows of m, d = len(lam)), built by a few complex
+products, so it lies within about (r + 2 d) eps ||m_w||_F^2 of the exact
+value; the two computed values then differ by at most
 WINDOW_BOUND_FACTOR (r + 2 d) eps ||m_w||_F^2.
 """
 
@@ -23,10 +23,9 @@ import numpy as np
 import pytest
 
 from obsent import EnergyWindowing, open_run, thermo
-from obsent import operators
 from obsent.errors import ValidationError
 from obsent.generators import random_density
-from obsent.operators import _evolve, _populations, _window_probabilities
+from obsent.operators import _evolve, _window_probabilities
 from obsent.verify import _canonical_open_runs
 from call_counts import count_calls
 from conftest import PAULI_X
@@ -51,6 +50,15 @@ def _per_time(lam, m, tilde, times, bins, n) -> np.ndarray:
     )
 
 
+def _checked_table(lam, m, tilde, times, bins, n) -> tuple:
+    """The table and _per_time, checked to agree within the rounding bound."""
+    got = _window_probabilities(lam, m, tilde, times, bins, n)
+    expected = _per_time(lam, m, tilde, times, bins, n)
+    assert got.shape == (len(times), n) and got.min() >= 0.0
+    assert (np.abs(got - expected) <= _bound(m, bins, n)).all()
+    return got, expected
+
+
 def _draw(rng, d: int, r: int, n: int) -> tuple:
     """A random spectrum, m = B^H V for a tight frame B (d rows of an r x r
     unitary) and the eigenvectors V, a random state, and bins of r rows
@@ -61,23 +69,6 @@ def _draw(rng, d: int, r: int, n: int) -> tuple:
     tilde = vec.conj().T @ random_density(rng, d) @ vec
     bins = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, r - n)]))
     return lam, m, tilde, bins
-
-
-def _forms(monkeypatch) -> list:
-    """The list of the forms _window_probabilities takes from now on:
-    'window' or 'time' per call, told by whether it called _populations."""
-    populations = count_calls(monkeypatch, operators, "_populations")
-    table, forms = operators._window_probabilities, []
-
-    def recording(*args):
-        before = len(populations)
-        out = table(*args)
-        forms.append("time" if len(populations) > before else "window")
-        return out
-
-    monkeypatch.setattr(operators, "_window_probabilities", recording)
-    monkeypatch.setattr(thermo, "_window_probabilities", recording)
-    return forms
 
 
 def _open_b64_shaped(rng, bath_beta=1.0, levels=16, degeneracy=4) -> tuple:
@@ -96,94 +87,56 @@ def _open_b64_shaped(rng, bath_beta=1.0, levels=16, degeneracy=4) -> tuple:
     )
 
 
+# name -> (the open runs of that shape, the (rows of m, windows) of each call)
+_SHAPES = {
+    "open-b64": (lambda rng: open_run(*_open_b64_shaped(rng)), [(128, 32)]),
+    "one-level-per-window": (
+        lambda rng: open_run(*_open_b64_shaped(rng, levels=64, degeneracy=1)), [(128, 128)]
+    ),
+    # bath 1: one bath level per window; bath 2: doubly degenerate levels
+    "canonical-baths": (lambda rng: _canonical_open_runs(ALPHAS), [(12, 12), (12, 6)]),
+}
+
+
 class TestWindowProbabilities:
-    def test_equal_the_binned_evolved_diagonal(self, rng, monkeypatch):
+    def test_equal_the_binned_evolved_diagonal(self, rng):
         # windows of one row and of many rows mixed, from one window to one
-        # window per row, so both forms run; the times include 0
-        forms = _forms(monkeypatch)
+        # window per row; the times include 0
         for _ in range(40):
             d = int(rng.integers(2, 9))
             r = int(rng.integers(d, 2 * d + 1))
             n = int(rng.integers(1, r + 1))
             lam, m, tilde, bins = _draw(rng, d, r, n)
-            got = operators._window_probabilities(lam, m, tilde, TIMES, bins, n)
-            expected = _per_time(lam, m, tilde, TIMES, bins, n)
-            assert got.shape == (len(TIMES), n)
-            assert (np.abs(got - expected) <= _bound(m, bins, n)).all()
+            got, _ = _checked_table(lam, m, tilde, TIMES, bins, n)
             assert got.sum(axis=1) == pytest.approx(np.ones(len(TIMES)), abs=1e-12)
-        assert set(forms) == {"window", "time"}
 
-    def test_one_window_per_row_equals_populations(self, rng):
-        # the per-time form: _populations' rows, reordered by window
-        lam, m, tilde, bins = _draw(rng, 4, 6, 6)
-        got = _window_probabilities(lam, m, tilde, TIMES, bins, 6)
-        pops = _populations(lam, m, tilde, TIMES)
-        np.testing.assert_array_equal(got[:, bins], np.maximum(pops, 0.0))
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_overflow_and_negative_weights_raise_in_both_forms(self, monkeypatch, n):
-        # lambda * t beyond the float range at the time 1e308; four rows in
-        # one window take the per-window form, in four the per-time form
-        forms = _forms(monkeypatch)
-        lam, bins = np.array([-2.0, 2.0]), np.arange(4) % n
-        m = np.ascontiguousarray(random_unitary(np.random.default_rng(0), 4)[:2].T)
-        with pytest.raises(ValidationError, match="not finite"):
-            operators._window_probabilities(lam, m, np.eye(2) / 2, [0.0, 1.0, 1e308], bins, n)
-        assert not forms  # raised before the form's call returned
-        operators._window_probabilities(lam, m, np.eye(2) / 2, [0.0, 1.0, 2.0], bins, n)
-        assert forms == ["window" if n == 1 else "time"]
-        # a negative population beyond rounding fails the weight gate
-        with pytest.raises(ValidationError, match="negative weight"):
-            operators._window_probabilities(lam, m, np.diag([0.2, -0.5]), [0.0, 1.0, 2.0], bins, n)
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_workload_shapes(self, rng, monkeypatch, shape):
+        run, sizes = _SHAPES[shape]
+        calls = count_calls(monkeypatch, thermo, "_window_probabilities")
+        run(rng)
+        assert [(len(m), n) for _, m, _, _, _, n in calls] == sizes
+        for args in calls:
+            _checked_table(*args)
 
     @pytest.mark.parametrize("bath_beta", [40.0, 200.0])
     def test_cold_baths_pass_the_weight_gate(self, rng, monkeypatch, bath_beta):
-        # nearly every window holds rounding only; both forms agree within
-        # the bound, and no entry falls below the gate's -1e-12
-        calls = []
-        table = thermo._window_probabilities
-
-        def recording(*args):
-            calls.append(args)
-            return table(*args)
-
-        monkeypatch.setattr(thermo, "_window_probabilities", recording)
+        # nearly every window holds rounding only; no binned entry falls
+        # below the gate's -1e-12, and the table reads that rounding as 0
+        calls = count_calls(monkeypatch, thermo, "_window_probabilities")
         record = open_run(*_open_b64_shaped(rng, bath_beta))
         assert record.min_xi1() >= -1e-9
-        [(lam, m, tilde, times, bins, n)] = calls
-        got = table(lam, m, tilde, times, bins, n)
-        index = (np.arange(len(times))[:, None] * n + bins).ravel()
-        pops = np.bincount(index, _populations(lam, m, tilde, times).ravel(), len(times) * n)
-        assert pops.min() >= -1e-12 and got.min() >= 0.0  # rounding reads as 0
-        assert (np.abs(got - pops.reshape(got.shape)) <= _bound(m, bins, n)).all()
+        [args] = calls
+        assert _checked_table(*args)[1].min() >= -1e-12
 
+    def test_a_not_finite_phase_raises(self):
+        # lambda * t is beyond the float range at the time 1e308
+        lam, m = np.array([-2.0, 2.0]), np.eye(2, dtype=complex)
+        with pytest.raises(ValidationError, match="not finite"):
+            _window_probabilities(lam, m, np.eye(2) / 2, [0.0, 1.0, 1e308], np.arange(2), 2)
 
-class TestFormSelection:
-    """Which form each workload's shape takes, by call counts."""
-
-    def test_open_b64_shape_takes_the_window_form(self, rng, monkeypatch):
-        forms = _forms(monkeypatch)
-        open_run(*_open_b64_shaped(rng))
-        assert forms == ["window"]
-
-    def test_one_row_per_window_keeps_the_per_time_form(self, rng, monkeypatch):
-        # a nondegenerate 64-level bath with one level per window
-        forms = _forms(monkeypatch)
-        open_run(*_open_b64_shaped(rng, levels=64, degeneracy=1))
-        assert forms == ["time"]
-
-    @pytest.mark.parametrize("n, form", [(4, "window"), (6, "time")])
-    def test_the_margin_decides_between_the_ties(self, rng, monkeypatch, n, form):
-        # 8 rows, 51 times: the per-window form runs below 2/3 of the
-        # per-time multiply-adds; 6 windows need 0.77 of them, 4 windows 0.52
-        forms = _forms(monkeypatch)
-        lam, m, tilde, bins = _draw(rng, 3, 8, n)
-        operators._window_probabilities(lam, m, tilde, np.linspace(0.0, 5.0, 51), bins, n)
-        assert forms == [form]
-
-    def test_canonical_baths(self, monkeypatch):
-        # bath 1: one bath level per window, 12 rows in 12 windows; bath 2:
-        # doubly degenerate levels, 12 rows in 6 windows
-        forms = _forms(monkeypatch)
-        _canonical_open_runs(ALPHAS)
-        assert forms == ["time", "window"]
+    def test_a_negative_weight_raises(self):
+        # a negative population beyond rounding fails the weight gate
+        lam, m = np.array([-2.0, 2.0]), np.eye(2, dtype=complex)
+        with pytest.raises(ValidationError, match="negative weight"):
+            _window_probabilities(lam, m, np.diag([0.2, -0.5]), [0.0, 1.0], np.arange(2), 2)
